@@ -6,36 +6,27 @@ command reads an optional JSON config (--config), applies flag overrides
 CSV / flat-text artifacts into the output directory (--csv enables the
 pattern CSVs of `mixture`).
 
-Exit codes: 0 success, 2 validation failure (every violation is listed,
-not just the first), 3 physical-precondition failure, 4 I/O failure.
-All artifacts are plain text, deterministic for a fixed (config, seed).
+Exit codes: 0 success, 2 validation failure (every violation is listed
+once, not just the first), 3 physical-precondition or numerical failure,
+4 I/O failure.  A failed run writes no file.  All artifacts are plain
+text, deterministic for a fixed (config, seed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import current as cur
 from .config import RunConfig
-from .core import (
-    de_broglie_wavelength,
-    flux,
-    fringe_period,
-    fringe_shift,
-    fringe_shift_classical_form,
-    phase_shift,
-)
-from .dual import (
-    classical_total_flux,
-    classical_totals,
-    mixture_expectations,
-    mixture_field,
-    mixture_flux,
-    outcome_distribution,
-)
+from .core import (de_broglie_wavelength, flux, fringe_period, fringe_shift,
+                   fringe_shift_classical_form, phase_shift)
+from .dual import (classical_total_flux, classical_totals, mixture_expectations, mixture_field,
+                   mixture_flux, outcome_distribution)
 from .errors import InterferenceError, UnmeasurableShiftError, ValidationError
 from .experiment import report_text, run_experiment
 from .pattern import mixture_pattern, pattern_csv, two_slit_pattern, visibility
@@ -47,24 +38,19 @@ EXIT_IO = 4
 
 
 def _load_config(args) -> RunConfig | None:
+    overrides = {"seed": args.seed, "out_dir": args.out}
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+        cfg = RunConfig.from_file(args.config, **overrides) if args.config else RunConfig(**overrides)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return None
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
     problems = cfg.validate()
-    if problems:
-        for problem in problems:
-            print(f"invalid config: {problem}", file=sys.stderr)
-        return None
-    return cfg
+    for problem in problems:
+        print(f"invalid config: {problem}", file=sys.stderr)
+    return None if problems else cfg
 
 
 def _echo_preamble(cfg: RunConfig, command: str) -> str:
@@ -74,22 +60,24 @@ def _echo_preamble(cfg: RunConfig, command: str) -> str:
 
 
 def _write_all(cfg: RunConfig, command: str, files: dict[str, str]) -> None:
-    """Write every artifact, creating the directory; all content is
-    prepared before the first write so a failed run leaves no partial
-    set.  CSV files get the config-echo comment preamble."""
-    directory = Path(cfg.out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write every artifact or none: each file goes to a temporary directory
+    beside the output directory, and only when all are written are they
+    moved into place.  CSV files get the config-echo comment preamble."""
+    directory = Path(cfg["out_dir"])
+    directory.parent.mkdir(parents=True, exist_ok=True)
     preamble = _echo_preamble(cfg, command)
-    for name, content in files.items():
-        if name.endswith(".csv"):
-            content = preamble + content
-        (directory / name).write_text(content, encoding="utf-8")
+    with tempfile.TemporaryDirectory(prefix=f".{directory.name}-", dir=directory.parent) as staging:
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                content = preamble + content
+            (Path(staging) / name).write_text(content, encoding="utf-8")
+        directory.mkdir(exist_ok=True)
+        for name in files:
+            os.replace(Path(staging) / name, directory / name)
 
 
 def cmd_phase(cfg: RunConfig) -> int:
-    constants, geometry = cfg.constants(), cfg.geometry()
-    solenoid = cfg.solenoid1()
-    geometry.check_solenoid(solenoid)
+    constants, geometry, solenoid = (cfg.objects[k] for k in ("constants", "geometry", "solenoid1"))
     lam = de_broglie_wavelength(constants, geometry)
     phi = flux(solenoid)
     rows = [
@@ -105,7 +93,7 @@ def cmd_phase(cfg: RunConfig) -> int:
 
 
 def cmd_classical(cfg: RunConfig) -> int:
-    config = cfg.dual_config()
+    config = cfg.objects["apparatus"]
     phi1, phi2 = config.flux1, config.flux2
     dphi, dx = classical_totals(config)
     rows = [
@@ -120,8 +108,7 @@ def cmd_classical(cfg: RunConfig) -> int:
 
 
 def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
-    config = cfg.dual_config()
-    amplitudes = cfg.amplitudes()
+    config, amplitudes = cfg.objects["apparatus"], cfg.objects["amplitudes"]
     outcomes = outcome_distribution(config, amplitudes)
     dphi_mean, dx_mean = mixture_expectations(config, amplitudes)
     rows = []
@@ -138,7 +125,7 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
         ("mixture mean phase dphi [rad]", dphi_mean),
         ("mixture mean shift dx [m]", dx_mean),
     ]
-    screen, width = cfg.screen(), cfg.envelope()
+    screen, width = cfg.objects["screen"], cfg["envelope_width"]
     branch_patterns = [
         two_slit_pattern(config.constants, config.geometry, o.phase, screen, width) for o in outcomes
     ]
@@ -157,18 +144,18 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
             "pattern_mixture.csv": pattern_csv(mixed),
             "mixture_summary.csv": "\n".join(summary) + "\n",
         })
-        print(f"wrote pattern CSVs to {cfg.out_dir}/")
+        print(f"wrote pattern CSVs to {cfg['out_dir']}/")
     return EXIT_OK
 
 
 def cmd_experiment(cfg: RunConfig) -> int:
     report = run_experiment(
-        config=cfg.dual_config(),
-        amplitudes=cfg.amplitudes(),
-        n_electrons=cfg.n_electrons,
-        seed=cfg.seed,
-        screen=cfg.screen(),
-        envelope_width=cfg.envelope(),
+        config=cfg.objects["apparatus"],
+        amplitudes=cfg.objects["amplitudes"],
+        n_electrons=cfg["n_electrons"],
+        seed=cfg["seed"],
+        screen=cfg.objects["screen"],
+        envelope_width=cfg["envelope_width"],
     )
     text = report_text(report)
     files = {"report.txt": text, "histogram_pooled.csv": pattern_csv(report.pooled_histogram, "count")}
@@ -177,19 +164,18 @@ def cmd_experiment(cfg: RunConfig) -> int:
             files[f"histogram_branch{branch.branch}.csv"] = pattern_csv(branch.histogram, "count")
     _write_all(cfg, "experiment", files)
     sys.stdout.write(text)
-    print(f"wrote report and histograms to {cfg.out_dir}/")
+    print(f"wrote report and histograms to {cfg['out_dir']}/")
     return EXIT_OK
 
 
 def cmd_current(cfg: RunConfig) -> int:
-    constants = cfg.constants()
-    wp = cfg.wavepacket_values
-    n = int(wp["n"])
-    eta_min, eta_max = float(wp["eta_min"]), float(wp["eta_max"])
-    spacing = (eta_max - eta_min) / (n - 1)
+    constants = cfg.objects["constants"]
+    wp = cfg.effective_dict()["wavepackets"]
+    n, eta_min = wp["n"], wp["eta_min"]
+    spacing = (wp["eta_max"] - eta_min) / (n - 1)
 
     if wp["kind"] == "plane":
-        k = float(wp["k"])
+        k = wp["k"]
         psi = cur.plane_wave(eta_min, spacing, n, k)
         j = cur.current_density(psi, constants)
         analytic = (constants.e * constants.hbar * k / constants.m) * abs(psi.samples) ** 2
@@ -198,16 +184,16 @@ def cmd_current(cfg: RunConfig) -> int:
         print(f"plane wave k = {k!r} 1/m on {n} samples, d_eta = {spacing!r} m")
         print(f"max |j - e*hbar*k/m*|psi|^2| = {deviation!r} A (discretization bound {bound!r} A)")
         _write_all(cfg, "current", {"current_plane.csv": cur.current_table(j)})
-        print(f"wrote current_plane.csv to {cfg.out_dir}/")
+        print(f"wrote current_plane.csv to {cfg['out_dir']}/")
         return EXIT_OK
 
-    amplitudes = cfg.amplitudes()
-    psi1 = cur.gaussian_packet(eta_min, spacing, n, float(wp["center1"]), float(wp["width"]), float(wp["k1"]))
-    psi2 = cur.gaussian_packet(eta_min, spacing, n, float(wp["center2"]), float(wp["width"]), float(wp["k2"]))
+    amplitudes = cfg.objects["amplitudes"]
+    psi1 = cur.gaussian_packet(eta_min, spacing, n, wp["center1"], wp["width"], wp["k1"])
+    psi2 = cur.gaussian_packet(eta_min, spacing, n, wp["center2"], wp["width"], wp["k2"])
     j_total, j_mixture, deviation = cur.mixture_current_check(
         amplitudes.c1, psi1, amplitudes.c2, psi2, constants
     )
-    j_ensemble = cur.ensemble_current(int(wp["n_ensemble"]), j_total)
+    j_ensemble = cur.ensemble_current(wp["n_ensemble"], j_total)
     scale = max(float(max(abs(cur.current_density(psi1, constants).samples))),
                 float(max(abs(cur.current_density(psi2, constants).samples))))
     print(f"two gaussian packets, |overlap| = {abs(cur.overlap(psi1, psi2))!r}")
@@ -220,7 +206,7 @@ def cmd_current(cfg: RunConfig) -> int:
         "current_mixture.csv": cur.current_table(j_mixture),
         "current_ensemble.csv": cur.current_table(j_ensemble),
     })
-    print(f"wrote wavefunction and current CSVs to {cfg.out_dir}/")
+    print(f"wrote wavefunction and current CSVs to {cfg['out_dir']}/")
     return EXIT_OK
 
 
@@ -258,22 +244,14 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _load_config(args)
     if cfg is None:
         return EXIT_VALIDATION
+    commands = {"phase": cmd_phase, "classical": cmd_classical, "experiment": cmd_experiment,
+                "current": cmd_current, "mixture": lambda cfg: cmd_mixture(cfg, args.csv)}
     try:
-        if args.command == "phase":
-            return cmd_phase(cfg)
-        if args.command == "classical":
-            return cmd_classical(cfg)
-        if args.command == "mixture":
-            return cmd_mixture(cfg, args.csv)
-        if args.command == "experiment":
-            return cmd_experiment(cfg)
-        if args.command == "current":
-            return cmd_current(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return commands[args.command](cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InterferenceError, UnmeasurableShiftError) as exc:
+    except (InterferenceError, UnmeasurableShiftError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:

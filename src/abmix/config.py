@@ -1,268 +1,286 @@
 """Run configuration: a single JSON file, SI units throughout.
 
-Key paths (all optional: missing keys fall back to the desk-scale
-defaults below):
+`SCHEMA` lists every key by its dotted path ("geometry.L" is key L of the
+"geometry" section) with its type rule and default.  A default is a
+constant or a function of the keys above it: h is 2*pi*hbar, each solenoid
+field gives a branch phase of exactly +-1 rad for its radius, and the
+screen (4096 cells over 16 fringe periods) and the envelope (2.5 periods)
+follow the constants and the geometry.
 
-    constants.e, constants.m, constants.hbar      override CODATA values
-                                                  (h is derived as 2*pi*hbar)
-    geometry.L, geometry.d, geometry.v            screen distance, slit
-                                                  separation, electron speed
-    solenoids.B1, solenoids.R1, solenoids.B2, solenoids.R2
-    amplitudes.c1, amplitudes.c2                  [re, im] pairs
-    screen.x_min, screen.x_max, screen.n          detector grid
-    envelope_width                                Gaussian envelope, m
-    n_electrons, seed, out_dir
-    wavepackets.{eta_min, eta_max, n, kind, center1, center2, width,
-                 k1, k2, k, n_ensemble}           for the `current` command
+Type rules: float keys take finite numbers; int keys take integers or
+integral floats (2.0 but not 2.5) within the bounds SCHEMA names; booleans
+and numeric strings are never numbers; amplitudes are [re, im] lists of two
+numbers; wavepackets.kind is "gaussian" or "plane"; out_dir is a string.
+Unknown keys are rejected at any depth, and a partial section is merged key
+by key with the defaults.  The screen must resolve the fringes with at
+least 2 * HISTOGRAM_REBIN = 32 cells per fringe period, so the rebinned
+histograms of an experiment still see them.
 
-Defaults describe the antisymmetric equal-weight setup: solenoid fields
-chosen so each branch phase difference is exactly +-1 rad, a screen of
-16 fringe periods with 4096 cells, an envelope of 2.5 periods, and
-Gaussian wire packets 16 widths apart.  Screen and envelope defaults are
-derived from the geometry at load time.
-
-Validation collects every violation instead of stopping at the first.
+`validate` builds each domain object once and lists every violation once:
+it skips an object whose inputs already failed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
 from typing import Any
 
-from .core import ApparatusGeometry, PhysicalConstants, Solenoid, fringe_period
+from .core import (ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, ApparatusGeometry, PhysicalConstants,
+                   Solenoid, fringe_period)
 from .dual import BranchAmplitudes, DualSolenoidConfig
 from .errors import ValidationError
-from .pattern import ScreenGrid
+from .pattern import HISTOGRAM_REBIN, ScreenGrid
 
-DEFAULT_SEED = 20240601
-DEFAULT_N_ELECTRONS = 100_000
-DEFAULT_SCREEN_PERIODS = 16.0
-DEFAULT_SCREEN_CELLS = 4096
-DEFAULT_ENVELOPE_PERIODS = 2.5
-DEFAULT_PACKET_WIDTH = 16.0
-DEFAULT_PACKET_SEPARATION = 16.0 * DEFAULT_PACKET_WIDTH
-DEFAULT_PACKET_K = 1.5
-DEFAULT_GRID_CELLS = 4096
+# -- type rules: (expected, test); test returns the typed value or None
 
 
-def _default_geometry() -> dict[str, float]:
-    return {"L": 1.0, "d": 1e-5, "v": 1e6}
+def _number(raw: Any) -> float | None:
+    if not isinstance(raw, bool) and isinstance(raw, (int, float)) and abs(raw) <= sys.float_info.max:
+        return float(raw)
+    return None
 
 
-def _default_solenoids(constants: PhysicalConstants) -> dict[str, float]:
-    # field magnitude giving a branch phase difference of exactly 1 rad
-    radius = 2.5e-7
-    b_unit = (constants.hbar / constants.e) / (math.pi * radius**2)
-    return {"B1": b_unit, "R1": radius, "B2": -b_unit, "R2": radius}
+def _integer(expected: str, low: float = -math.inf, high: float = math.inf):
+    def test(raw: Any) -> int | None:
+        raw = int(raw) if isinstance(raw, float) and raw.is_integer() else raw
+        return raw if not isinstance(raw, bool) and isinstance(raw, int) and low <= raw < high else None
+
+    return expected, test
 
 
-def _default_wavepackets() -> dict[str, Any]:
-    half = DEFAULT_PACKET_SEPARATION / 2.0 + 8.0 * DEFAULT_PACKET_WIDTH
-    return {
-        "kind": "gaussian",
-        "eta_min": -half,
-        "eta_max": half,
-        "n": DEFAULT_GRID_CELLS,
-        "center1": -DEFAULT_PACKET_SEPARATION / 2.0,
-        "center2": DEFAULT_PACKET_SEPARATION / 2.0,
-        "width": DEFAULT_PACKET_WIDTH,
-        "k1": DEFAULT_PACKET_K,
-        "k2": -DEFAULT_PACKET_K,
-        "k": DEFAULT_PACKET_K,
-        "n_ensemble": 1000,
-    }
+def _pair(raw: Any) -> list[float] | None:
+    if isinstance(raw, list) and len(raw) == 2 and None not in (pair := [_number(x) for x in raw]):
+        return pair
+    return None
 
 
-@dataclass
+def _positive(raw: Any) -> float | None:
+    value = _number(raw)
+    return value if value is not None and value > 0.0 else None
+
+
+FLOAT = ("a finite number", _number)
+POSITIVE = ("a positive finite number", _positive)
+PAIR = ("an [re, im] pair of finite numbers", _pair)
+KIND = ("'gaussian' or 'plane'", lambda raw: raw if raw in ("gaussian", "plane") else None)
+TEXT = ("a string", lambda raw: raw if isinstance(raw, str) else None)
+
+# -- derived defaults and builders read the resolved values through `v`
+
+
+def _constants(v) -> PhysicalConstants:
+    return PhysicalConstants(e=v["constants.e"], m=v["constants.m"], hbar=v["constants.hbar"], h=v["constants.h"])
+
+
+def _geometry(v) -> ApparatusGeometry:
+    return ApparatusGeometry(screen_distance=v["geometry.L"], slit_separation=v["geometry.d"], speed=v["geometry.v"])
+
+
+def _periods(count: float):
+    """Default of `count` fringe periods of the configured apparatus."""
+    return lambda v: count * fringe_period(_constants(v), _geometry(v))
+
+
+def _unit_field(radius: str, sign: float):
+    """Default field whose branch phase difference is exactly `sign` rad."""
+    return lambda v: sign * ((v["constants.hbar"] / v["constants.e"]) / (math.pi * v[radius] ** 2))
+
+
+ROOT_HALF = 1.0 / math.sqrt(2.0)
+
+# dotted key -> (type rule, default); a callable default reads the keys above it
+SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
+    "constants.e": (FLOAT, ELEMENTARY_CHARGE),
+    "constants.m": (FLOAT, ELECTRON_MASS),
+    "constants.hbar": (FLOAT, HBAR),
+    "constants.h": (FLOAT, lambda v: 2.0 * math.pi * v["constants.hbar"]),
+    "geometry.L": (FLOAT, 1.0),        # screen distance; d slit separation; v electron speed
+    "geometry.d": (FLOAT, 1e-5),
+    "geometry.v": (FLOAT, 1e6),
+    "solenoids.R1": (FLOAT, 2.5e-7),
+    "solenoids.B1": (FLOAT, _unit_field("solenoids.R1", 1.0)),
+    "solenoids.R2": (FLOAT, 2.5e-7),
+    "solenoids.B2": (FLOAT, _unit_field("solenoids.R2", -1.0)),
+    "amplitudes.c1": (PAIR, [ROOT_HALF, 0.0]),
+    "amplitudes.c2": (PAIR, [ROOT_HALF, 0.0]),
+    "screen.n": (_integer("an integer"), 4096),
+    "screen.x_min": (FLOAT, _periods(-8.0)),
+    "screen.x_max": (FLOAT, _periods(8.0)),
+    "envelope_width": (POSITIVE, _periods(2.5)),
+    "n_electrons": (_integer("an integer >= 1", 1), 100_000),
+    "seed": (_integer("an unsigned 64-bit integer", 0, 2**64), 20240601),
+    "out_dir": (TEXT, "abmix-out"),
+    # the `current` command's wire grid: two Gaussian packets 16 widths apart,
+    # each 8 widths clear of the grid ends
+    "wavepackets.kind": (KIND, "gaussian"),
+    "wavepackets.eta_min": (FLOAT, -256.0),
+    "wavepackets.eta_max": (FLOAT, 256.0),
+    "wavepackets.n": (_integer("an integer >= 8", 8), 4096),
+    "wavepackets.center1": (FLOAT, -128.0),
+    "wavepackets.center2": (FLOAT, 128.0),
+    "wavepackets.width": (POSITIVE, 16.0),
+    "wavepackets.k1": (FLOAT, 1.5),
+    "wavepackets.k2": (FLOAT, -1.5),
+    "wavepackets.k": (FLOAT, 1.5),
+    "wavepackets.n_ensemble": (_integer("an integer >= 1", 1), 1000),
+}
+SECTIONS = {key.split(".")[0] for key in SCHEMA if "." in key}
+
+
+def _screen(v, built) -> ScreenGrid:
+    screen = ScreenGrid(x_min=v["screen.x_min"], x_max=v["screen.x_max"], n=v["screen.n"])
+    period = fringe_period(built["constants"], built["geometry"])
+    if screen.dx * 2 * HISTOGRAM_REBIN > period:
+        raise ValidationError(
+            f"{screen.n} cells over {screen.span!r} m do not resolve the fringe period {period!r} m: "
+            f"each period needs at least {2 * HISTOGRAM_REBIN} cells, so raise screen.n or narrow "
+            "[screen.x_min, screen.x_max]"
+        )
+    return screen
+
+
+def _wavepackets(v, built) -> None:
+    if not v["wavepackets.eta_max"] > v["wavepackets.eta_min"]:
+        raise ValidationError("eta_max must exceed eta_min")
+
+
+# the domain objects, in build order: name -> builder(values, objects built so far)
+_BUILDERS = (
+    ("constants", lambda v, built: _constants(v)),
+    ("geometry", lambda v, built: _geometry(v)),
+    ("solenoid1", lambda v, built: Solenoid(field=v["solenoids.B1"], radius=v["solenoids.R1"])),
+    ("solenoid2", lambda v, built: Solenoid(field=v["solenoids.B2"], radius=v["solenoids.R2"])),
+    ("amplitudes", lambda v, built: BranchAmplitudes(
+        c1=complex(*v["amplitudes.c1"]), c2=complex(*v["amplitudes.c2"]))),
+    ("screen", _screen),
+    ("envelope_width", lambda v, built: v["envelope_width"]),
+    ("apparatus", lambda v, built: DualSolenoidConfig(
+        built["solenoid1"], built["solenoid2"], built["geometry"], built["constants"])),
+    ("wavepackets", _wavepackets),
+)
+
+
+class _Skip(Exception):
+    """An input already failed and is reported; skip what depends on it."""
+
+
+class _Built(dict):
+    def __missing__(self, name):
+        raise _Skip(name)
+
+
+class _Reader:
+    """The resolved values as one derived default or builder reads them.
+
+    Records the keys read; a value that derives from a failed key raises
+    _Skip, and a default that could not be derived raises its error and
+    counts its inputs as read, so nothing else derived from them reports
+    the same failure again.
+    """
+
+    def __init__(self, cfg: "RunConfig", failed: set[str]):
+        self.cfg, self.failed, self.read = cfg, failed, set()
+
+    def __getitem__(self, key: str) -> Any:
+        self.read.add(key)
+        if self.cfg.sources[key] & self.failed:
+            raise _Skip(key)
+        value = self.cfg.values[key]
+        if isinstance(value, ValidationError):
+            self.read |= self.cfg.sources[key]   # the inputs it failed on
+            raise value
+        return value
+
+
 class RunConfig:
-    """Parsed configuration plus accessors that build the domain objects."""
+    """Typed values of every SCHEMA key; `validate` adds the domain objects.
 
-    constants_overrides: dict[str, float] = field(default_factory=dict)
-    geometry_values: dict[str, float] = field(default_factory=_default_geometry)
-    solenoid_values: dict[str, float] | None = None
-    amplitude_values: dict[str, Any] | None = None
-    screen_values: dict[str, Any] | None = None
-    envelope_width: float | None = None
-    n_electrons: int = DEFAULT_N_ELECTRONS
-    seed: int = DEFAULT_SEED
-    out_dir: str = "abmix-out"
-    wavepacket_values: dict[str, Any] = field(default_factory=_default_wavepackets)
+    `cfg[key]` reads a value; `cfg.objects[name]` a domain object, by its
+    builder name, once `validate` has returned no problems.
+    """
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
-        known = {
-            "constants", "geometry", "solenoids", "amplitudes", "screen",
-            "envelope_width", "n_electrons", "seed", "out_dir", "wavepackets",
-        }
-        unknown = set(data) - known
+    def __init__(self, data: dict[str, Any] | None = None, **overrides: Any):
+        data = {**(data or {}), **{k: v for k, v in overrides.items() if v is not None}}
+        self.problems: list[str] = []
+        self.values: dict[str, Any] = {}
+        self.sources: dict[str, set[str]] = {}   # the keys each value derives from
+        self.objects: dict[str, Any] = {}         # filled by validate
+        given = self._flatten(data)
+        failed: set[str] = set()
+        for key, ((expected, test), default) in SCHEMA.items():
+            reader = _Reader(self, failed)
+            self.sources[key] = {key}
+            try:
+                raw = given[key] if key in given else default(reader) if callable(default) else default
+                if (value := test(raw)) is None:
+                    raise ValueError(f"must be {expected}, got {raw!r}")
+                self.values[key] = value
+            except _Skip:
+                failed.add(key)
+            except (ValueError, ArithmeticError) as exc:
+                if key in given:
+                    self.problems.append(f"{key}: {exc}")
+                    failed.add(key)
+                else:
+                    self.values[key] = ValidationError(f"cannot derive the default of {key}: {exc}")
+            self.sources[key].update(*(self.sources[k] for k in reader.read))
+
+    def _flatten(self, data: dict[str, Any]) -> dict[str, Any]:
+        """Dotted key -> raw value; unknown keys and non-object sections are problems."""
+        flat, unknown = {}, []
+        for name, value in data.items():
+            if name in SECTIONS and isinstance(value, dict):
+                flat.update((f"{name}.{key}", item) for key, item in value.items())
+            elif name in SECTIONS:
+                self.problems.append(f"{name}: must be an object, got {value!r}")
+            elif name in SCHEMA and "." not in name:
+                flat[name] = value
+            else:
+                unknown.append(name)
+        unknown += [key for key in flat if key not in SCHEMA]
         if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls()
-        cfg.constants_overrides = dict(data.get("constants", {}))
-        if "geometry" in data:
-            cfg.geometry_values = {**_default_geometry(), **data["geometry"]}
-        if "solenoids" in data:
-            cfg.solenoid_values = dict(data["solenoids"])
-        if "amplitudes" in data:
-            cfg.amplitude_values = dict(data["amplitudes"])
-        if "screen" in data:
-            cfg.screen_values = dict(data["screen"])
-        if "envelope_width" in data:
-            cfg.envelope_width = float(data["envelope_width"])
-        if "n_electrons" in data:
-            cfg.n_electrons = int(data["n_electrons"])
-        if "seed" in data:
-            cfg.seed = int(data["seed"])
-        if "out_dir" in data:
-            cfg.out_dir = str(data["out_dir"])
-        if "wavepackets" in data:
-            cfg.wavepacket_values = {**_default_wavepackets(), **data["wavepackets"]}
-        return cfg
+            self.problems.append(f"unknown config keys: {sorted(unknown)}")
+        return flat
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, **overrides: Any) -> "RunConfig":
         with open(path, encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(data)
+        return cls(data, **overrides)
 
-    # -- builders ------------------------------------------------------
-
-    def constants(self) -> PhysicalConstants:
-        overrides = dict(self.constants_overrides)
-        if "hbar" in overrides and "h" not in overrides:
-            overrides["h"] = 2.0 * math.pi * float(overrides["hbar"])
-        base = PhysicalConstants()
-        return PhysicalConstants(
-            e=float(overrides.get("e", base.e)),
-            m=float(overrides.get("m", base.m)),
-            hbar=float(overrides.get("hbar", base.hbar)),
-            h=float(overrides.get("h", base.h)),
-        )
-
-    def geometry(self) -> ApparatusGeometry:
-        g = self.geometry_values
-        return ApparatusGeometry(
-            screen_distance=float(g["L"]),
-            slit_separation=float(g["d"]),
-            speed=float(g["v"]),
-        )
-
-    def _solenoid_dict(self) -> dict[str, float]:
-        if self.solenoid_values is not None:
-            return self.solenoid_values
-        return _default_solenoids(self.constants())
-
-    def solenoid1(self) -> Solenoid:
-        s = self._solenoid_dict()
-        return Solenoid(field=float(s["B1"]), radius=float(s["R1"]))
-
-    def solenoid2(self) -> Solenoid:
-        s = self._solenoid_dict()
-        return Solenoid(field=float(s["B2"]), radius=float(s["R2"]))
-
-    def amplitudes(self) -> BranchAmplitudes:
-        if self.amplitude_values is None:
-            root_half = 1.0 / math.sqrt(2.0)
-            return BranchAmplitudes(c1=complex(root_half, 0.0), c2=complex(root_half, 0.0))
-        a = self.amplitude_values
-        try:
-            c1 = complex(float(a["c1"][0]), float(a["c1"][1]))
-            c2 = complex(float(a["c2"][0]), float(a["c2"][1]))
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValidationError("amplitudes must provide c1 and c2 as [re, im] pairs") from exc
-        return BranchAmplitudes(c1=c1, c2=c2)
-
-    def screen(self) -> ScreenGrid:
-        if self.screen_values is not None:
-            s = self.screen_values
-            return ScreenGrid(x_min=float(s["x_min"]), x_max=float(s["x_max"]), n=int(s["n"]))
-        period = fringe_period(self.constants(), self.geometry())
-        half = DEFAULT_SCREEN_PERIODS * period / 2.0
-        return ScreenGrid(x_min=-half, x_max=half, n=DEFAULT_SCREEN_CELLS)
-
-    def envelope(self) -> float:
-        if self.envelope_width is not None:
-            return self.envelope_width
-        return DEFAULT_ENVELOPE_PERIODS * fringe_period(self.constants(), self.geometry())
-
-    def dual_config(self) -> DualSolenoidConfig:
-        return DualSolenoidConfig(
-            solenoid1=self.solenoid1(),
-            solenoid2=self.solenoid2(),
-            geometry=self.geometry(),
-            constants=self.constants(),
-        )
+    def __getitem__(self, key: str) -> Any:
+        return self.values[key]
 
     def effective_dict(self) -> dict[str, Any]:
-        """The fully resolved configuration, round-trippable via from_dict.
-
-        Embedded in every CLI artifact so any output can be reproduced
-        from its own header.  The output directory is deliberately left
-        out: it does not influence any computed value.
-        """
-        constants = self.constants()
-        amplitudes = self.amplitudes()
-        screen = self.screen()
-        return {
-            "constants": {"e": constants.e, "m": constants.m,
-                          "hbar": constants.hbar, "h": constants.h},
-            "geometry": {key: float(value) for key, value in self.geometry_values.items()},
-            "solenoids": {key: float(value) for key, value in self._solenoid_dict().items()},
-            "amplitudes": {"c1": [amplitudes.c1.real, amplitudes.c1.imag],
-                           "c2": [amplitudes.c2.real, amplitudes.c2.imag]},
-            "screen": {"x_min": screen.x_min, "x_max": screen.x_max, "n": screen.n},
-            "envelope_width": self.envelope(),
-            "n_electrons": self.n_electrons,
-            "seed": self.seed,
-            "wavepackets": dict(self.wavepacket_values),
-        }
-
-    # -- validation ----------------------------------------------------
+        """The resolved configuration as nested sections, round-trippable via
+        RunConfig(...) and echoed in every CLI artifact.  out_dir is left
+        out: it does not influence any computed value."""
+        tree: dict[str, Any] = {}
+        for key, value in self.values.items():
+            section, _, name = key.rpartition(".")
+            if key != "out_dir":
+                (tree.setdefault(section, {}) if section else tree)[name] = value
+        return tree
 
     def validate(self) -> list[str]:
-        """Collect every invariant violation; empty list means valid."""
-        problems: list[str] = []
-
-        def attempt(label, builder):
+        """Every violation, each once; an empty list means valid."""
+        problems = list(self.problems)
+        failed = set(SCHEMA) - set(self.values)
+        self.objects = _Built()
+        for name, build in _BUILDERS:
+            reader = _Reader(self, failed)
             try:
-                return builder()
-            except (ValidationError, KeyError, TypeError, ValueError) as exc:
-                problems.append(f"{label}: {exc}")
-                return None
-
-        attempt("constants", self.constants)
-        attempt("geometry", self.geometry)
-        attempt("solenoid1", self.solenoid1)
-        attempt("solenoid2", self.solenoid2)
-        attempt("amplitudes", self.amplitudes)
-        attempt("screen", self.screen)
-        if not problems:
-            attempt("solenoid clearance", self.dual_config)
-            try:
-                if self.envelope() <= 0.0:
-                    problems.append(f"envelope_width: must be positive, got {self.envelope()!r}")
-            except ValidationError as exc:
-                problems.append(f"envelope_width: {exc}")
-        if self.n_electrons < 1:
-            problems.append(f"n_electrons: must be >= 1, got {self.n_electrons}")
-        if not (0 <= self.seed < 2**64):
-            problems.append(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
-        wp = self.wavepacket_values
-        if wp.get("kind") not in ("gaussian", "plane"):
-            problems.append(f"wavepackets.kind: must be 'gaussian' or 'plane', got {wp.get('kind')!r}")
-        if not (float(wp.get("eta_max", 1.0)) > float(wp.get("eta_min", 0.0))):
-            problems.append("wavepackets: eta_max must exceed eta_min")
-        if int(wp.get("n", 0)) < 8:
-            problems.append("wavepackets.n: need at least 8 grid samples")
-        if float(wp.get("width", 1.0)) <= 0.0:
-            problems.append("wavepackets.width: must be positive")
-        if int(wp.get("n_ensemble", 1)) < 1:
-            problems.append("wavepackets.n_ensemble: must be >= 1")
+                self.objects[name] = build(reader, self.objects)
+            except _Skip:
+                continue
+            except (ValidationError, ArithmeticError) as exc:
+                problems.append(f"{name}: {exc}")
+                failed |= reader.read
         return problems

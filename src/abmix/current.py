@@ -28,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalConstants
+from .dual import BranchAmplitudes
 from .errors import InterferenceError, ValidationError
+from .pattern import csv_table
 
 MIN_SAMPLES = 8              # central differences need interior points
 NORM_TOL = 1e-9              # on |psi|^2 integral of a normalized grid function
 NON_INTERFERENCE_TOL = 1e-9  # on overlap and pointwise product
-AMPLITUDE_TOL = 1e-12        # on |c1|^2 + |c2|^2
 REALITY_TOL = 1e-12          # relative imaginary residue allowed in j
 
 
@@ -133,12 +134,6 @@ def non_interfering(psi1: GridWavefunction, psi2: GridWavefunction) -> bool:
     )
 
 
-def _check_amplitudes(c1: complex, c2: complex) -> None:
-    total = abs(c1) ** 2 + abs(c2) ** 2
-    if abs(total - 1.0) > AMPLITUDE_TOL:
-        raise ValidationError(f"|c1|^2 + |c2|^2 = {total!r} violates normalization")
-
-
 def superpose(
     c1: complex, psi1: GridWavefunction, c2: complex, psi2: GridWavefunction
 ) -> GridWavefunction:
@@ -150,7 +145,7 @@ def superpose(
     branches do not overlap, and is not for e.g. psi1 == psi2.
     """
     _require_same_grid(psi1, psi2)
-    _check_amplitudes(c1, c2)
+    BranchAmplitudes(c1, c2)   # rejects (c1, c2) off |c1|^2 + |c2|^2 = 1
     for k, psi in ((1, psi1), (2, psi2)):
         if abs(psi.norm_squared - 1.0) > NORM_TOL:
             raise ValidationError(f"branch {k} wavefunction is not normalized: {psi.norm_squared!r}")
@@ -202,14 +197,12 @@ def mixture_current_check(
     Raises InterferenceError when the branches fail the non-interference
     predicate, since the decomposition only holds for vanishing cross terms.
     """
-    ov = overlap(psi1, psi2)
-    pw = pointwise_product_max(psi1, psi2)
-    if not (abs(ov) < NON_INTERFERENCE_TOL and pw < NON_INTERFERENCE_TOL):
+    if not non_interfering(psi1, psi2):
         raise InterferenceError(
             "branch wavefunctions interfere: the non-interference condition "
             f"requires |overlap| < {NON_INTERFERENCE_TOL} and max|psi1*psi2| < "
-            f"{NON_INTERFERENCE_TOL}, measured |overlap|={abs(ov)!r}, "
-            f"max|psi1*psi2|={pw!r}"
+            f"{NON_INTERFERENCE_TOL}, measured |overlap|={abs(overlap(psi1, psi2))!r}, "
+            f"max|psi1*psi2|={pointwise_product_max(psi1, psi2)!r}"
         )
     total = superpose(c1, psi1, c2, psi2)
     j_total = current_density(total, constants)
@@ -259,15 +252,9 @@ def plane_wave(origin: float, spacing: float, n: int, wavenumber: float) -> Grid
 
 def wavefunction_table(psi: GridWavefunction) -> str:
     """CSV table of the wavefunction, columns eta_m, re_psi, im_psi."""
-    lines = ["eta_m,re_psi,im_psi"]
-    for eta, value in zip(psi.grid, psi.samples):
-        lines.append(f"{float(eta)!r},{float(value.real)!r},{float(value.imag)!r}")
-    return "\n".join(lines) + "\n"
+    return csv_table("eta_m,re_psi,im_psi", psi.grid, psi.samples.real, psi.samples.imag)
 
 
 def current_table(j: CurrentDensity) -> str:
     """CSV table of a current density, columns eta_m, j_A."""
-    lines = ["eta_m,j_A"]
-    for eta, value in zip(j.grid, j.samples):
-        lines.append(f"{float(eta)!r},{float(value)!r}")
-    return "\n".join(lines) + "\n"
+    return csv_table("eta_m,j_A", j.grid, j.samples)

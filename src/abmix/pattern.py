@@ -26,11 +26,11 @@ from typing import Mapping
 import numpy as np
 
 from .core import ApparatusGeometry, PhysicalConstants, fringe_period
+from .dual import NORMALIZATION_TOL
 from .errors import UnmeasurableShiftError, ValidationError
 
 MIN_PERIODS = 4.0        # required screen span in fringe periods
 VISIBILITY_FLOOR = 0.05  # below this the correlation peak is unreliable
-PROBABILITY_TOL = 1e-12
 HISTOGRAM_REBIN = 16     # default cell merging for counts histograms
 
 
@@ -157,7 +157,7 @@ def mixture_pattern(
     """Incoherent weighted sum p1 I1 + p2 I2 of two same-grid patterns."""
     if not pattern1.same_grid(pattern2):
         raise ValidationError("mixture requires both patterns on the identical grid")
-    if min(p1, p2) < 0.0 or abs(p1 + p2 - 1.0) > PROBABILITY_TOL:
+    if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= NORMALIZATION_TOL):
         raise ValidationError(f"weights must be non-negative and sum to 1, got ({p1!r}, {p2!r})")
     metadata = {
         "kind": "mixture",
@@ -207,6 +207,8 @@ def visibility(pattern: IntensityPattern, rebin: int | None = None) -> float:
         envelope = envelope[:keep].reshape(-1, rebin).sum(axis=1)
         x = x[:keep].reshape(-1, rebin).mean(axis=1)
     central = np.abs(x) <= period
+    if not np.any(central):
+        raise ValidationError(f"the screen has no cell within one fringe period ({period!r} m) of x = 0")
     profile = intensity[central] / envelope[central]
     hi, lo = float(np.max(profile)), float(np.min(profile))
     if hi + lo <= 0.0:
@@ -318,9 +320,13 @@ def histogram_pattern(
     return IntensityPattern(x0=screen.x_min, dx=screen.dx, intensity=counts.astype(float), metadata=merged)
 
 
+def csv_table(header: str, *columns: np.ndarray) -> str:
+    """CSV text: the header row, then one row per sample of the equal-length
+    columns, each value written as the repr of a Python float."""
+    rows = zip(*(map(repr, np.asarray(column, dtype=float).tolist()) for column in columns))
+    return "\n".join([header, *map(",".join, rows), ""])
+
+
 def pattern_csv(pattern: IntensityPattern, value_column: str = "intensity") -> str:
     """CSV text for a pattern: header row, columns x_m and `value_column`."""
-    lines = [f"x_m,{value_column}"]
-    for x, value in zip(pattern.positions, pattern.intensity):
-        lines.append(f"{float(x)!r},{float(value)!r}")
-    return "\n".join(lines) + "\n"
+    return csv_table(f"x_m,{value_column}", pattern.positions, pattern.intensity)

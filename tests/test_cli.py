@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +240,22 @@ class TestValidationReporting:
         out_dir = blocker / "sub"
         assert main(["mixture", "--csv", "--out", str(out_dir)]) == 4
         assert "I/O failure" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        write_text = Path.write_text
+        calls = []
+
+        def second_write_fails(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", second_write_fails)
+        assert main(["mixture", "--csv", "--out", str(tmp_path / "run")]) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point_runs():

@@ -124,6 +124,11 @@ class TestSuperpose:
         with pytest.raises(ValidationError):
             superpose(1.0, psi1, 1.0, psi2)
 
+    def test_rejects_nan_amplitude(self):
+        psi1, psi2 = disjoint_packets(n=1024)
+        with pytest.raises(ValidationError, match="normalization"):
+            superpose(float("nan"), psi1, 1.0, psi2)
+
 
 class TestCurrentDensity:
     def test_real_wavefunction_carries_no_current(self):

@@ -113,6 +113,10 @@ class TestMixturePattern:
         with pytest.raises(ValidationError):
             mixture_pattern(0.6, one, 0.6, two)
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValidationError, match="weights"):
+            mixture_pattern(float("nan"), pattern_at(0.7), 1.0, pattern_at(-0.7))
+
     def test_rejects_grid_mismatch(self):
         one = pattern_at(0.7)
         two = pattern_at(-0.7, n=2048)
@@ -273,6 +277,13 @@ def test_visibility_requires_metadata():
     bare = IntensityPattern(x0=0.0, dx=0.1, intensity=np.ones(32), metadata={})
     with pytest.raises(ValidationError):
         visibility(bare)
+
+
+def test_visibility_needs_the_central_fringes_on_the_screen():
+    offset = ScreenGrid(x_min=2.0 * PERIOD, x_max=8.0 * PERIOD, n=1024)
+    pattern = two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, offset, ENVELOPE)
+    with pytest.raises(ValidationError, match="within one fringe period"):
+        visibility(pattern)
 
 
 def test_phase_shift_round_trip_through_pattern_metadata():
