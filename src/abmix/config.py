@@ -155,7 +155,7 @@ _BUILDERS = (
     ("amplitudes", lambda v, built: BranchAmplitudes(
         c1=complex(*v["amplitudes.c1"]), c2=complex(*v["amplitudes.c2"]))),
     ("screen", _screen),
-    ("envelope_width", lambda v, built: v["envelope_width"]),
+    ("envelope_width", lambda v, built: v["envelope_width"]),   # reports an underivable default
     ("apparatus", lambda v, built: DualSolenoidConfig(
         built["solenoid1"], built["solenoid2"], built["geometry"], built["constants"])),
     ("wavepackets", _wavepackets),
