@@ -11,6 +11,7 @@ and estimation, and a seeded Monte Carlo detection experiment.
 
 from .core import (
     ApparatusGeometry,
+    Grid,
     PhysicalConstants,
     Solenoid,
     de_broglie_wavelength,
@@ -38,11 +39,9 @@ from .dual import (
     BranchAmplitudes,
     DualSolenoidConfig,
     MixtureOutcome,
-    classical_total_flux,
     classical_totals,
     mixture_expectations,
-    mixture_field,
-    mixture_flux,
+    mixture_mean,
     outcome_distribution,
 )
 from .errors import InterferenceError, UnmeasurableShiftError, ValidationError
@@ -50,12 +49,10 @@ from .experiment import BranchReport, ExperimentReport, report_text, run_experim
 from .pattern import (
     FringeEstimate,
     IntensityPattern,
-    ScreenGrid,
     estimate_shift,
     histogram_pattern,
     mixture_pattern,
     pattern_csv,
-    sample_detections,
     two_slit_pattern,
     visibility,
 )
@@ -70,16 +67,15 @@ __all__ = [
     "DualSolenoidConfig",
     "ExperimentReport",
     "FringeEstimate",
+    "Grid",
     "GridWavefunction",
     "IntensityPattern",
     "InterferenceError",
     "MixtureOutcome",
     "PhysicalConstants",
-    "ScreenGrid",
     "Solenoid",
     "UnmeasurableShiftError",
     "ValidationError",
-    "classical_total_flux",
     "classical_totals",
     "current_density",
     "current_table",
@@ -94,8 +90,7 @@ __all__ = [
     "histogram_pattern",
     "mixture_current_check",
     "mixture_expectations",
-    "mixture_field",
-    "mixture_flux",
+    "mixture_mean",
     "mixture_pattern",
     "non_interfering",
     "outcome_distribution",
@@ -105,7 +100,6 @@ __all__ = [
     "plane_wave",
     "report_text",
     "run_experiment",
-    "sample_detections",
     "superpose",
     "two_slit_pattern",
     "visibility",

@@ -7,9 +7,9 @@ CSV / flat-text artifacts into the output directory (--csv enables the
 pattern CSVs of `mixture`).
 
 Exit codes: 0 success, 2 validation failure (every violation is listed
-once, not just the first), 3 physical-precondition or numerical failure,
-4 I/O failure.  A failed run writes no file.  All artifacts are plain
-text, deterministic for a fixed (config, seed).
+once, not just the first), 3 physical-precondition or numerical failure
+or out of memory, 4 I/O failure.  A failed run writes no file.  All
+artifacts are plain text, deterministic for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from . import current as cur
 from .config import RunConfig
 from .core import (de_broglie_wavelength, flux, fringe_period, fringe_shift,
                    fringe_shift_classical_form, phase_shift)
-from .dual import (classical_total_flux, classical_totals, mixture_expectations, mixture_field,
-                   mixture_flux, outcome_distribution)
+from .dual import classical_totals, mixture_expectations, mixture_mean, outcome_distribution
 from .errors import InterferenceError, UnmeasurableShiftError, ValidationError
 from .experiment import report_text, run_experiment
 from .pattern import mixture_pattern, pattern_csv, two_slit_pattern, visibility
@@ -99,7 +98,7 @@ def cmd_classical(cfg: RunConfig) -> int:
     rows = [
         ("flux 1 Phi_1 [Wb]", phi1),
         ("flux 2 Phi_2 [Wb]", phi2),
-        ("total flux Phi [Wb]", classical_total_flux(phi1, phi2)),
+        ("total flux Phi [Wb]", phi1 + phi2),
         ("total phase difference dphi [rad]", dphi),
         ("total fringe shift dx [m]", dx),
     ]
@@ -120,8 +119,8 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
             (f"branch {o.branch} shift dx_{o.branch} [m]", o.shift),
         ]
     rows += [
-        ("mixture field B [T]", mixture_field(amplitudes, config.solenoid1.field, config.solenoid2.field)),
-        ("mixture flux Phi [Wb]", mixture_flux(amplitudes, config.flux1, config.flux2)),
+        ("mixture field B [T]", mixture_mean(amplitudes, config.solenoid1.field, config.solenoid2.field)),
+        ("mixture flux Phi [Wb]", mixture_mean(amplitudes, config.flux1, config.flux2)),
         ("mixture mean phase dphi [rad]", dphi_mean),
         ("mixture mean shift dx [m]", dx_mean),
     ]
@@ -169,27 +168,25 @@ def cmd_experiment(cfg: RunConfig) -> int:
 
 
 def cmd_current(cfg: RunConfig) -> int:
-    constants = cfg.objects["constants"]
+    constants, grid = cfg.objects["constants"], cfg.objects["wavepackets"]
     wp = cfg.effective_dict()["wavepackets"]
-    n, eta_min = wp["n"], wp["eta_min"]
-    spacing = (wp["eta_max"] - eta_min) / (n - 1)
 
     if wp["kind"] == "plane":
         k = wp["k"]
-        psi = cur.plane_wave(eta_min, spacing, n, k)
+        psi = cur.plane_wave(grid, k)
         j = cur.current_density(psi, constants)
         analytic = (constants.e * constants.hbar * k / constants.m) * abs(psi.samples) ** 2
         deviation = float(max(abs(j.samples - analytic)))
-        bound = 0.4 * (k * spacing) ** 2 * float(max(abs(analytic)))
-        print(f"plane wave k = {k!r} 1/m on {n} samples, d_eta = {spacing!r} m")
+        bound = 0.4 * (k * grid.dx) ** 2 * float(max(abs(analytic)))
+        print(f"plane wave k = {k!r} 1/m on {grid.n} samples, d_eta = {grid.dx!r} m")
         print(f"max |j - e*hbar*k/m*|psi|^2| = {deviation!r} A (discretization bound {bound!r} A)")
         _write_all(cfg, "current", {"current_plane.csv": cur.current_table(j)})
         print(f"wrote current_plane.csv to {cfg['out_dir']}/")
         return EXIT_OK
 
     amplitudes = cfg.objects["amplitudes"]
-    psi1 = cur.gaussian_packet(eta_min, spacing, n, wp["center1"], wp["width"], wp["k1"])
-    psi2 = cur.gaussian_packet(eta_min, spacing, n, wp["center2"], wp["width"], wp["k2"])
+    psi1 = cur.gaussian_packet(grid, wp["center1"], wp["width"], wp["k1"])
+    psi2 = cur.gaussian_packet(grid, wp["center2"], wp["width"], wp["k2"])
     j_total, j_mixture, deviation = cur.mixture_current_check(
         amplitudes.c1, psi1, amplitudes.c2, psi2, constants
     )
@@ -253,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except (InterferenceError, UnmeasurableShiftError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError:
+        print("error: out of memory: reduce n_electrons, screen.n or wavepackets.n", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)

@@ -27,11 +27,11 @@ import math
 import sys
 from typing import Any
 
-from .core import (ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, ApparatusGeometry, PhysicalConstants,
+from .core import (ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, ApparatusGeometry, Grid, PhysicalConstants,
                    Solenoid, fringe_period)
 from .dual import BranchAmplitudes, DualSolenoidConfig
 from .errors import ValidationError
-from .pattern import HISTOGRAM_REBIN, ScreenGrid
+from .pattern import HISTOGRAM_REBIN
 
 # -- type rules: (expected, test); test returns the typed value or None
 
@@ -129,8 +129,8 @@ SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
 SECTIONS = {key.split(".")[0] for key in SCHEMA if "." in key}
 
 
-def _screen(v, built) -> ScreenGrid:
-    screen = ScreenGrid(x_min=v["screen.x_min"], x_max=v["screen.x_max"], n=v["screen.n"])
+def _screen(v, built) -> Grid:
+    screen = Grid(v["screen.x_min"], v["screen.x_max"], v["screen.n"])
     period = fringe_period(built["constants"], built["geometry"])
     if screen.dx * 2 * HISTOGRAM_REBIN > period:
         raise ValidationError(
@@ -139,11 +139,6 @@ def _screen(v, built) -> ScreenGrid:
             "[screen.x_min, screen.x_max]"
         )
     return screen
-
-
-def _wavepackets(v, built) -> None:
-    if not v["wavepackets.eta_max"] > v["wavepackets.eta_min"]:
-        raise ValidationError("eta_max must exceed eta_min")
 
 
 # the domain objects, in build order: name -> builder(values, objects built so far)
@@ -158,7 +153,8 @@ _BUILDERS = (
     ("envelope_width", lambda v, built: v["envelope_width"]),   # reports an underivable default
     ("apparatus", lambda v, built: DualSolenoidConfig(
         built["solenoid1"], built["solenoid2"], built["geometry"], built["constants"])),
-    ("wavepackets", _wavepackets),
+    ("wavepackets", lambda v, built: Grid(      # the wire grid of the `current` command
+        v["wavepackets.eta_min"], v["wavepackets.eta_max"], v["wavepackets.n"])),
 )
 
 

@@ -26,6 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ValidationError
 
 # CODATA 2018 defaults (e and h are exact in the 2019 SI)
@@ -120,6 +122,37 @@ class ApparatusGeometry:
                 f"{10.0 * solenoid.radius!r}; the around-the-solenoid model is marginal",
                 stacklevel=2,
             )
+
+
+@dataclass(frozen=True)
+class Grid:
+    """n uniformly spaced sample positions from x_min to x_max, meters.
+
+    Both the detection screen and the wire coordinate are Grids; two
+    sampled functions share a grid exactly when their Grids are equal.
+    """
+
+    x_min: float
+    x_max: float
+    n: int
+
+    def __post_init__(self):
+        if not 0.0 < self.span < math.inf:
+            raise ValidationError(f"need x_max > x_min, got [{self.x_min!r}, {self.x_max!r}]")
+        if self.n < 2:
+            raise ValidationError(f"a grid needs at least 2 points, got {self.n}")
+
+    @property
+    def span(self) -> float:
+        return self.x_max - self.x_min
+
+    @property
+    def dx(self) -> float:
+        return self.span / (self.n - 1)
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.x_min + self.dx * np.arange(self.n)
 
 
 def de_broglie_wavelength(constants: PhysicalConstants, geometry: ApparatusGeometry) -> float:

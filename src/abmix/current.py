@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalConstants
+from .core import Grid, PhysicalConstants
 from .dual import BranchAmplitudes
 from .errors import InterferenceError, ValidationError
 from .pattern import csv_table
@@ -45,63 +45,43 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridWavefunction:
-    """Uniformly sampled complex wavefunction along the wire coordinate."""
+    """Complex wavefunction sampled on a grid of the wire coordinate."""
 
-    origin: float          # eta of the first sample, m
-    spacing: float         # grid step d_eta, m (> 0)
-    samples: np.ndarray    # complex amplitudes, length >= 8
+    grid: Grid
+    samples: np.ndarray    # complex amplitudes, one per grid point, >= 8
     normalized: bool = False
 
     def __post_init__(self):
         samples = _readonly(np.asarray(self.samples, dtype=complex))
         object.__setattr__(self, "samples", samples)
-        if not (self.spacing > 0.0 and math.isfinite(self.spacing)):
-            raise ValidationError(f"grid spacing must be finite and positive, got {self.spacing!r}")
-        if samples.ndim != 1 or samples.size < MIN_SAMPLES:
-            raise ValidationError(f"need a 1-D grid of at least {MIN_SAMPLES} samples, got shape {samples.shape}")
+        if samples.shape != (self.grid.n,) or self.grid.n < MIN_SAMPLES:
+            raise ValidationError(
+                f"need one sample per point of a grid of at least {MIN_SAMPLES} points, "
+                f"got shape {samples.shape} on {self.grid.n} points"
+            )
         if self.normalized and abs(self.norm_squared - 1.0) > NORM_TOL:
             raise ValidationError(
                 f"wavefunction flagged normalized but sum |psi|^2 d_eta = {self.norm_squared!r}"
             )
 
     @property
-    def n(self) -> int:
-        return self.samples.size
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.n)
-
-    @property
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2) * self.spacing)
-
-    def same_grid(self, other: "GridWavefunction | CurrentDensity") -> bool:
-        return (
-            self.origin == other.origin
-            and self.spacing == other.spacing
-            and self.n == other.samples.size
-        )
+        return float(np.sum(np.abs(self.samples) ** 2) * self.grid.dx)
 
 
 @dataclass(frozen=True)
 class CurrentDensity:
     """Real 1-D electric current samples on the same grid as its source."""
 
-    origin: float
-    spacing: float
+    grid: Grid
     samples: np.ndarray   # amperes
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _readonly(np.asarray(self.samples, dtype=float)))
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.samples.size)
 
-
-def _require_same_grid(psi1: GridWavefunction, psi2: GridWavefunction) -> None:
-    if not psi1.same_grid(psi2):
+def _require_shared_grid(psi1: GridWavefunction, psi2: GridWavefunction) -> None:
+    if psi1.grid != psi2.grid:
         raise ValidationError("wavefunctions live on different grids")
 
 
@@ -116,13 +96,13 @@ def _derivative(samples: np.ndarray, spacing: float) -> np.ndarray:
 
 def overlap(psi1: GridWavefunction, psi2: GridWavefunction) -> complex:
     """Discrete inner product sum conj(psi1) psi2 d_eta."""
-    _require_same_grid(psi1, psi2)
-    return complex(np.sum(np.conj(psi1.samples) * psi2.samples) * psi1.spacing)
+    _require_shared_grid(psi1, psi2)
+    return complex(np.sum(np.conj(psi1.samples) * psi2.samples) * psi1.grid.dx)
 
 
 def pointwise_product_max(psi1: GridWavefunction, psi2: GridWavefunction) -> float:
     """The pointwise non-interference measure max_i |psi1_i psi2_i|."""
-    _require_same_grid(psi1, psi2)
+    _require_shared_grid(psi1, psi2)
     return float(np.max(np.abs(psi1.samples * psi2.samples)))
 
 
@@ -144,19 +124,14 @@ def superpose(
     measured norm is 1 within tolerance, which it is exactly when the
     branches do not overlap, and is not for e.g. psi1 == psi2.
     """
-    _require_same_grid(psi1, psi2)
+    _require_shared_grid(psi1, psi2)
     BranchAmplitudes(c1, c2)   # rejects (c1, c2) off |c1|^2 + |c2|^2 = 1
     for k, psi in ((1, psi1), (2, psi2)):
         if abs(psi.norm_squared - 1.0) > NORM_TOL:
             raise ValidationError(f"branch {k} wavefunction is not normalized: {psi.norm_squared!r}")
     combined = c1 * psi1.samples + c2 * psi2.samples
-    norm_sq = float(np.sum(np.abs(combined) ** 2) * psi1.spacing)
-    return GridWavefunction(
-        origin=psi1.origin,
-        spacing=psi1.spacing,
-        samples=combined,
-        normalized=abs(norm_sq - 1.0) <= NORM_TOL,
-    )
+    norm_sq = float(np.sum(np.abs(combined) ** 2) * psi1.grid.dx)
+    return GridWavefunction(psi1.grid, combined, normalized=abs(norm_sq - 1.0) <= NORM_TOL)
 
 
 def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> CurrentDensity:
@@ -167,7 +142,7 @@ def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> Curr
     max|dpsi|, which is checked on every call before the real part is
     returned.
     """
-    dpsi = _derivative(psi.samples, psi.spacing)
+    dpsi = _derivative(psi.samples, psi.grid.dx)
     prefactor = 1j * constants.hbar * constants.e / (2.0 * constants.m)
     j_complex = prefactor * (psi.samples * np.conj(dpsi) - np.conj(psi.samples) * dpsi)
     scale = (
@@ -180,7 +155,7 @@ def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> Curr
         raise ArithmeticError(
             f"current has imaginary residue {residue!r} above {REALITY_TOL} of scale {scale!r}"
         )
-    return CurrentDensity(origin=psi.origin, spacing=psi.spacing, samples=j_complex.real)
+    return CurrentDensity(psi.grid, j_complex.real)
 
 
 def mixture_current_check(
@@ -209,7 +184,7 @@ def mixture_current_check(
     j1 = current_density(psi1, constants)
     j2 = current_density(psi2, constants)
     mixture = abs(c1) ** 2 * j1.samples + abs(c2) ** 2 * j2.samples
-    j_mixture = CurrentDensity(origin=psi1.origin, spacing=psi1.spacing, samples=mixture)
+    j_mixture = CurrentDensity(psi1.grid, mixture)
     deviation = float(np.max(np.abs(j_total.samples - j_mixture.samples)))
     return j_total, j_mixture, deviation
 
@@ -218,17 +193,10 @@ def ensemble_current(n: int, j: CurrentDensity) -> CurrentDensity:
     """Current of a beam of n identically prepared electrons: n * j."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"ensemble size must be a positive integer, got {n!r}")
-    return CurrentDensity(origin=j.origin, spacing=j.spacing, samples=float(n) * j.samples)
+    return CurrentDensity(j.grid, float(n) * j.samples)
 
 
-def gaussian_packet(
-    origin: float,
-    spacing: float,
-    n: int,
-    center: float,
-    width: float,
-    wavenumber: float,
-) -> GridWavefunction:
+def gaussian_packet(grid: Grid, center: float, width: float, wavenumber: float) -> GridWavefunction:
     """Normalized Gaussian wavepacket exp(-(eta-center)^2/(2 width^2) + i k eta).
 
     Two packets of equal width separated by s have analytic overlap
@@ -237,24 +205,23 @@ def gaussian_packet(
     """
     if not width > 0.0:
         raise ValidationError(f"packet width must be positive, got {width!r}")
-    eta = origin + spacing * np.arange(n)
+    eta = grid.positions
     samples = np.exp(-((eta - center) ** 2) / (2.0 * width**2)) * np.exp(1j * wavenumber * eta)
-    samples /= math.sqrt(float(np.sum(np.abs(samples) ** 2)) * spacing)
-    return GridWavefunction(origin=origin, spacing=spacing, samples=samples, normalized=True)
+    samples /= math.sqrt(float(np.sum(np.abs(samples) ** 2)) * grid.dx)
+    return GridWavefunction(grid, samples, normalized=True)
 
 
-def plane_wave(origin: float, spacing: float, n: int, wavenumber: float) -> GridWavefunction:
+def plane_wave(grid: Grid, wavenumber: float) -> GridWavefunction:
     """Grid-normalized plane wave exp(i k eta); its current is e hbar k / m |psi|^2."""
-    eta = origin + spacing * np.arange(n)
-    samples = np.exp(1j * wavenumber * eta) / cmath.sqrt(n * spacing)
-    return GridWavefunction(origin=origin, spacing=spacing, samples=samples, normalized=True)
+    samples = np.exp(1j * wavenumber * grid.positions) / cmath.sqrt(grid.n * grid.dx)
+    return GridWavefunction(grid, samples, normalized=True)
 
 
 def wavefunction_table(psi: GridWavefunction) -> str:
     """CSV table of the wavefunction, columns eta_m, re_psi, im_psi."""
-    return csv_table("eta_m,re_psi,im_psi", psi.grid, psi.samples.real, psi.samples.imag)
+    return csv_table("eta_m,re_psi,im_psi", psi.grid.positions, psi.samples.real, psi.samples.imag)
 
 
 def current_table(j: CurrentDensity) -> str:
     """CSV table of a current density, columns eta_m, j_A."""
-    return csv_table("eta_m,j_A", j.grid, j.samples)
+    return csv_table("eta_m,j_A", j.grid.positions, j.samples)

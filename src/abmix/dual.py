@@ -111,11 +111,6 @@ class MixtureOutcome:
             raise ValidationError(f"probability {self.probability!r} outside [0, 1]")
 
 
-def classical_total_flux(flux1: float, flux2: float) -> float:
-    """Total flux of two classically energized solenoids: Phi_1 + Phi_2."""
-    return flux1 + flux2
-
-
 def classical_totals(config: DualSolenoidConfig) -> tuple[float, float]:
     """Classical case: (dphi, dx) are the plain sums of per-solenoid terms.
 
@@ -130,14 +125,10 @@ def classical_totals(config: DualSolenoidConfig) -> tuple[float, float]:
     return dphi1 + dphi2, dx1 + dx2
 
 
-def mixture_field(amplitudes: BranchAmplitudes, field1: float, field2: float) -> float:
-    """Mixture-mean magnetic field |c1|^2 B_1 + |c2|^2 B_2, tesla."""
-    return amplitudes.p1 * field1 + amplitudes.p2 * field2
-
-
-def mixture_flux(amplitudes: BranchAmplitudes, flux1: float, flux2: float) -> float:
-    """Mixture-mean flux |c1|^2 Phi_1 + |c2|^2 Phi_2, weber."""
-    return amplitudes.p1 * flux1 + amplitudes.p2 * flux2
+def mixture_mean(amplitudes: BranchAmplitudes, value1: float, value2: float) -> float:
+    """Mixture mean |c1|^2 value1 + |c2|^2 value2 of a per-branch quantity,
+    such as the field B_k or the flux Phi_k."""
+    return amplitudes.p1 * value1 + amplitudes.p2 * value2
 
 
 def mixture_expectations(

@@ -23,16 +23,16 @@ would see (mean shift compatible with zero, visibility reduced to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import Grid
 from .dual import BranchAmplitudes, DualSolenoidConfig, outcome_distribution
 from .errors import UnmeasurableShiftError, ValidationError
 from .pattern import (
     FringeEstimate,
     IntensityPattern,
-    ScreenGrid,
     estimate_shift,
     histogram_pattern,
     inverse_cdf_positions,
@@ -79,7 +79,7 @@ def run_experiment(
     amplitudes: BranchAmplitudes,
     n_electrons: int,
     seed: int,
-    screen: ScreenGrid,
+    screen: Grid,
     envelope_width: float,
     n_bootstrap: int = BOOTSTRAP_DEFAULT,
 ) -> ExperimentReport:
@@ -108,10 +108,6 @@ def run_experiment(
         if np.any(mask):
             positions[mask] = inverse_cdf_positions(pattern, uniforms[mask, 1])
 
-    tag = {
-        "fringe_period_m": reference.metadata["fringe_period_m"],
-        "envelope_width_m": reference.metadata["envelope_width_m"],
-    }
     branch_reports = []
     for index, outcome in enumerate(outcomes):
         mask = in_branch1 if index == 0 else ~in_branch1
@@ -119,7 +115,7 @@ def run_experiment(
         histogram = None
         estimate = None
         if count > 0:
-            histogram = histogram_pattern(positions[mask], screen, dict(tag, branch=outcome.branch))
+            histogram = histogram_pattern(positions[mask], reference)
             try:
                 point = estimate_shift(histogram, reference)
                 sigma = _bootstrap_sigma(
@@ -142,7 +138,7 @@ def run_experiment(
             )
         )
 
-    pooled = histogram_pattern(positions, screen, dict(tag, branch="pooled"))
+    pooled = histogram_pattern(positions, reference)
     pooled_visibility = visibility(pooled)
     try:
         pooled_point = estimate_shift(pooled, reference)
@@ -186,11 +182,8 @@ def _bootstrap_sigma(
     shifts = []
     for _ in range(n_bootstrap):
         counts = rng.multinomial(n_samples, probabilities).astype(float)
-        resampled = IntensityPattern(
-            x0=histogram.x0, dx=histogram.dx, intensity=counts, metadata=dict(histogram.metadata)
-        )
         try:
-            shifts.append(estimate_shift(resampled, reference).shift)
+            shifts.append(estimate_shift(replace(histogram, intensity=counts), reference).shift)
         except UnmeasurableShiftError:
             continue
     if len(shifts) < 2:
@@ -202,9 +195,12 @@ def _weighted_mean_shift(reports: list[BranchReport], n: int) -> tuple[float, fl
     """Empirical-frequency weighted mean of the branch shift estimates.
 
     The 1-sigma combines the per-branch bootstrap uncertainties with the
-    binomial uncertainty of the branch frequencies (delta method); an
-    unestimated branch contributes zero shift and zero variance.
+    binomial uncertainty of the branch frequencies (delta method).  A
+    branch without detections has weight 0; a branch with detections but
+    no estimate leaves the mean undefined, so both values are nan.
     """
+    if any(r.count > 0 and r.estimate is None for r in reports):
+        return float("nan"), float("nan")
     fractions = [r.count / n for r in reports]
     shifts = [r.estimate.shift if r.estimate is not None else 0.0 for r in reports]
     sigmas = [
@@ -224,7 +220,7 @@ def _config_echo(
     amplitudes: BranchAmplitudes,
     n_electrons: int,
     seed: int,
-    screen: ScreenGrid,
+    screen: Grid,
     envelope_width: float,
     n_bootstrap: int,
 ) -> tuple[tuple[str, str], ...]:

@@ -21,68 +21,47 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .core import ApparatusGeometry, PhysicalConstants, fringe_period
+from .core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period
 from .dual import NORMALIZATION_TOL
 from .errors import UnmeasurableShiftError, ValidationError
 
 MIN_PERIODS = 4.0        # required screen span in fringe periods
 VISIBILITY_FLOOR = 0.05  # below this the correlation peak is unreliable
-HISTOGRAM_REBIN = 16     # default cell merging for counts histograms
-
-
-@dataclass(frozen=True)
-class ScreenGrid:
-    """Uniform detector grid of n sample positions from x_min to x_max."""
-
-    x_min: float
-    x_max: float
-    n: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max) and self.x_max > self.x_min):
-            raise ValidationError(f"need x_max > x_min, got [{self.x_min!r}, {self.x_max!r}]")
-        if self.n < 16:
-            raise ValidationError(f"screen grid needs at least 16 samples, got {self.n}")
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.n - 1)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n)
-
-    @property
-    def span(self) -> float:
-        return self.x_max - self.x_min
+HISTOGRAM_REBIN = 16     # cell merging for counts histograms
 
 
 @dataclass(frozen=True)
 class IntensityPattern:
     """Sampled non-negative screen intensity, usable as an unnormalized density.
 
-    `metadata` carries what the estimator needs to undo the envelope:
-    fringe_period_m and envelope_width_m, plus a free-form description of
-    how the pattern was generated.
+    `period` and `envelope_width` are the fringe period and the Gaussian
+    envelope width the estimator needs to undo the envelope; `holds_counts`
+    marks a histogram of detections, whose extremes `visibility` reads
+    after merging cells.
     """
 
-    x0: float
-    dx: float
+    grid: Grid
     intensity: np.ndarray
-    metadata: Mapping[str, object]
+    period: float            # m
+    envelope_width: float    # m
+    holds_counts: bool = False
 
     def __post_init__(self):
+        for name in ("period", "envelope_width"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
         intensity = np.asarray(self.intensity, dtype=float)
         intensity.flags.writeable = False
         object.__setattr__(self, "intensity", intensity)
-        if intensity.ndim != 1 or intensity.size < 16:
-            raise ValidationError(f"intensity must be 1-D with >= 16 samples, got shape {intensity.shape}")
-        if not (self.dx > 0.0 and math.isfinite(self.dx)):
-            raise ValidationError(f"dx must be finite and positive, got {self.dx!r}")
+        if intensity.shape != (self.grid.n,) or self.grid.n < 16:
+            raise ValidationError(
+                f"intensity must be 1-D with one value per cell of a grid of >= 16 cells, "
+                f"got shape {intensity.shape} on {self.grid.n} cells"
+            )
         if np.any(~np.isfinite(intensity)) or np.any(intensity < 0.0):
             raise ValidationError("intensities must be finite and non-negative")
         if not self.total > 0.0:
@@ -90,19 +69,20 @@ class IntensityPattern:
 
     @property
     def n(self) -> int:
-        return self.intensity.size
+        return self.grid.n
+
+    @property
+    def dx(self) -> float:
+        return self.grid.dx
 
     @property
     def positions(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+        return self.grid.positions
 
     @property
     def total(self) -> float:
         """Unnormalized mass sum I dx."""
         return float(np.sum(self.intensity) * self.dx)
-
-    def same_grid(self, other: "IntensityPattern") -> bool:
-        return self.x0 == other.x0 and self.dx == other.dx and self.n == other.n
 
 
 @dataclass(frozen=True)
@@ -116,7 +96,7 @@ def two_slit_pattern(
     constants: PhysicalConstants,
     geometry: ApparatusGeometry,
     phase: float,
-    screen: ScreenGrid,
+    screen: Grid,
     envelope_width: float,
 ) -> IntensityPattern:
     """Synthesize the two-slit pattern with phase difference `phase` inserted.
@@ -124,8 +104,6 @@ def two_slit_pattern(
     The screen must span at least four fringe periods and the Gaussian
     envelope width must be positive.
     """
-    if not (envelope_width > 0.0 and math.isfinite(envelope_width)):
-        raise ValidationError(f"envelope width must be positive, got {envelope_width!r}")
     period = fringe_period(constants, geometry)
     if screen.span < MIN_PERIODS * period:
         raise ValidationError(
@@ -134,17 +112,7 @@ def two_slit_pattern(
         )
     x = screen.positions
     intensity = (1.0 + np.cos(2.0 * math.pi * x / period + phase)) * _envelope(x, envelope_width)
-    return IntensityPattern(
-        x0=screen.x_min,
-        dx=screen.dx,
-        intensity=intensity,
-        metadata={
-            "kind": "two_slit",
-            "phase_rad": float(phase),
-            "fringe_period_m": period,
-            "envelope_width_m": float(envelope_width),
-        },
-    )
+    return IntensityPattern(screen, intensity, period, envelope_width)
 
 
 def _envelope(x: np.ndarray, width: float) -> np.ndarray:
@@ -154,54 +122,35 @@ def _envelope(x: np.ndarray, width: float) -> np.ndarray:
 def mixture_pattern(
     p1: float, pattern1: IntensityPattern, p2: float, pattern2: IntensityPattern
 ) -> IntensityPattern:
-    """Incoherent weighted sum p1 I1 + p2 I2 of two same-grid patterns."""
-    if not pattern1.same_grid(pattern2):
+    """Incoherent weighted sum p1 I1 + p2 I2 of two patterns on the same grid
+    with the same fringe period and envelope width."""
+    if pattern1.grid != pattern2.grid:
         raise ValidationError("mixture requires both patterns on the identical grid")
+    if (pattern1.period, pattern1.envelope_width) != (pattern2.period, pattern2.envelope_width):
+        raise ValidationError("mixture requires both patterns to share fringe period and envelope width")
     if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= NORMALIZATION_TOL):
         raise ValidationError(f"weights must be non-negative and sum to 1, got ({p1!r}, {p2!r})")
-    metadata = {
-        "kind": "mixture",
-        "weights": (float(p1), float(p2)),
-        "components": (dict(pattern1.metadata), dict(pattern2.metadata)),
-    }
-    for key in ("fringe_period_m", "envelope_width_m"):
-        if pattern1.metadata.get(key) == pattern2.metadata.get(key) and key in pattern1.metadata:
-            metadata[key] = pattern1.metadata[key]
     return IntensityPattern(
-        x0=pattern1.x0,
-        dx=pattern1.dx,
-        intensity=p1 * pattern1.intensity + p2 * pattern2.intensity,
-        metadata=metadata,
+        pattern1.grid,
+        p1 * pattern1.intensity + p2 * pattern2.intensity,
+        pattern1.period,
+        pattern1.envelope_width,
     )
 
 
-def _grid_metadata(pattern: IntensityPattern) -> tuple[float, float]:
-    try:
-        period = float(pattern.metadata["fringe_period_m"])
-        width = float(pattern.metadata["envelope_width_m"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(
-            "pattern metadata must carry fringe_period_m and envelope_width_m"
-        ) from exc
-    return period, width
-
-
-def visibility(pattern: IntensityPattern, rebin: int | None = None) -> float:
+def visibility(pattern: IntensityPattern) -> float:
     """(I_max - I_min)/(I_max + I_min) of the envelope-normalized pattern
     over the central two fringe periods.
 
-    `rebin` > 1 merges that many adjacent cells first so the extremes of a
-    noisy detection histogram are not set by per-cell counting noise.  By
-    default synthesized patterns are not rebinned and patterns of kind
-    "histogram" are rebinned by 16 cells.
+    A detection histogram (`holds_counts`) has every 16 adjacent cells
+    merged first, so its extremes are not set by per-cell counting noise.
     """
-    if rebin is None:
-        rebin = HISTOGRAM_REBIN if pattern.metadata.get("kind") == "histogram" else 1
-    period, width = _grid_metadata(pattern)
+    period = pattern.period
     x = pattern.positions
     intensity = pattern.intensity
-    envelope = _envelope(x, width)
-    if rebin > 1:
+    envelope = _envelope(x, pattern.envelope_width)
+    if pattern.holds_counts:
+        rebin = HISTOGRAM_REBIN
         keep = (pattern.n // rebin) * rebin
         intensity = intensity[:keep].reshape(-1, rebin).sum(axis=1)
         envelope = envelope[:keep].reshape(-1, rebin).sum(axis=1)
@@ -223,8 +172,7 @@ def _baseline_removed(pattern: IntensityPattern) -> np.ndarray:
     pattern (1 + V cos)G this removes the non-oscillatory hump exactly,
     which would otherwise bias the correlation peak toward zero lag.
     """
-    _, width = _grid_metadata(pattern)
-    envelope = _envelope(pattern.positions, width)
+    envelope = _envelope(pattern.positions, pattern.envelope_width)
     coefficient = float(np.dot(pattern.intensity, envelope) / np.dot(envelope, envelope))
     return pattern.intensity - coefficient * envelope
 
@@ -253,7 +201,7 @@ def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> Fr
     below 0.05 (the physically washed-out regime) and ValidationError
     when the reference itself has no usable contrast.
     """
-    if not pattern.same_grid(reference):
+    if pattern.grid != reference.grid:
         raise ValidationError("pattern and reference must share the identical grid")
     reference_visibility = visibility(reference)
     if reference_visibility <= VISIBILITY_FLOOR:
@@ -292,32 +240,19 @@ def inverse_cdf_positions(pattern: IntensityPattern, quantiles: np.ndarray) -> n
     cells = np.clip(np.searchsorted(cdf, quantiles, side="right") - 1, 0, pattern.n - 1)
     width = np.maximum(cdf[cells + 1] - cdf[cells], np.finfo(float).tiny)
     fraction = np.clip((quantiles - cdf[cells]) / width, 0.0, 1.0)
-    left_edges = pattern.x0 - 0.5 * pattern.dx + pattern.dx * cells
+    left_edges = pattern.grid.x_min - 0.5 * pattern.dx + pattern.dx * cells
     return left_edges + fraction * pattern.dx
 
 
-def sample_detections(pattern: IntensityPattern, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. detection positions from the normalized pattern.
-
-    Sampling inverts the piecewise-linear cumulative sum of the pattern;
-    the generator is numpy's default PCG64 seeded with `seed`, so results
-    are reproducible bit for bit.
-    """
-    if n < 1:
-        raise ValidationError(f"need at least one detection, got n={n!r}")
-    rng = np.random.default_rng(seed)
-    return inverse_cdf_positions(pattern, rng.random(n))
-
-
-def histogram_pattern(
-    samples: np.ndarray, screen: ScreenGrid, metadata: Mapping[str, object]
-) -> IntensityPattern:
-    """Bin detection positions onto the screen cells as an IntensityPattern."""
-    edges = np.concatenate([screen.positions - 0.5 * screen.dx, [screen.x_max + 0.5 * screen.dx]])
+def histogram_pattern(samples: np.ndarray, reference: IntensityPattern) -> IntensityPattern:
+    """Bin detection positions onto the cells of `reference`'s grid, as a
+    counts pattern with the reference's fringe period and envelope width."""
+    grid = reference.grid
+    edges = np.concatenate([grid.positions - 0.5 * grid.dx, [grid.x_max + 0.5 * grid.dx]])
     counts, _ = np.histogram(np.asarray(samples, dtype=float), bins=edges)
-    merged = {"kind": "histogram", "n_samples": int(np.size(samples))}
-    merged.update(metadata)
-    return IntensityPattern(x0=screen.x_min, dx=screen.dx, intensity=counts.astype(float), metadata=merged)
+    return IntensityPattern(
+        grid, counts.astype(float), reference.period, reference.envelope_width, holds_counts=True
+    )
 
 
 def csv_table(header: str, *columns: np.ndarray) -> str:

@@ -12,6 +12,7 @@ import numpy as np
 
 from abmix.core import (
     ApparatusGeometry,
+    Grid,
     PhysicalConstants,
     Solenoid,
     fringe_period,
@@ -21,7 +22,7 @@ from abmix.core import (
 from abmix.current import current_density, gaussian_packet, mixture_current_check, plane_wave
 from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals, outcome_distribution
 from abmix.experiment import report_text, run_experiment
-from abmix.pattern import ScreenGrid, estimate_shift, mixture_pattern, two_slit_pattern, visibility
+from abmix.pattern import estimate_shift, mixture_pattern, two_slit_pattern, visibility
 
 CONSTANTS = PhysicalConstants()
 GEOMETRY = ApparatusGeometry(screen_distance=1.0, slit_separation=1e-5, speed=1e6)
@@ -30,7 +31,7 @@ ENVELOPE = 2.5 * PERIOD
 RADIUS = 2.5e-7
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 EQUAL_WEIGHTS = BranchAmplitudes(c1=complex(ROOT_HALF), c2=complex(ROOT_HALF))
-SCREEN = ScreenGrid(x_min=-8.0 * PERIOD, x_max=8.0 * PERIOD, n=4096)
+SCREEN = Grid(x_min=-8.0 * PERIOD, x_max=8.0 * PERIOD, n=4096)
 
 
 def antisymmetric_config(delta=1.0):
@@ -121,9 +122,9 @@ def test_criterion_5_current_decomposition_and_convergence():
     width = 16.0
     separation = 12.0 * width
     half = separation / 2.0 + 8.0 * width
-    spacing = 2.0 * half / 4095
-    psi1 = gaussian_packet(-half, spacing, 4096, -separation / 2.0, width, +1.5)
-    psi2 = gaussian_packet(-half, spacing, 4096, +separation / 2.0, width, -1.5)
+    wire = Grid(-half, half, 4096)
+    psi1 = gaussian_packet(wire, -separation / 2.0, width, +1.5)
+    psi2 = gaussian_packet(wire, +separation / 2.0, width, -1.5)
     _, _, deviation = mixture_current_check(ROOT_HALF, psi1, ROOT_HALF, psi2, CONSTANTS)
     scale = max(
         float(np.max(np.abs(current_density(psi1, CONSTANTS).samples))),
@@ -135,7 +136,7 @@ def test_criterion_5_current_decomposition_and_convergence():
     errors = {}
     for n in (2048, 4096):
         step = 100.0 / n
-        wave = plane_wave(0.0, step, n, k)
+        wave = plane_wave(Grid(0.0, step * (n - 1), n), k)
         j = current_density(wave, CONSTANTS)
         analytic = (CONSTANTS.e * CONSTANTS.hbar * k / CONSTANTS.m) * np.abs(wave.samples) ** 2
         errors[n] = float(np.max(np.abs(j.samples - analytic)))

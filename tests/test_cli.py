@@ -257,6 +257,18 @@ class TestValidationReporting:
         assert len(calls) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_of_memory_is_a_precondition_failure(self, tmp_path, capsys, monkeypatch):
+        def exhausted(**kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("abmix.cli.run_experiment", exhausted)
+        out_dir = tmp_path / "run"
+        assert main(["experiment", "--out", str(out_dir)]) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert all(key in errors[0] for key in ("n_electrons", "screen.n", "wavepackets.n"))
+        assert not out_dir.exists()
+
 
 def test_module_entry_point_runs():
     import subprocess

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import abmix
 from abmix.core import (
     ApparatusGeometry,
     PhysicalConstants,
@@ -192,6 +193,10 @@ class TestFringeShift:
         base = fringe_shift_classical_form(CONSTANTS, GEOMETRY, 2e-15)
         scaled = fringe_shift_classical_form(CONSTANTS.with_planck_scaled(10.0), GEOMETRY, 2e-15)
         assert scaled == base  # hbar never enters this form
+
+
+def test_every_public_name_resolves():
+    assert [name for name in abmix.__all__ if not hasattr(abmix, name)] == []
 
 
 def test_fringe_period_is_wavelength_scaled_by_geometry():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abmix.core import PhysicalConstants
+from abmix.core import Grid, PhysicalConstants
 from abmix.current import (
     CurrentDensity,
     GridWavefunction,
@@ -31,32 +31,32 @@ def disjoint_packets(n=4096, width=16.0, separation=None, k1=1.5, k2=-1.5):
     """Counter-propagating packets far enough apart for non-interference."""
     separation = separation if separation is not None else 12.0 * width
     half = separation / 2.0 + 8.0 * width
-    spacing = 2.0 * half / (n - 1)
-    psi1 = gaussian_packet(-half, spacing, n, -separation / 2.0, width, k1)
-    psi2 = gaussian_packet(-half, spacing, n, +separation / 2.0, width, k2)
+    grid = Grid(-half, half, n)
+    psi1 = gaussian_packet(grid, -separation / 2.0, width, k1)
+    psi2 = gaussian_packet(grid, +separation / 2.0, width, k2)
     return psi1, psi2
 
 
 class TestGridWavefunction:
     def test_rejects_small_grid(self):
         with pytest.raises(ValidationError):
-            GridWavefunction(origin=0.0, spacing=0.1, samples=np.ones(7, dtype=complex))
+            GridWavefunction(Grid(0.0, 0.6, 7), samples=np.ones(7, dtype=complex))
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValidationError):
-            GridWavefunction(origin=0.0, spacing=0.0, samples=np.ones(16, dtype=complex))
+            GridWavefunction(Grid(0.0, 0.0, 16), samples=np.ones(16, dtype=complex))
 
     def test_normalized_flag_is_checked(self):
         with pytest.raises(ValidationError):
-            GridWavefunction(origin=0.0, spacing=0.1, samples=np.ones(16, dtype=complex),
+            GridWavefunction(Grid(0.0, 1.5, 16), samples=np.ones(16, dtype=complex),
                              normalized=True)
 
     def test_grid_positions(self):
-        psi = GridWavefunction(origin=-1.0, spacing=0.5, samples=np.ones(8, dtype=complex))
-        assert np.allclose(psi.grid, -1.0 + 0.5 * np.arange(8))
+        psi = GridWavefunction(Grid(-1.0, 2.5, 8), samples=np.ones(8, dtype=complex))
+        assert np.allclose(psi.grid.positions, -1.0 + 0.5 * np.arange(8))
 
     def test_samples_are_read_only(self):
-        psi = plane_wave(0.0, 0.1, 64, 1.0)
+        psi = plane_wave(Grid(0.0, 6.3, 64), 1.0)
         with pytest.raises(ValueError):
             psi.samples[0] = 0.0
 
@@ -68,7 +68,7 @@ class TestOverlap:
 
     def test_scalar_linearity(self):
         psi, _ = disjoint_packets(n=1024)
-        rotated = GridWavefunction(psi.origin, psi.spacing, 1j * psi.samples, normalized=True)
+        rotated = GridWavefunction(psi.grid, 1j * psi.samples, normalized=True)
         assert overlap(psi, rotated) == pytest.approx(1j, abs=1e-9)
 
     def test_twelve_widths_apart_is_negligible(self):
@@ -78,7 +78,7 @@ class TestOverlap:
 
     def test_grid_mismatch_raises(self):
         psi1, _ = disjoint_packets(n=1024)
-        other = plane_wave(0.0, psi1.spacing, 1024, 1.0)
+        other = plane_wave(Grid(0.0, psi1.grid.span, 1024), 1.0)
         with pytest.raises(ValidationError):
             overlap(psi1, other)
 
@@ -115,7 +115,7 @@ class TestSuperpose:
 
     def test_rejects_unnormalized_branch(self):
         psi, _ = disjoint_packets(n=1024)
-        doubled = GridWavefunction(psi.origin, psi.spacing, 2.0 * psi.samples)
+        doubled = GridWavefunction(psi.grid, 2.0 * psi.samples)
         with pytest.raises(ValidationError):
             superpose(ROOT_HALF, psi, ROOT_HALF, doubled)
 
@@ -140,7 +140,7 @@ class TestCurrentDensity:
         k = 2.0
         n = 2048
         spacing = 100.0 / n
-        psi = plane_wave(0.0, spacing, n, k)
+        psi = plane_wave(Grid(0.0, spacing * (n - 1), n), k)
         j = current_density(psi, CONSTANTS)
         analytic = (CONSTANTS.e * CONSTANTS.hbar * k / CONSTANTS.m) * np.abs(psi.samples) ** 2
         # second-order stencils: interior (k d_eta)^2/6, one-sided ends (k d_eta)^2/3
@@ -152,13 +152,12 @@ class TestCurrentDensity:
         psi, _ = disjoint_packets(k1=1.5)
         j = current_density(psi, CONSTANTS)
         analytic = (CONSTANTS.e * CONSTANTS.hbar * 1.5 / CONSTANTS.m) * np.abs(psi.samples) ** 2
-        bound = 0.4 * (1.5 * psi.spacing) ** 2 * float(np.max(np.abs(analytic)))
+        bound = 0.4 * (1.5 * psi.grid.dx) ** 2 * float(np.max(np.abs(analytic)))
         assert float(np.max(np.abs(j.samples - analytic))) < bound
 
     def test_conjugation_flips_the_sign(self):
         psi, _ = disjoint_packets(n=1024)
-        conjugated = GridWavefunction(psi.origin, psi.spacing, np.conj(psi.samples),
-                                      normalized=True)
+        conjugated = GridWavefunction(psi.grid, np.conj(psi.samples), normalized=True)
         j = current_density(psi, CONSTANTS)
         j_conj = current_density(conjugated, CONSTANTS)
         assert np.array_equal(j_conj.samples, -j.samples)
@@ -167,8 +166,7 @@ class TestCurrentDensity:
     @given(theta=st.floats(min_value=-math.pi, max_value=math.pi))
     def test_global_phase_leaves_current_unchanged(self, theta):
         psi, _ = disjoint_packets(n=512)
-        rotated = GridWavefunction(psi.origin, psi.spacing,
-                                   cmath.exp(1j * theta) * psi.samples, normalized=True)
+        rotated = GridWavefunction(psi.grid, cmath.exp(1j * theta) * psi.samples, normalized=True)
         j = current_density(psi, CONSTANTS)
         j_rotated = current_density(rotated, CONSTANTS)
         scale = float(np.max(np.abs(j.samples)))
@@ -179,7 +177,7 @@ class TestCurrentDensity:
         errors = {}
         for n in (2048, 4096):
             spacing = 100.0 / n
-            psi = plane_wave(0.0, spacing, n, k)
+            psi = plane_wave(Grid(0.0, spacing * (n - 1), n), k)
             j = current_density(psi, CONSTANTS)
             analytic = (CONSTANTS.e * CONSTANTS.hbar * k / CONSTANTS.m) * np.abs(psi.samples) ** 2
             errors[n] = float(np.max(np.abs(j.samples - analytic)))
@@ -230,12 +228,12 @@ class TestEnsembleCurrent:
         assert np.array_equal(ensemble_current(1, j).samples, j.samples)
 
     def test_scaling_by_ten(self):
-        j = CurrentDensity(origin=0.0, spacing=0.1, samples=np.full(32, 2.5))
+        j = CurrentDensity(Grid(0.0, 3.1, 32), samples=np.full(32, 2.5))
         assert np.array_equal(ensemble_current(10, j).samples, np.full(32, 25.0))
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5])
     def test_rejects_non_positive_counts(self, bad):
-        j = CurrentDensity(origin=0.0, spacing=0.1, samples=np.zeros(16))
+        j = CurrentDensity(Grid(0.0, 1.5, 16), samples=np.zeros(16))
         with pytest.raises(ValidationError):
             ensemble_current(bad, j)
 
@@ -253,7 +251,7 @@ class TestEnsembleCurrent:
 
 class TestSerialization:
     def test_wavefunction_table_columns(self):
-        psi = plane_wave(0.0, 0.25, 8, 1.0)
+        psi = plane_wave(Grid(0.0, 1.75, 8), 1.0)
         lines = wavefunction_table(psi).splitlines()
         assert lines[0] == "eta_m,re_psi,im_psi"
         assert len(lines) == 9
@@ -262,7 +260,7 @@ class TestSerialization:
         assert complex(re, im) == pytest.approx(complex(psi.samples[2]))
 
     def test_current_table_columns(self):
-        j = CurrentDensity(origin=-1.0, spacing=0.5, samples=np.arange(8.0))
+        j = CurrentDensity(Grid(-1.0, 2.5, 8), samples=np.arange(8.0))
         lines = current_table(j).splitlines()
         assert lines[0] == "eta_m,j_A"
         assert lines[1] == "-1.0,0.0"

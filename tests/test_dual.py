@@ -8,11 +8,9 @@ from abmix.core import ApparatusGeometry, PhysicalConstants, Solenoid, flux, fri
 from abmix.dual import (
     BranchAmplitudes,
     DualSolenoidConfig,
-    classical_total_flux,
     classical_totals,
     mixture_expectations,
-    mixture_field,
-    mixture_flux,
+    mixture_mean,
     outcome_distribution,
 )
 from abmix.errors import ValidationError
@@ -74,15 +72,18 @@ class TestDualSolenoidConfig:
 
 
 class TestClassicalCase:
+    # the classical total flux is printed by `abmix classical` as flux1 + flux2
     def test_antisymmetric_fluxes_cancel(self):
-        gamma = 4e-15
-        assert classical_total_flux(gamma / 2.0, -gamma / 2.0) == 0.0
+        config = antisymmetric_config()
+        assert config.flux1 + config.flux2 == 0.0
 
     def test_additive_identity(self):
-        assert classical_total_flux(0.0, 3.7e-15) == 3.7e-15
+        config = config_with_fields(0.0, 3e-3)
+        assert config.flux1 + config.flux2 == config.flux2
 
     def test_exact_addition(self):
-        assert classical_total_flux(3e-15, 5e-15) == 8e-15
+        config = config_with_fields(3e-3, 3e-3)
+        assert config.flux1 + config.flux2 == 2.0 * config.flux1
 
     def test_antisymmetric_totals_are_bitwise_zero(self):
         dphi, dx = classical_totals(antisymmetric_config())
@@ -104,26 +105,26 @@ class TestClassicalCase:
 class TestMixtureMeans:
     def test_pure_branch_flux(self):
         amps = BranchAmplitudes(c1=1.0 + 0.0j, c2=0.0j)
-        assert mixture_flux(amps, 3e-15, 9e-15) == 3e-15
+        assert mixture_mean(amps, 3e-15, 9e-15) == 3e-15
 
     def test_equal_weights_antisymmetric_fluxes_vanish(self):
         gamma = 5e-15
-        assert mixture_flux(EQUAL_WEIGHTS, gamma, -gamma) == 0.0
+        assert mixture_mean(EQUAL_WEIGHTS, gamma, -gamma) == 0.0
 
     def test_hand_evaluated_convex_combination(self):
         amps = BranchAmplitudes(c1=0.6 + 0.0j, c2=0.8j)
-        assert mixture_flux(amps, 1e-15, 2e-15) == pytest.approx(1.64e-15, rel=1e-12)
+        assert mixture_mean(amps, 1e-15, 2e-15) == pytest.approx(1.64e-15, rel=1e-12)
 
     def test_pure_branch_field(self):
         amps = BranchAmplitudes(c1=0.0 + 1.0j, c2=0.0j)
-        assert mixture_field(amps, 0.25, 4.0) == 0.25
+        assert mixture_mean(amps, 0.25, 4.0) == 0.25
 
     def test_equal_weights_antisymmetric_fields_vanish(self):
-        assert mixture_field(EQUAL_WEIGHTS, 2e-3, -2e-3) == 0.0
+        assert mixture_mean(EQUAL_WEIGHTS, 2e-3, -2e-3) == 0.0
 
     def test_quarter_three_quarter_weights(self):
         amps = BranchAmplitudes(c1=0.5 + 0.0j, c2=complex(math.sqrt(0.75)))
-        assert mixture_field(amps, 4.0, 8.0) == pytest.approx(7.0, rel=1e-12)
+        assert mixture_mean(amps, 4.0, 8.0) == pytest.approx(7.0, rel=1e-12)
 
     @given(
         phase1=unit_phases,
@@ -139,9 +140,9 @@ class TestMixtureMeans:
         rotated = BranchAmplitudes(
             c1=magnitude1 * cmath.exp(1j * phase1), c2=magnitude2 * cmath.exp(1j * phase2)
         )
-        value = mixture_flux(plain, f1, f2)
+        value = mixture_mean(plain, f1, f2)
         assert min(f1, f2) - 1e-25 <= value <= max(f1, f2) + 1e-25
-        assert mixture_flux(rotated, f1, f2) == pytest.approx(value, rel=1e-12, abs=1e-25)
+        assert mixture_mean(rotated, f1, f2) == pytest.approx(value, rel=1e-12, abs=1e-25)
 
 
 class TestMixtureExpectations:
@@ -206,7 +207,7 @@ class TestOutcomeDistribution:
         amps = BranchAmplitudes(c1=0.6 + 0.0j, c2=0.8j)
         outcomes = outcome_distribution(config, amps)
         mean_flux = sum(o.probability * o.flux for o in outcomes)
-        expected = mixture_flux(amps, config.flux1, config.flux2)
+        expected = mixture_mean(amps, config.flux1, config.flux2)
         assert abs(mean_flux - expected) <= 4.0 * math.ulp(abs(expected))
 
 

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from abmix.core import ApparatusGeometry, PhysicalConstants, Solenoid, fringe_period
+from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period
 from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals
 from abmix.errors import ValidationError
 from abmix.experiment import report_text, run_experiment
-from abmix.pattern import ScreenGrid
 
 CONSTANTS = PhysicalConstants()
 GEOMETRY = ApparatusGeometry(screen_distance=1.0, slit_separation=1e-5, speed=1e6)
@@ -30,7 +29,7 @@ def antisymmetric_config(delta=1.0):
 
 
 def wide_screen(n=4096):
-    return ScreenGrid(x_min=-8.0 * PERIOD, x_max=8.0 * PERIOD, n=n)
+    return Grid(x_min=-8.0 * PERIOD, x_max=8.0 * PERIOD, n=n)
 
 
 class TestRunExperimentBasics:
@@ -60,6 +59,16 @@ class TestRunExperimentBasics:
         estimate = report.branch1.estimate
         tolerance = wide_screen().dx / 2.0 + 3.0 * estimate.uncertainty
         assert abs(estimate.shift - report.branch1.predicted_shift) <= tolerance
+
+    def test_unestimated_branch_with_detections_leaves_the_mean_undefined(self):
+        # 8 electrons, seed 5: branch 1 is estimated from 4 detections, the
+        # 4 of branch 2 are too few; counting them as a 0 m shift would give
+        # half the branch-1 estimate
+        report = run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 8, 5, wide_screen(), ENVELOPE)
+        assert report.branch2.count > 0 and report.branch2.estimate is None
+        assert report.branch1.estimate is not None
+        assert math.isnan(report.mean_shift) and math.isnan(report.mean_shift_sigma)
+        assert "mean_shift_m = nan" in report_text(report)
 
     def test_report_echo_pins_rng_and_seed(self):
         report = run_experiment(

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from abmix.core import ApparatusGeometry, PhysicalConstants, fringe_period, fringe_shift, phase_shift
+from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period, fringe_shift, phase_shift
 from abmix.errors import UnmeasurableShiftError, ValidationError
 from abmix.pattern import (
     IntensityPattern,
-    ScreenGrid,
     estimate_shift,
     histogram_pattern,
     inverse_cdf_positions,
     mixture_pattern,
     pattern_csv,
-    sample_detections,
     two_slit_pattern,
     visibility,
 )
@@ -27,7 +25,7 @@ ENVELOPE = 2.5 * PERIOD
 
 def screen(n=4096, periods=16.0):
     half = periods * PERIOD / 2.0
-    return ScreenGrid(x_min=-half, x_max=half, n=n)
+    return Grid(x_min=-half, x_max=half, n=n)
 
 
 def pattern_at(phase, n=4096, periods=16.0, envelope=ENVELOPE):
@@ -41,28 +39,31 @@ def flux_for_phase(phase):
 class TestScreenGrid:
     def test_rejects_reversed_bounds(self):
         with pytest.raises(ValidationError):
-            ScreenGrid(x_min=1.0, x_max=-1.0, n=64)
+            Grid(x_min=1.0, x_max=-1.0, n=64)
 
     def test_rejects_tiny_grids(self):
+        # a Grid needs 2 points for its step; a screen pattern needs 16 cells
         with pytest.raises(ValidationError):
-            ScreenGrid(x_min=0.0, x_max=1.0, n=8)
+            Grid(x_min=0.0, x_max=1.0, n=1)
+        with pytest.raises(ValidationError):
+            IntensityPattern(Grid(x_min=0.0, x_max=1.0, n=8), np.ones(8), 1.0, 1.0)
 
     def test_spacing(self):
-        grid = ScreenGrid(x_min=0.0, x_max=1.0, n=101)
+        grid = Grid(x_min=0.0, x_max=1.0, n=101)
         assert grid.dx == pytest.approx(0.01, rel=1e-12)
 
 
 class TestIntensityPattern:
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValidationError):
-            IntensityPattern(x0=0.0, dx=0.1, intensity=np.linspace(-1, 1, 32), metadata={})
+            IntensityPattern(Grid(0.0, 3.1, 32), np.linspace(-1, 1, 32), 1.0, 1.0)
 
     def test_rejects_zero_mass(self):
         with pytest.raises(ValidationError):
-            IntensityPattern(x0=0.0, dx=0.1, intensity=np.zeros(32), metadata={})
+            IntensityPattern(Grid(0.0, 3.1, 32), np.zeros(32), 1.0, 1.0)
 
     def test_total_mass(self):
-        pattern = IntensityPattern(x0=0.0, dx=0.5, intensity=np.ones(32), metadata={})
+        pattern = IntensityPattern(Grid(0.0, 15.5, 32), np.ones(32), 1.0, 1.0)
         assert pattern.total == pytest.approx(16.0, rel=1e-12)
 
 
@@ -123,6 +124,12 @@ class TestMixturePattern:
         with pytest.raises(ValidationError):
             mixture_pattern(0.5, one, 0.5, two)
 
+    def test_rejects_mismatched_optics(self):
+        one = pattern_at(0.7)
+        two = pattern_at(-0.7, envelope=2.0 * ENVELOPE)
+        with pytest.raises(ValidationError, match="envelope width"):
+            mixture_pattern(0.5, one, 0.5, two)
+
     def test_opposite_quarter_turns_cancel_the_fringes(self):
         # cos(t - pi/2) + cos(t + pi/2) = 0: the patterns are mutually out
         # of phase and the mixture flattens to the bare envelope
@@ -169,12 +176,13 @@ class TestEstimateShift:
 
     def test_three_cell_circular_shift_with_flat_envelope(self):
         n = 1024
-        x0, dx = 0.0, 0.25
+        dx = 0.25
+        grid = Grid(0.0, dx * (n - 1), n)
         cycles = 64
         base = 1.0 + np.cos(2.0 * math.pi * cycles * np.arange(n) / n)
-        metadata = {"fringe_period_m": n * dx / cycles, "envelope_width_m": 1e12}
-        reference = IntensityPattern(x0=x0, dx=dx, intensity=base, metadata=metadata)
-        shifted = IntensityPattern(x0=x0, dx=dx, intensity=np.roll(base, 3), metadata=metadata)
+        optics = {"period": n * dx / cycles, "envelope_width": 1e12}
+        reference = IntensityPattern(grid, base, **optics)
+        shifted = IntensityPattern(grid, np.roll(base, 3), **optics)
         estimate = estimate_shift(shifted, reference)
         assert abs(estimate.shift - 3.0 * dx) <= dx / 10.0
 
@@ -198,33 +206,27 @@ class TestSampleDetections:
     def test_delta_like_pattern_confines_samples(self):
         intensity = np.zeros(64)
         intensity[17] = 5.0
-        pattern = IntensityPattern(x0=0.0, dx=0.5, intensity=intensity, metadata={})
-        samples = sample_detections(pattern, 500, seed=7)
+        pattern = IntensityPattern(Grid(0.0, 31.5, 64), intensity, 1.0, 1.0)
+        samples = inverse_cdf_positions(pattern, np.random.default_rng(7).random(500))
         center = 0.0 + 0.5 * 17
         assert np.all(np.abs(samples - center) <= 0.25 + 1e-12)
 
     def test_uniform_pattern_moments(self):
         n = 100_000
-        pattern = IntensityPattern(
-            x0=0.0, dx=1.0 / 255.0, intensity=np.ones(256), metadata={}
-        )
-        samples = sample_detections(pattern, n, seed=11)
+        pattern = IntensityPattern(Grid(0.0, 1.0, 256), np.ones(256), 1.0, 1.0)
+        samples = inverse_cdf_positions(pattern, np.random.default_rng(11).random(n))
         # uniform on ~[0, 1]: mean 1/2, sd 1/sqrt(12)
         tolerance = 3.0 * (1.0 / math.sqrt(12.0)) / math.sqrt(n)
         assert np.mean(samples) == pytest.approx(0.5, abs=tolerance + 0.5 / 255.0)
 
     def test_fixed_seed_reproduces_samples(self):
         pattern = pattern_at(1.0)
-        first = sample_detections(pattern, 1000, seed=123)
-        second = sample_detections(pattern, 1000, seed=123)
+        first = inverse_cdf_positions(pattern, np.random.default_rng(123).random(1000))
+        second = inverse_cdf_positions(pattern, np.random.default_rng(123).random(1000))
         assert np.array_equal(first, second)
 
-    def test_rejects_empty_request(self):
-        with pytest.raises(ValidationError):
-            sample_detections(pattern_at(0.0), 0, seed=1)
-
     def test_quantile_endpoints_map_to_screen_edges(self):
-        pattern = IntensityPattern(x0=0.0, dx=0.5, intensity=np.ones(16), metadata={})
+        pattern = IntensityPattern(Grid(0.0, 7.5, 16), np.ones(16), 1.0, 1.0)
         positions = inverse_cdf_positions(pattern, np.array([0.0, 1.0 - 1e-16]))
         assert positions[0] == pytest.approx(-0.25, abs=1e-12)
         assert positions[1] == pytest.approx(7.75, abs=1e-9)
@@ -233,7 +235,7 @@ class TestSampleDetections:
         # goodness of fit at significance 0.01, coarse bins with >= 5 expected
         pattern = pattern_at(1.0)
         n = 100_000
-        samples = sample_detections(pattern, n, seed=77)
+        samples = inverse_cdf_positions(pattern, np.random.default_rng(77).random(n))
         merge = 64
         edges = np.concatenate(
             [pattern.positions - 0.5 * pattern.dx, [pattern.positions[-1] + 0.5 * pattern.dx]]
@@ -250,13 +252,14 @@ class TestSampleDetections:
 
 class TestHistogramPattern:
     def test_counts_land_in_the_right_cells(self):
-        grid = ScreenGrid(x_min=0.0, x_max=15.0, n=16)
+        reference = IntensityPattern(Grid(x_min=0.0, x_max=15.0, n=16), np.ones(16), 2.0, 3.0)
         samples = np.array([0.1, 0.2, 7.4, 14.9])
-        histogram = histogram_pattern(samples, grid, {"note": "test"})
+        histogram = histogram_pattern(samples, reference)
         assert histogram.intensity[0] == 2.0
         assert histogram.intensity[7] == 1.0
         assert histogram.intensity[15] == 1.0
-        assert histogram.metadata["kind"] == "histogram"
+        assert histogram.holds_counts
+        assert (histogram.grid, histogram.period, histogram.envelope_width) == (reference.grid, 2.0, 3.0)
 
     def test_csv_round_trip(self):
         pattern = pattern_at(0.3, n=64, periods=6.0)
@@ -265,7 +268,7 @@ class TestHistogramPattern:
         assert lines[0] == "x_m,intensity"
         assert len(lines) == 65
         x, value = (float(part) for part in lines[1].split(","))
-        assert x == pytest.approx(pattern.x0)
+        assert x == pytest.approx(pattern.grid.x_min)
         assert value == pytest.approx(pattern.intensity[0])
 
 
@@ -273,21 +276,21 @@ def test_two_slit_pattern_mass_positive():
     assert pattern_at(0.0).total > 0.0
 
 
-def test_visibility_requires_metadata():
-    bare = IntensityPattern(x0=0.0, dx=0.1, intensity=np.ones(32), metadata={})
-    with pytest.raises(ValidationError):
-        visibility(bare)
+def test_pattern_requires_a_positive_period_and_envelope_width():
+    with pytest.raises(ValidationError, match="period"):
+        IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 0.0, 1.0)
+    with pytest.raises(ValidationError, match="envelope_width"):
+        IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 1.0, float("nan"))
 
 
 def test_visibility_needs_the_central_fringes_on_the_screen():
-    offset = ScreenGrid(x_min=2.0 * PERIOD, x_max=8.0 * PERIOD, n=1024)
+    offset = Grid(x_min=2.0 * PERIOD, x_max=8.0 * PERIOD, n=1024)
     pattern = two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, offset, ENVELOPE)
     with pytest.raises(ValidationError, match="within one fringe period"):
         visibility(pattern)
 
 
-def test_phase_shift_round_trip_through_pattern_metadata():
+def test_pattern_carries_its_period_and_phase_shift_round_trips():
     pattern = pattern_at(0.8)
-    assert pattern.metadata["phase_rad"] == pytest.approx(0.8)
-    assert pattern.metadata["fringe_period_m"] == pytest.approx(PERIOD, rel=1e-15)
+    assert pattern.period == pytest.approx(PERIOD, rel=1e-15)
     assert phase_shift(CONSTANTS, flux_for_phase(0.8)) == pytest.approx(0.8, rel=1e-12)
