@@ -53,6 +53,7 @@ from .pattern import (
     histogram_pattern,
     mixture_pattern,
     pattern_csv,
+    shift_estimator,
     two_slit_pattern,
     visibility,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "plane_wave",
     "report_text",
     "run_experiment",
+    "shift_estimator",
     "superpose",
     "two_slit_pattern",
     "visibility",

@@ -169,10 +169,9 @@ def cmd_experiment(cfg: RunConfig) -> int:
 
 def cmd_current(cfg: RunConfig) -> int:
     constants, grid = cfg.objects["constants"], cfg.objects["wavepackets"]
-    wp = cfg.effective_dict()["wavepackets"]
 
-    if wp["kind"] == "plane":
-        k = wp["k"]
+    if cfg["wavepackets.kind"] == "plane":
+        k = cfg["wavepackets.k"]
         psi = cur.plane_wave(grid, k)
         j = cur.current_density(psi, constants)
         analytic = (constants.e * constants.hbar * k / constants.m) * abs(psi.samples) ** 2
@@ -185,12 +184,13 @@ def cmd_current(cfg: RunConfig) -> int:
         return EXIT_OK
 
     amplitudes = cfg.objects["amplitudes"]
-    psi1 = cur.gaussian_packet(grid, wp["center1"], wp["width"], wp["k1"])
-    psi2 = cur.gaussian_packet(grid, wp["center2"], wp["width"], wp["k2"])
+    width = cfg["wavepackets.width"]
+    psi1 = cur.gaussian_packet(grid, cfg["wavepackets.center1"], width, cfg["wavepackets.k1"])
+    psi2 = cur.gaussian_packet(grid, cfg["wavepackets.center2"], width, cfg["wavepackets.k2"])
     j_total, j_mixture, deviation = cur.mixture_current_check(
         amplitudes.c1, psi1, amplitudes.c2, psi2, constants
     )
-    j_ensemble = cur.ensemble_current(wp["n_ensemble"], j_total)
+    j_ensemble = cur.ensemble_current(cfg["wavepackets.n_ensemble"], j_total)
     scale = max(float(max(abs(cur.current_density(psi1, constants).samples))),
                 float(max(abs(cur.current_density(psi2, constants).samples))))
     print(f"two gaussian packets, |overlap| = {abs(cur.overlap(psi1, psi2))!r}")

@@ -17,12 +17,15 @@ The report carries both views of the outcome statistics: the
 branch-separated estimates (which recover the two-point law, shifts of
 +epsilon and -epsilon) and the pooled estimates a branch-blind detector
 would see (mean shift compatible with zero, visibility reduced to
-|cos delta|).
+|cos delta|).  The pooled histogram is the sum of the two branch
+histograms, and all three are measured by one shift estimator bound to
+the phase-0 reference pattern.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,9 +36,9 @@ from .errors import UnmeasurableShiftError, ValidationError
 from .pattern import (
     FringeEstimate,
     IntensityPattern,
-    estimate_shift,
     histogram_pattern,
     inverse_cdf_positions,
+    shift_estimator,
     two_slit_pattern,
     visibility,
 )
@@ -43,6 +46,9 @@ from .pattern import (
 BOOTSTRAP_DEFAULT = 200
 
 RNG_ALGORITHM = f"numpy.random.PCG64 via default_rng, numpy {np.__version__}"
+
+# how report_text renders a missing estimate
+_UNESTIMATED = FringeEstimate(shift=math.nan, visibility=math.nan, uncertainty=math.nan)
 
 
 @dataclass(frozen=True)
@@ -64,11 +70,9 @@ class ExperimentReport:
     n_electrons: int
     branch1: BranchReport
     branch2: BranchReport
-    pooled_histogram: IntensityPattern
-    pooled_shift: float            # m; nan when unmeasurable
+    pooled_histogram: IntensityPattern   # branch1 + branch2 histograms
+    pooled_estimate: FringeEstimate | None   # None when unmeasurable
     pooled_visibility: float
-    pooled_uncertainty: float      # m; nan when unmeasurable
-    pooled_measurable: bool
     mean_shift: float              # sum of count/n * branch shift estimate, m
     mean_shift_sigma: float        # propagated 1-sigma on mean_shift, m
     config_echo: tuple[tuple[str, str], ...]
@@ -95,58 +99,29 @@ def run_experiment(
 
     outcomes = outcome_distribution(config, amplitudes)
     reference = two_slit_pattern(config.constants, config.geometry, 0.0, screen, envelope_width)
-    branch_patterns = [
-        two_slit_pattern(config.constants, config.geometry, o.phase, screen, envelope_width)
-        for o in outcomes
-    ]
+    estimator = shift_estimator(reference)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     uniforms = rng.random((n_electrons, 2))
     in_branch1 = uniforms[:, 0] < outcomes[0].probability
-    positions = np.empty(n_electrons, dtype=float)
-    for pattern, mask in ((branch_patterns[0], in_branch1), (branch_patterns[1], ~in_branch1)):
-        if np.any(mask):
-            positions[mask] = inverse_cdf_positions(pattern, uniforms[mask, 1])
-
     branch_reports = []
-    for index, outcome in enumerate(outcomes):
-        mask = in_branch1 if index == 0 else ~in_branch1
+    for outcome, mask in zip(outcomes, (in_branch1, ~in_branch1)):
         count = int(np.count_nonzero(mask))
-        histogram = None
-        estimate = None
+        histogram = estimate = None
         if count > 0:
-            histogram = histogram_pattern(positions[mask], reference)
-            try:
-                point = estimate_shift(histogram, reference)
-                sigma = _bootstrap_sigma(
-                    histogram, count, reference, (seed, 1, outcome.branch), n_bootstrap
-                )
-                estimate = FringeEstimate(
-                    shift=point.shift, visibility=point.visibility, uncertainty=sigma
-                )
-            except UnmeasurableShiftError:
-                estimate = None
-        branch_reports.append(
-            BranchReport(
-                branch=outcome.branch,
-                probability=outcome.probability,
-                predicted_phase=outcome.phase,
-                predicted_shift=outcome.shift,
-                count=count,
-                estimate=estimate,
-                histogram=histogram,
+            pattern = two_slit_pattern(
+                config.constants, config.geometry, outcome.phase, screen, envelope_width
             )
-        )
+            histogram = histogram_pattern(inverse_cdf_positions(pattern, uniforms[mask, 1]), reference)
+            estimate = _measure(histogram, count, estimator, (seed, 1, outcome.branch), n_bootstrap)
+        branch_reports.append(BranchReport(
+            branch=outcome.branch, probability=outcome.probability, predicted_phase=outcome.phase,
+            predicted_shift=outcome.shift, count=count, estimate=estimate, histogram=histogram,
+        ))
 
-    pooled = histogram_pattern(positions, reference)
-    pooled_visibility = visibility(pooled)
-    try:
-        pooled_point = estimate_shift(pooled, reference)
-        pooled_sigma = _bootstrap_sigma(pooled, n_electrons, reference, (seed, 1, 0), n_bootstrap)
-        pooled_shift, pooled_uncertainty, pooled_measurable = pooled_point.shift, pooled_sigma, True
-    except UnmeasurableShiftError:
-        pooled_shift, pooled_uncertainty, pooled_measurable = float("nan"), float("nan"), False
-
+    # counts are integers binned on the same edges, so the sum is exact
+    counts = sum(r.histogram.intensity for r in branch_reports if r.histogram is not None)
+    pooled = replace(reference, intensity=counts, holds_counts=True)
     mean_shift, mean_sigma = _weighted_mean_shift(branch_reports, n_electrons)
 
     return ExperimentReport(
@@ -155,10 +130,8 @@ def run_experiment(
         branch1=branch_reports[0],
         branch2=branch_reports[1],
         pooled_histogram=pooled,
-        pooled_shift=pooled_shift,
-        pooled_visibility=pooled_visibility,
-        pooled_uncertainty=pooled_uncertainty,
-        pooled_measurable=pooled_measurable,
+        pooled_estimate=_measure(pooled, n_electrons, estimator, (seed, 1, 0), n_bootstrap),
+        pooled_visibility=visibility(pooled),
         mean_shift=mean_shift,
         mean_shift_sigma=mean_sigma,
         config_echo=_config_echo(
@@ -167,10 +140,27 @@ def run_experiment(
     )
 
 
+def _measure(
+    histogram: IntensityPattern,
+    count: int,
+    estimator: Callable[[IntensityPattern], FringeEstimate],
+    entropy: tuple[int, ...],
+    n_bootstrap: int,
+) -> FringeEstimate | None:
+    """Shift estimate of a histogram of `count` detections with its bootstrap
+    1-sigma, or None when the histogram's fringes are washed out."""
+    try:
+        point = estimator(histogram)
+    except UnmeasurableShiftError:
+        return None
+    sigma = _bootstrap_sigma(histogram, count, estimator, entropy, n_bootstrap)
+    return replace(point, uncertainty=sigma)
+
+
 def _bootstrap_sigma(
     histogram: IntensityPattern,
     n_samples: int,
-    reference: IntensityPattern,
+    estimator: Callable[[IntensityPattern], FringeEstimate],
     entropy: tuple[int, ...],
     n_bootstrap: int,
 ) -> float:
@@ -183,7 +173,7 @@ def _bootstrap_sigma(
     for _ in range(n_bootstrap):
         counts = rng.multinomial(n_samples, probabilities).astype(float)
         try:
-            shifts.append(estimate_shift(replace(histogram, intensity=counts), reference).shift)
+            shifts.append(estimator(replace(histogram, intensity=counts)).shift)
         except UnmeasurableShiftError:
             continue
     if len(shifts) < 2:
@@ -197,19 +187,18 @@ def _weighted_mean_shift(reports: list[BranchReport], n: int) -> tuple[float, fl
     The 1-sigma combines the per-branch bootstrap uncertainties with the
     binomial uncertainty of the branch frequencies (delta method).  A
     branch without detections has weight 0; a branch with detections but
-    no estimate leaves the mean undefined, so both values are nan.
+    no estimate leaves the mean undefined, so both values are nan.  A
+    branch with detections but no finite bootstrap 1-sigma leaves the
+    1-sigma undefined (nan).
     """
     if any(r.count > 0 and r.estimate is None for r in reports):
         return float("nan"), float("nan")
     fractions = [r.count / n for r in reports]
     shifts = [r.estimate.shift if r.estimate is not None else 0.0 for r in reports]
-    sigmas = [
-        r.estimate.uncertainty
-        if r.estimate is not None and math.isfinite(r.estimate.uncertainty)
-        else 0.0
-        for r in reports
-    ]
+    sigmas = [r.estimate.uncertainty if r.estimate is not None else 0.0 for r in reports]
     mean = sum(f * s for f, s in zip(fractions, shifts))
+    if not all(math.isfinite(sigma) for sigma in sigmas):
+        return mean, float("nan")
     variance = sum((f * s) ** 2 for f, s in zip(fractions, sigmas))
     variance += (shifts[0] - shifts[1]) ** 2 * fractions[0] * fractions[1] / n
     return mean, math.sqrt(variance)
@@ -269,18 +258,15 @@ def report_text(report: ExperimentReport) -> str:
         lines.append(f"{prefix}.probability = {r.probability!r}")
         lines.append(f"{prefix}.predicted_phase_rad = {r.predicted_phase!r}")
         lines.append(f"{prefix}.predicted_shift_m = {r.predicted_shift!r}")
-        if r.estimate is not None:
-            lines.append(f"{prefix}.estimated_shift_m = {r.estimate.shift!r}")
-            lines.append(f"{prefix}.estimated_shift_sigma_m = {r.estimate.uncertainty!r}")
-            lines.append(f"{prefix}.visibility = {r.estimate.visibility!r}")
-        else:
-            lines.append(f"{prefix}.estimated_shift_m = nan")
-            lines.append(f"{prefix}.estimated_shift_sigma_m = nan")
-            lines.append(f"{prefix}.visibility = nan")
-    lines.append(f"pooled.shift_m = {report.pooled_shift!r}")
-    lines.append(f"pooled.shift_sigma_m = {report.pooled_uncertainty!r}")
+        estimate = r.estimate if r.estimate is not None else _UNESTIMATED
+        lines.append(f"{prefix}.estimated_shift_m = {estimate.shift!r}")
+        lines.append(f"{prefix}.estimated_shift_sigma_m = {estimate.uncertainty!r}")
+        lines.append(f"{prefix}.visibility = {estimate.visibility!r}")
+    pooled = report.pooled_estimate if report.pooled_estimate is not None else _UNESTIMATED
+    lines.append(f"pooled.shift_m = {pooled.shift!r}")
+    lines.append(f"pooled.shift_sigma_m = {pooled.uncertainty!r}")
     lines.append(f"pooled.visibility = {report.pooled_visibility!r}")
-    lines.append(f"pooled.measurable = {str(report.pooled_measurable).lower()}")
+    lines.append(f"pooled.measurable = {str(report.pooled_estimate is not None).lower()}")
     lines.append(f"mean_shift_m = {report.mean_shift!r}")
     lines.append(f"mean_shift_sigma_m = {report.mean_shift_sigma!r}")
     return "\n".join(lines) + "\n"

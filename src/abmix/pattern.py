@@ -20,6 +20,7 @@ fringe contrast by |cos delta| while the envelope is unchanged.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,7 @@ class IntensityPattern:
     holds_counts: bool = False
 
     def __post_init__(self):
-        for name in ("period", "envelope_width"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+        _check_optics(self.period, self.envelope_width)
         intensity = np.asarray(self.intensity, dtype=float)
         intensity.flags.writeable = False
         object.__setattr__(self, "intensity", intensity)
@@ -85,6 +83,13 @@ class IntensityPattern:
         return float(np.sum(self.intensity) * self.dx)
 
 
+def _check_optics(period: float, envelope_width: float) -> None:
+    """A pattern's fringe period and envelope width must be finite and positive."""
+    for name, value in (("period", period), ("envelope_width", envelope_width)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FringeEstimate:
     shift: float         # m
@@ -105,6 +110,7 @@ def two_slit_pattern(
     envelope width must be positive.
     """
     period = fringe_period(constants, geometry)
+    _check_optics(period, envelope_width)
     if screen.span < MIN_PERIODS * period:
         raise ValidationError(
             f"screen span {screen.span!r} m is narrower than {MIN_PERIODS} fringe "
@@ -177,54 +183,55 @@ def _baseline_removed(pattern: IntensityPattern) -> np.ndarray:
     return pattern.intensity - coefficient * envelope
 
 
-def _cross_correlate_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """FFT cross-correlation, identical to np.correlate(a, b, 'full')."""
-    n = a.size
-    nfft = 1
-    while nfft < 2 * n - 1:
-        nfft *= 2
-    spectrum = np.fft.rfft(a, nfft) * np.conj(np.fft.rfft(b, nfft))
-    c = np.fft.irfft(spectrum, nfft)
-    return np.concatenate([c[-(n - 1):], c[:n]])
+def shift_estimator(reference: IntensityPattern) -> Callable[[IntensityPattern], FringeEstimate]:
+    """Estimator of fringe translations relative to `reference`, which is
+    checked and transformed once; ValidationError if it has no usable contrast.
 
-
-def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> FringeEstimate:
-    """Estimate the fringe translation of `pattern` relative to `reference`.
-
-    The shift is the argmax of the cross-correlation of the two
+    `estimate(pattern)` is the argmax of the cross-correlation of the two
     baseline-removed patterns, refined by quadratic interpolation around
     the peak and clipped to half the grid span.  Shifts are resolved
-    within half a fringe period; beyond that the nearest-period alias
-    wins because the envelope weights it higher.
-
-    Raises UnmeasurableShiftError when the pattern's visibility is at or
-    below 0.05 (the physically washed-out regime) and ValidationError
-    when the reference itself has no usable contrast.
+    within half a fringe period; beyond that the nearest-period alias wins
+    because the envelope weights it higher.  It raises
+    UnmeasurableShiftError when the pattern's visibility is at or below
+    0.05 (the physically washed-out regime) and ValidationError for a
+    pattern on another grid.
     """
-    if pattern.grid != reference.grid:
-        raise ValidationError("pattern and reference must share the identical grid")
     reference_visibility = visibility(reference)
     if reference_visibility <= VISIBILITY_FLOOR:
         raise ValidationError(
             f"reference visibility {reference_visibility!r} is at or below {VISIBILITY_FLOOR}"
         )
-    pattern_visibility = visibility(pattern)
-    if pattern_visibility <= VISIBILITY_FLOOR:
-        raise UnmeasurableShiftError(
-            f"pattern visibility {pattern_visibility!r} is at or below {VISIBILITY_FLOOR}: "
-            "the fringes are washed out and the shift is unmeasurable"
-        )
-    correlation = _cross_correlate_full(_baseline_removed(pattern), _baseline_removed(reference))
-    peak = int(np.argmax(correlation))
-    offset = 0.0
-    if 0 < peak < correlation.size - 1:
-        curvature = correlation[peak - 1] - 2.0 * correlation[peak] + correlation[peak + 1]
-        if curvature != 0.0:
-            offset = 0.5 * (correlation[peak - 1] - correlation[peak + 1]) / curvature
-    shift = (peak - (pattern.n - 1) + offset) * pattern.dx
-    half_span = 0.5 * (pattern.n - 1) * pattern.dx
-    shift = float(np.clip(shift, -half_span, half_span))
-    return FringeEstimate(shift=shift, visibility=pattern_visibility, uncertainty=0.0)
+    n = reference.n
+    nfft = 1 << (2 * n - 2).bit_length()   # smallest power of 2 >= 2n - 1
+    reference_spectrum = np.conj(np.fft.rfft(_baseline_removed(reference), nfft))
+    half_span = 0.5 * (n - 1) * reference.dx
+
+    def estimate(pattern: IntensityPattern) -> FringeEstimate:
+        if pattern.grid != reference.grid:
+            raise ValidationError("pattern and reference must share the identical grid")
+        pattern_visibility = visibility(pattern)
+        if pattern_visibility <= VISIBILITY_FLOOR:
+            raise UnmeasurableShiftError(
+                f"pattern visibility {pattern_visibility!r} is at or below {VISIBILITY_FLOOR}: "
+                "the fringes are washed out and the shift is unmeasurable"
+            )
+        c = np.fft.irfft(np.fft.rfft(_baseline_removed(pattern), nfft) * reference_spectrum, nfft)
+        correlation = np.concatenate([c[-(n - 1):], c[:n]])   # lags -(n-1) .. n-1
+        peak = int(np.argmax(correlation))
+        offset = 0.0
+        if 0 < peak < correlation.size - 1:
+            curvature = correlation[peak - 1] - 2.0 * correlation[peak] + correlation[peak + 1]
+            if curvature != 0.0:
+                offset = 0.5 * (correlation[peak - 1] - correlation[peak + 1]) / curvature
+        shift = float(np.clip((peak - (n - 1) + offset) * pattern.dx, -half_span, half_span))
+        return FringeEstimate(shift=shift, visibility=pattern_visibility, uncertainty=0.0)
+
+    return estimate
+
+
+def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> FringeEstimate:
+    """Fringe translation of `pattern` relative to `reference`, by a one-off estimator."""
+    return shift_estimator(reference)(pattern)
 
 
 def inverse_cdf_positions(pattern: IntensityPattern, quantiles: np.ndarray) -> np.ndarray:

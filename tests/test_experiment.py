@@ -39,6 +39,10 @@ class TestRunExperimentBasics:
             n_bootstrap=0,
         )
         assert report.branch1.count + report.branch2.count == 5000
+        assert np.array_equal(
+            report.pooled_histogram.intensity,
+            report.branch1.histogram.intensity + report.branch2.histogram.intensity,
+        )
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValidationError):
@@ -56,6 +60,8 @@ class TestRunExperimentBasics:
         assert report.branch1.count == 20_000
         assert report.branch2.count == 0
         assert report.branch2.estimate is None
+        assert report.branch2.histogram is None
+        assert np.array_equal(report.pooled_histogram.intensity, report.branch1.histogram.intensity)
         estimate = report.branch1.estimate
         tolerance = wide_screen().dx / 2.0 + 3.0 * estimate.uncertainty
         assert abs(estimate.shift - report.branch1.predicted_shift) <= tolerance
@@ -69,6 +75,18 @@ class TestRunExperimentBasics:
         assert report.branch1.estimate is not None
         assert math.isnan(report.mean_shift) and math.isnan(report.mean_shift_sigma)
         assert "mean_shift_m = nan" in report_text(report)
+
+    def test_missing_branch_sigma_leaves_the_mean_sigma_undefined(self):
+        # without resamples both branch sigmas are nan; counting them as 0
+        # understated the 1-sigma of the mean
+        args = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 5, wide_screen(), ENVELOPE)
+        report = run_experiment(*args, n_bootstrap=0)
+        assert math.isnan(report.branch1.estimate.uncertainty)
+        assert math.isnan(report.branch2.estimate.uncertainty)
+        assert math.isnan(report.mean_shift_sigma)
+        resampled = run_experiment(*args, n_bootstrap=20)
+        assert report.mean_shift == resampled.mean_shift
+        assert math.isfinite(resampled.mean_shift_sigma)
 
     def test_report_echo_pins_rng_and_seed(self):
         report = run_experiment(
@@ -139,8 +157,7 @@ class TestTwoPointStatistics:
             antisymmetric_config(delta=math.pi / 2.0), EQUAL_WEIGHTS, 400_000, 4242,
             wide_screen(), ENVELOPE, n_bootstrap=10,
         )
-        assert not report.pooled_measurable
-        assert math.isnan(report.pooled_shift)
+        assert report.pooled_estimate is None
         assert report.pooled_visibility < 0.05
         # the branch-separated view still resolves full-magnitude shifts
         assert report.branch1.estimate is not None
