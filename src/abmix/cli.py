@@ -21,6 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import current as cur
 from .config import RunConfig
 from .core import (de_broglie_wavelength, flux, fringe_period, fringe_shift,
@@ -187,15 +189,14 @@ def cmd_current(cfg: RunConfig) -> int:
     width = cfg["wavepackets.width"]
     psi1 = cur.gaussian_packet(grid, cfg["wavepackets.center1"], width, cfg["wavepackets.k1"])
     psi2 = cur.gaussian_packet(grid, cfg["wavepackets.center2"], width, cfg["wavepackets.k2"])
-    j_total, j_mixture, deviation = cur.mixture_current_check(
+    j_total, j_mixture, deviation, bound = cur.mixture_current_check(
         amplitudes.c1, psi1, amplitudes.c2, psi2, constants
     )
     j_ensemble = cur.ensemble_current(cfg["wavepackets.n_ensemble"], j_total)
-    scale = max(float(max(abs(cur.current_density(psi1, constants).samples))),
-                float(max(abs(cur.current_density(psi2, constants).samples))))
+    tolerance = np.format_float_scientific(cur.DECOMPOSITION_TOL, trim="-", exp_digits=1)
     print(f"two gaussian packets, |overlap| = {abs(cur.overlap(psi1, psi2))!r}")
     print(f"max |j_total - (|c1|^2 j_1 + |c2|^2 j_2)| = {deviation!r} A")
-    print(f"decomposition bound 1e-9 * max|j_k| = {1e-9 * scale!r} A")
+    print(f"decomposition bound {tolerance} * max|j_k| = {bound!r} A")
     _write_all(cfg, "current", {
         "wavefunction_branch1.csv": cur.wavefunction_table(psi1),
         "wavefunction_branch2.csv": cur.wavefunction_table(psi2),

@@ -29,6 +29,7 @@ from typing import Any
 
 from .core import (ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, ApparatusGeometry, Grid, PhysicalConstants,
                    Solenoid, fringe_period)
+from .current import MIN_SAMPLES
 from .dual import BranchAmplitudes, DualSolenoidConfig
 from .errors import ValidationError
 from .pattern import HISTOGRAM_REBIN
@@ -117,7 +118,7 @@ SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
     "wavepackets.kind": (KIND, "gaussian"),
     "wavepackets.eta_min": (FLOAT, -256.0),
     "wavepackets.eta_max": (FLOAT, 256.0),
-    "wavepackets.n": (_integer("an integer >= 8", 8), 4096),
+    "wavepackets.n": (_integer(f"an integer >= {MIN_SAMPLES}", MIN_SAMPLES), 4096),
     "wavepackets.center1": (FLOAT, -128.0),
     "wavepackets.center2": (FLOAT, 128.0),
     "wavepackets.width": (POSITIVE, 16.0),

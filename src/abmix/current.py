@@ -35,6 +35,7 @@ from .pattern import csv_table
 MIN_SAMPLES = 8              # central differences need interior points
 NORM_TOL = 1e-9              # on |psi|^2 integral of a normalized grid function
 NON_INTERFERENCE_TOL = 1e-9  # on overlap and pointwise product
+DECOMPOSITION_TOL = 1e-9     # on |j_total - j_mixture|, relative to max|j_k|
 REALITY_TOL = 1e-12          # relative imaginary residue allowed in j
 
 
@@ -48,8 +49,7 @@ class GridWavefunction:
     """Complex wavefunction sampled on a grid of the wire coordinate."""
 
     grid: Grid
-    samples: np.ndarray    # complex amplitudes, one per grid point, >= 8
-    normalized: bool = False
+    samples: np.ndarray    # finite complex amplitudes, one per grid point, >= 8
 
     def __post_init__(self):
         samples = _readonly(np.asarray(self.samples, dtype=complex))
@@ -59,10 +59,8 @@ class GridWavefunction:
                 f"need one sample per point of a grid of at least {MIN_SAMPLES} points, "
                 f"got shape {samples.shape} on {self.grid.n} points"
             )
-        if self.normalized and abs(self.norm_squared - 1.0) > NORM_TOL:
-            raise ValidationError(
-                f"wavefunction flagged normalized but sum |psi|^2 d_eta = {self.norm_squared!r}"
-            )
+        if not np.all(np.isfinite(samples)):
+            raise ValidationError("wavefunction samples must be finite")
 
     @property
     def norm_squared(self) -> float:
@@ -120,18 +118,15 @@ def superpose(
     """Form c1 psi1 + c2 psi2 on the shared grid.
 
     Both inputs must be individually normalized and (c1, c2) must satisfy
-    |c1|^2 + |c2|^2 = 1.  The result is flagged normalized only if its
-    measured norm is 1 within tolerance, which it is exactly when the
-    branches do not overlap, and is not for e.g. psi1 == psi2.
+    |c1|^2 + |c2|^2 = 1.  The result's norm is 1 exactly when the branches
+    do not overlap, and is not for e.g. psi1 == psi2.
     """
     _require_shared_grid(psi1, psi2)
     BranchAmplitudes(c1, c2)   # rejects (c1, c2) off |c1|^2 + |c2|^2 = 1
     for k, psi in ((1, psi1), (2, psi2)):
         if abs(psi.norm_squared - 1.0) > NORM_TOL:
             raise ValidationError(f"branch {k} wavefunction is not normalized: {psi.norm_squared!r}")
-    combined = c1 * psi1.samples + c2 * psi2.samples
-    norm_sq = float(np.sum(np.abs(combined) ** 2) * psi1.grid.dx)
-    return GridWavefunction(psi1.grid, combined, normalized=abs(norm_sq - 1.0) <= NORM_TOL)
+    return GridWavefunction(psi1.grid, c1 * psi1.samples + c2 * psi2.samples)
 
 
 def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> CurrentDensity:
@@ -159,16 +154,13 @@ def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> Curr
 
 
 def mixture_current_check(
-    c1: complex,
-    psi1: GridWavefunction,
-    c2: complex,
-    psi2: GridWavefunction,
-    constants: PhysicalConstants,
-) -> tuple[CurrentDensity, CurrentDensity, float]:
+    c1: complex, psi1: GridWavefunction, c2: complex, psi2: GridWavefunction, constants: PhysicalConstants
+) -> tuple[CurrentDensity, CurrentDensity, float, float]:
     """Compare the superposition current with its mixture decomposition.
 
-    Returns (j_total, j_mixture, max_abs_deviation) where j_total is the
-    current of c1 psi1 + c2 psi2 and j_mixture_i = |c1|^2 j1_i + |c2|^2 j2_i.
+    Returns (j_total, j_mixture, max_abs_deviation, bound) where j_total is
+    the current of c1 psi1 + c2 psi2, j_mixture_i = |c1|^2 j1_i + |c2|^2 j2_i
+    and bound = DECOMPOSITION_TOL * max|j_k| over both branch currents.
     Raises InterferenceError when the branches fail the non-interference
     predicate, since the decomposition only holds for vanishing cross terms.
     """
@@ -179,14 +171,14 @@ def mixture_current_check(
             f"{NON_INTERFERENCE_TOL}, measured |overlap|={abs(overlap(psi1, psi2))!r}, "
             f"max|psi1*psi2|={pointwise_product_max(psi1, psi2)!r}"
         )
-    total = superpose(c1, psi1, c2, psi2)
-    j_total = current_density(total, constants)
+    j_total = current_density(superpose(c1, psi1, c2, psi2), constants)
     j1 = current_density(psi1, constants)
     j2 = current_density(psi2, constants)
     mixture = abs(c1) ** 2 * j1.samples + abs(c2) ** 2 * j2.samples
     j_mixture = CurrentDensity(psi1.grid, mixture)
     deviation = float(np.max(np.abs(j_total.samples - j_mixture.samples)))
-    return j_total, j_mixture, deviation
+    bound = DECOMPOSITION_TOL * max(float(np.max(np.abs(j.samples))) for j in (j1, j2))
+    return j_total, j_mixture, deviation, bound
 
 
 def ensemble_current(n: int, j: CurrentDensity) -> CurrentDensity:
@@ -206,15 +198,23 @@ def gaussian_packet(grid: Grid, center: float, width: float, wavenumber: float) 
     if not width > 0.0:
         raise ValidationError(f"packet width must be positive, got {width!r}")
     eta = grid.positions
-    samples = np.exp(-((eta - center) ** 2) / (2.0 * width**2)) * np.exp(1j * wavenumber * eta)
-    samples /= math.sqrt(float(np.sum(np.abs(samples) ** 2)) * grid.dx)
-    return GridWavefunction(grid, samples, normalized=True)
+    with np.errstate(all="ignore"):
+        samples = np.exp(-((eta - center) ** 2) / (2.0 * width**2)) * np.exp(1j * wavenumber * eta)
+    weight = float(np.sum(np.abs(samples) ** 2)) * grid.dx
+    if not weight > 0.0:   # also nan, when k * eta overflows
+        raise ValidationError(f"packet with center {center!r}, width {width!r} and k {wavenumber!r} has "
+                              f"no finite weight on the wire grid [{grid.x_min!r}, {grid.x_max!r}]")
+    return GridWavefunction(grid, samples / math.sqrt(weight))
 
 
 def plane_wave(grid: Grid, wavenumber: float) -> GridWavefunction:
     """Grid-normalized plane wave exp(i k eta); its current is e hbar k / m |psi|^2."""
-    samples = np.exp(1j * wavenumber * grid.positions) / cmath.sqrt(grid.n * grid.dx)
-    return GridWavefunction(grid, samples, normalized=True)
+    with np.errstate(all="ignore"):
+        samples = np.exp(1j * wavenumber * grid.positions) / cmath.sqrt(grid.n * grid.dx)
+    try:
+        return GridWavefunction(grid, samples)
+    except ValidationError as exc:
+        raise ValidationError(f"plane wave with k {wavenumber!r}: {exc}") from None
 
 
 def wavefunction_table(psi: GridWavefunction) -> str:

@@ -134,14 +134,10 @@ def mixture_mean(amplitudes: BranchAmplitudes, value1: float, value2: float) -> 
 def mixture_expectations(
     config: DualSolenoidConfig, amplitudes: BranchAmplitudes
 ) -> tuple[float, float]:
-    """Mixture means (|c1|^2 dphi_1 + |c2|^2 dphi_2, |c1|^2 dx_1 + |c2|^2 dx_2).
-
-    Equals the probability-weighted mean of :func:`outcome_distribution`.
-    """
-    outcomes = outcome_distribution(config, amplitudes)
-    dphi = sum(o.probability * o.phase for o in outcomes)
-    dx = sum(o.probability * o.shift for o in outcomes)
-    return dphi, dx
+    """Mixture means (|c1|^2 dphi_1 + |c2|^2 dphi_2, |c1|^2 dx_1 + |c2|^2 dx_2)
+    of the phases and shifts of :func:`outcome_distribution`."""
+    o1, o2 = outcome_distribution(config, amplitudes)
+    return mixture_mean(amplitudes, o1.phase, o2.phase), mixture_mean(amplitudes, o1.shift, o2.shift)
 
 
 def outcome_distribution(

@@ -130,10 +130,9 @@ def mixture_pattern(
 ) -> IntensityPattern:
     """Incoherent weighted sum p1 I1 + p2 I2 of two patterns on the same grid
     with the same fringe period and envelope width."""
-    if pattern1.grid != pattern2.grid:
-        raise ValidationError("mixture requires both patterns on the identical grid")
-    if (pattern1.period, pattern1.envelope_width) != (pattern2.period, pattern2.envelope_width):
-        raise ValidationError("mixture requires both patterns to share fringe period and envelope width")
+    optics = (pattern1.grid, pattern1.period, pattern1.envelope_width)
+    if (pattern2.grid, pattern2.period, pattern2.envelope_width) != optics:
+        raise ValidationError("mixture requires both patterns to share grid, fringe period and envelope width")
     if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= NORMALIZATION_TOL):
         raise ValidationError(f"weights must be non-negative and sum to 1, got ({p1!r}, {p2!r})")
     return IntensityPattern(
@@ -171,51 +170,51 @@ def visibility(pattern: IntensityPattern) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def _baseline_removed(pattern: IntensityPattern) -> np.ndarray:
-    """Subtract the pattern's envelope baseline, leaving the fringe part.
-
-    The baseline is the least-squares envelope multiple a*G(x): for a model
-    pattern (1 + V cos)G this removes the non-oscillatory hump exactly,
-    which would otherwise bias the correlation peak toward zero lag.
-    """
-    envelope = _envelope(pattern.positions, pattern.envelope_width)
-    coefficient = float(np.dot(pattern.intensity, envelope) / np.dot(envelope, envelope))
-    return pattern.intensity - coefficient * envelope
-
-
 def shift_estimator(reference: IntensityPattern) -> Callable[[IntensityPattern], FringeEstimate]:
     """Estimator of fringe translations relative to `reference`, which is
     checked and transformed once; ValidationError if it has no usable contrast.
 
     `estimate(pattern)` is the argmax of the cross-correlation of the two
     baseline-removed patterns, refined by quadratic interpolation around
-    the peak and clipped to half the grid span.  Shifts are resolved
-    within half a fringe period; beyond that the nearest-period alias wins
-    because the envelope weights it higher.  It raises
+    the peak and clipped to half the grid span.  The baseline is the
+    least-squares envelope multiple a*G(x): for a model pattern
+    (1 + V cos)G this removes the non-oscillatory hump exactly, which would
+    otherwise bias the correlation peak toward zero lag.  Shifts are
+    resolved within half a fringe period; beyond that the nearest-period
+    alias wins because the envelope weights it higher.  It raises
     UnmeasurableShiftError when the pattern's visibility is at or below
     0.05 (the physically washed-out regime) and ValidationError for a
-    pattern on another grid.
+    pattern whose grid, fringe period or envelope width differs from the
+    reference's.
     """
     reference_visibility = visibility(reference)
     if reference_visibility <= VISIBILITY_FLOOR:
         raise ValidationError(
             f"reference visibility {reference_visibility!r} is at or below {VISIBILITY_FLOOR}"
         )
+    optics = (reference.grid, reference.period, reference.envelope_width)
+    envelope = _envelope(reference.positions, reference.envelope_width)
+    envelope_norm_sq = np.dot(envelope, envelope)
+
+    def fringe_part(pattern: IntensityPattern) -> np.ndarray:
+        coefficient = float(np.dot(pattern.intensity, envelope) / envelope_norm_sq)
+        return pattern.intensity - coefficient * envelope
+
     n = reference.n
     nfft = 1 << (2 * n - 2).bit_length()   # smallest power of 2 >= 2n - 1
-    reference_spectrum = np.conj(np.fft.rfft(_baseline_removed(reference), nfft))
+    reference_spectrum = np.conj(np.fft.rfft(fringe_part(reference), nfft))
     half_span = 0.5 * (n - 1) * reference.dx
 
     def estimate(pattern: IntensityPattern) -> FringeEstimate:
-        if pattern.grid != reference.grid:
-            raise ValidationError("pattern and reference must share the identical grid")
+        if (pattern.grid, pattern.period, pattern.envelope_width) != optics:
+            raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
         pattern_visibility = visibility(pattern)
         if pattern_visibility <= VISIBILITY_FLOOR:
             raise UnmeasurableShiftError(
                 f"pattern visibility {pattern_visibility!r} is at or below {VISIBILITY_FLOOR}: "
                 "the fringes are washed out and the shift is unmeasurable"
             )
-        c = np.fft.irfft(np.fft.rfft(_baseline_removed(pattern), nfft) * reference_spectrum, nfft)
+        c = np.fft.irfft(np.fft.rfft(fringe_part(pattern), nfft) * reference_spectrum, nfft)
         correlation = np.concatenate([c[-(n - 1):], c[:n]])   # lags -(n-1) .. n-1
         peak = int(np.argmax(correlation))
         offset = 0.0

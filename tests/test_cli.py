@@ -189,6 +189,25 @@ class TestCurrentCommand:
         err = capsys.readouterr().err
         assert "non-interference" in err
 
+    @pytest.mark.parametrize(
+        "wavepackets, value",
+        [
+            ({"center1": 1e6}, "1000000.0"),       # packet off the grid
+            ({"width": 1e-300}, "1e-300"),         # the width's square underflows
+            ({"k1": 1e308}, "1e+308"),             # k * eta overflows
+            ({"kind": "plane", "k": 1e308}, "1e+308"),
+        ],
+        ids=["off_grid", "tiny_width", "huge_k1", "huge_plane_k"],
+    )
+    def test_packet_without_finite_weight_is_one_exit_2_line(self, tmp_path, capsys, wavepackets, value):
+        config = write_config(tmp_path, wavepackets=wavepackets)
+        out_dir = tmp_path / "currents"
+        assert main(["current", "--config", config, "--out", str(out_dir)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and value in lines[0]
+        assert not out_dir.exists()
+
     def test_plane_wave_matches_analytic_bound(self, tmp_path, capsys):
         config = write_config(tmp_path, wavepackets={"kind": "plane", "k": 2.0})
         out_dir = tmp_path / "plane"

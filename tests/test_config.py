@@ -123,12 +123,13 @@ def nest(entries):
     return data
 
 
+@pytest.mark.parametrize("command", [["mixture", "--csv"], ["current"]], ids=["mixture", "current"])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.builds(lambda known, unknown: nest(known + unknown),
                  st.lists(KNOWN, max_size=6), st.lists(UNKNOWN, max_size=1)))
-def test_any_json_object_exits_cleanly_and_all_or_nothing(data):
+def test_any_json_object_exits_cleanly_and_all_or_nothing(command, data):
     with tempfile.TemporaryDirectory() as tmp:
-        code, _, _ = run(Path(tmp), ["mixture", "--csv"], data)
+        code, _, _ = run(Path(tmp), command, data)
         assert code in (0, 2, 3, 4)
         left = sorted(path.name for path in Path(tmp).iterdir())
         assert left == (["config.json", "out"] if code == 0 else ["config.json"])

@@ -46,10 +46,11 @@ class TestGridWavefunction:
         with pytest.raises(ValidationError):
             GridWavefunction(Grid(0.0, 0.0, 16), samples=np.ones(16, dtype=complex))
 
-    def test_normalized_flag_is_checked(self):
-        with pytest.raises(ValidationError):
-            GridWavefunction(Grid(0.0, 1.5, 16), samples=np.ones(16, dtype=complex),
-                             normalized=True)
+    def test_rejects_non_finite_samples(self):
+        samples = np.ones(16, dtype=complex)
+        samples[3] = complex("nan")
+        with pytest.raises(ValidationError, match="finite"):
+            GridWavefunction(Grid(0.0, 1.5, 16), samples=samples)
 
     def test_grid_positions(self):
         psi = GridWavefunction(Grid(-1.0, 2.5, 8), samples=np.ones(8, dtype=complex))
@@ -68,7 +69,7 @@ class TestOverlap:
 
     def test_scalar_linearity(self):
         psi, _ = disjoint_packets(n=1024)
-        rotated = GridWavefunction(psi.grid, 1j * psi.samples, normalized=True)
+        rotated = GridWavefunction(psi.grid, 1j * psi.samples)
         assert overlap(psi, rotated) == pytest.approx(1j, abs=1e-9)
 
     def test_twelve_widths_apart_is_negligible(self):
@@ -103,14 +104,12 @@ class TestSuperpose:
     def test_disjoint_equal_weights_stay_normalized(self):
         psi1, psi2 = disjoint_packets()
         combined = superpose(ROOT_HALF, psi1, ROOT_HALF, psi2)
-        assert combined.normalized
         assert abs(combined.norm_squared - 1.0) < 1e-9
 
     def test_identical_branches_double_the_norm(self):
         # analytic: |c1 psi + c2 psi|^2 integrates to |c1 + c2|^2 = 2
         psi, _ = disjoint_packets(n=1024)
         combined = superpose(ROOT_HALF, psi, ROOT_HALF, psi)
-        assert not combined.normalized
         assert combined.norm_squared == pytest.approx(2.0, rel=1e-9)
 
     def test_rejects_unnormalized_branch(self):
@@ -157,7 +156,7 @@ class TestCurrentDensity:
 
     def test_conjugation_flips_the_sign(self):
         psi, _ = disjoint_packets(n=1024)
-        conjugated = GridWavefunction(psi.grid, np.conj(psi.samples), normalized=True)
+        conjugated = GridWavefunction(psi.grid, np.conj(psi.samples))
         j = current_density(psi, CONSTANTS)
         j_conj = current_density(conjugated, CONSTANTS)
         assert np.array_equal(j_conj.samples, -j.samples)
@@ -166,7 +165,7 @@ class TestCurrentDensity:
     @given(theta=st.floats(min_value=-math.pi, max_value=math.pi))
     def test_global_phase_leaves_current_unchanged(self, theta):
         psi, _ = disjoint_packets(n=512)
-        rotated = GridWavefunction(psi.grid, cmath.exp(1j * theta) * psi.samples, normalized=True)
+        rotated = GridWavefunction(psi.grid, cmath.exp(1j * theta) * psi.samples)
         j = current_density(psi, CONSTANTS)
         j_rotated = current_density(rotated, CONSTANTS)
         scale = float(np.max(np.abs(j.samples)))
@@ -187,20 +186,21 @@ class TestCurrentDensity:
 class TestMixtureCurrentCheck:
     def test_disjoint_counter_propagating_decomposition(self):
         psi1, psi2 = disjoint_packets()
-        j_total, j_mixture, deviation = mixture_current_check(
+        j_total, j_mixture, deviation, bound = mixture_current_check(
             ROOT_HALF, psi1, ROOT_HALF, psi2, CONSTANTS
         )
         j1 = current_density(psi1, CONSTANTS)
         j2 = current_density(psi2, CONSTANTS)
         scale = max(float(np.max(np.abs(j1.samples))), float(np.max(np.abs(j2.samples))))
         assert deviation < 1e-9 * scale
+        assert bound == 1e-9 * scale
         assert np.allclose(
             j_mixture.samples, 0.5 * j1.samples + 0.5 * j2.samples, rtol=1e-12, atol=0.0
         )
 
     def test_pure_branch_total_equals_branch_current(self):
         psi1, psi2 = disjoint_packets(n=1024)
-        j_total, _, _ = mixture_current_check(1.0, psi1, 0.0, psi2, CONSTANTS)
+        j_total, _, _, _ = mixture_current_check(1.0, psi1, 0.0, psi2, CONSTANTS)
         j1 = current_density(psi1, CONSTANTS)
         assert np.array_equal(j_total.samples, j1.samples)
 
@@ -240,7 +240,7 @@ class TestEnsembleCurrent:
     def test_ensemble_decomposes_linearly(self):
         # brute force: n * (mixture of j1, j2) vs mixture of (n j1, n j2)
         psi1, psi2 = disjoint_packets()
-        _, j_mixture, _ = mixture_current_check(ROOT_HALF, psi1, ROOT_HALF, psi2, CONSTANTS)
+        _, j_mixture, _, _ = mixture_current_check(ROOT_HALF, psi1, ROOT_HALF, psi2, CONSTANTS)
         j1 = current_density(psi1, CONSTANTS)
         j2 = current_density(psi2, CONSTANTS)
         n = 1000

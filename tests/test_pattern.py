@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,9 +198,18 @@ class TestEstimateShift:
         with pytest.raises(ValidationError):
             estimate_shift(pattern_at(0.0), flat)
 
-    def test_grid_mismatch_is_rejected(self):
-        with pytest.raises(ValidationError):
-            estimate_shift(pattern_at(0.0), pattern_at(0.0, n=2048))
+    @pytest.mark.parametrize(
+        "make_pattern",
+        [
+            lambda: pattern_at(0.0, n=2048),
+            lambda: pattern_at(0.0, envelope=2.0 * ENVELOPE),
+            lambda: replace(pattern_at(0.0), period=1.5 * PERIOD),
+        ],
+        ids=["grid", "envelope_width", "period"],
+    )
+    def test_grid_mismatch_is_rejected(self, make_pattern):
+        with pytest.raises(ValidationError, match="must share"):
+            estimate_shift(make_pattern(), pattern_at(0.0))
 
 
 class TestSampleDetections:
