@@ -49,6 +49,7 @@ from .experiment import BranchReport, ExperimentReport, report_text, run_experim
 from .pattern import (
     FringeEstimate,
     IntensityPattern,
+    detection_counts,
     estimate_shift,
     histogram_pattern,
     mixture_pattern,
@@ -81,6 +82,7 @@ __all__ = [
     "current_density",
     "current_table",
     "de_broglie_wavelength",
+    "detection_counts",
     "ensemble_current",
     "estimate_shift",
     "flux",

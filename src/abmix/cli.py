@@ -27,7 +27,7 @@ from . import current as cur
 from .config import RunConfig
 from .core import (de_broglie_wavelength, flux, fringe_period, fringe_shift,
                    fringe_shift_classical_form, phase_shift)
-from .dual import classical_totals, mixture_expectations, mixture_mean, outcome_distribution
+from .dual import classical_totals, mixture_mean, outcome_distribution
 from .errors import InterferenceError, UnmeasurableShiftError, ValidationError
 from .experiment import report_text, run_experiment
 from .pattern import mixture_pattern, pattern_csv, two_slit_pattern, visibility
@@ -111,7 +111,7 @@ def cmd_classical(cfg: RunConfig) -> int:
 def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
     config, amplitudes = cfg.objects["apparatus"], cfg.objects["amplitudes"]
     outcomes = outcome_distribution(config, amplitudes)
-    dphi_mean, dx_mean = mixture_expectations(config, amplitudes)
+    o1, o2 = outcomes
     rows = []
     for o in outcomes:
         rows += [
@@ -123,16 +123,14 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
     rows += [
         ("mixture field B [T]", mixture_mean(amplitudes, config.solenoid1.field, config.solenoid2.field)),
         ("mixture flux Phi [Wb]", mixture_mean(amplitudes, config.flux1, config.flux2)),
-        ("mixture mean phase dphi [rad]", dphi_mean),
-        ("mixture mean shift dx [m]", dx_mean),
+        ("mixture mean phase dphi [rad]", mixture_mean(amplitudes, o1.phase, o2.phase)),
+        ("mixture mean shift dx [m]", mixture_mean(amplitudes, o1.shift, o2.shift)),
     ]
     screen, width = cfg.objects["screen"], cfg["envelope_width"]
     branch_patterns = [
         two_slit_pattern(config.constants, config.geometry, o.phase, screen, width) for o in outcomes
     ]
-    mixed = mixture_pattern(
-        outcomes[0].probability, branch_patterns[0], outcomes[1].probability, branch_patterns[1]
-    )
+    mixed = mixture_pattern(o1.probability, branch_patterns[0], o2.probability, branch_patterns[1])
     mixed_visibility = visibility(mixed)
     rows.append(("mixture pattern visibility", mixed_visibility))
     _print_table("quantum mixture", rows)
@@ -178,7 +176,11 @@ def cmd_current(cfg: RunConfig) -> int:
         j = cur.current_density(psi, constants)
         analytic = (constants.e * constants.hbar * k / constants.m) * abs(psi.samples) ** 2
         deviation = float(max(abs(j.samples - analytic)))
-        bound = 0.4 * (k * grid.dx) ** 2 * float(max(abs(analytic)))
+        try:
+            bound = 0.4 * (k * grid.dx) ** 2 * float(max(abs(analytic)))
+        except OverflowError:
+            raise ValidationError(f"wavepackets.k {k!r} is too large for the wire grid spacing "
+                                  f"{grid.dx!r}: the discretization bound (k * d_eta)**2 overflows") from None
         print(f"plane wave k = {k!r} 1/m on {grid.n} samples, d_eta = {grid.dx!r} m")
         print(f"max |j - e*hbar*k/m*|psi|^2| = {deviation!r} A (discretization bound {bound!r} A)")
         _write_all(cfg, "current", {"current_plane.csv": cur.current_table(j)})
@@ -253,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except MemoryError:
-        print("error: out of memory: reduce n_electrons, screen.n or wavepackets.n", file=sys.stderr)
+        print("error: out of memory: reduce screen.n or wavepackets.n", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)

@@ -197,9 +197,13 @@ def gaussian_packet(grid: Grid, center: float, width: float, wavenumber: float) 
     """
     if not width > 0.0:
         raise ValidationError(f"packet width must be positive, got {width!r}")
+    try:
+        two_width_sq = 2.0 * width**2
+    except OverflowError:
+        raise ValidationError(f"packet width {width!r} is too large: its square overflows") from None
     eta = grid.positions
     with np.errstate(all="ignore"):
-        samples = np.exp(-((eta - center) ** 2) / (2.0 * width**2)) * np.exp(1j * wavenumber * eta)
+        samples = np.exp(-((eta - center) ** 2) / two_width_sq) * np.exp(1j * wavenumber * eta)
     weight = float(np.sum(np.abs(samples) ** 2)) * grid.dx
     if not weight > 0.0:   # also nan, when k * eta overflows
         raise ValidationError(f"packet with center {center!r}, width {width!r} and k {wavenumber!r} has "

@@ -1,10 +1,15 @@
 """Seeded Monte Carlo detection experiment for the two-solenoid mixture.
 
 Each simulated electron first draws its branch (probability |c_k|^2),
-then draws a detection position from the two-slit pattern synthesized at
-that branch's phase difference.  The generator is numpy's PCG64; per
-electron the branch uniform is consumed first and the position uniform
-second, and derived streams get fixed entropy tuples:
+then draws its detection cell from the two-slit pattern synthesized at
+that branch's phase difference: the position uniform q lands in the cell
+i with cdf[i] <= q < cdf[i+1] of the pattern's CDF.  Only per-cell counts
+are kept, never positions.  The generator is numpy's PCG64; per electron
+the branch uniform is consumed first and the position uniform second.
+Draws run in fixed chunks of DRAW_CHUNK electrons taken in order from the
+same stream, which yields the same uniforms as one draw of all of them,
+so memory is independent of n_electrons.  Derived streams get fixed
+entropy tuples:
 
     (seed, 0)      branch and position draws
     (seed, 1, 1)   bootstrap of the branch-1 shift estimate
@@ -36,14 +41,15 @@ from .errors import UnmeasurableShiftError, ValidationError
 from .pattern import (
     FringeEstimate,
     IntensityPattern,
-    histogram_pattern,
-    inverse_cdf_positions,
+    detection_counts,
     shift_estimator,
     two_slit_pattern,
     visibility,
 )
 
 BOOTSTRAP_DEFAULT = 200
+
+DRAW_CHUNK = 1 << 18   # electrons drawn per block; memory is bounded by this, not by n_electrons
 
 RNG_ALGORITHM = f"numpy.random.PCG64 via default_rng, numpy {np.__version__}"
 
@@ -102,26 +108,38 @@ def run_experiment(
     estimator = shift_estimator(reference)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    uniforms = rng.random((n_electrons, 2))
-    in_branch1 = uniforms[:, 0] < outcomes[0].probability
+    # a branch's pattern is built at its first detection: a branch of weight 0
+    # may carry a phase no pattern can show, such as inf
+    patterns: list[IntensityPattern | None] = [None, None]
+    counts = [np.zeros(screen.n, dtype=np.int64) for _ in outcomes]
+    for start in range(0, n_electrons, DRAW_CHUNK):
+        uniforms = rng.random((min(DRAW_CHUNK, n_electrons - start), 2))
+        in_branch1 = uniforms[:, 0] < outcomes[0].probability
+        # compress on a contiguous copy splits twice as fast as a boolean index of the column
+        position_uniforms = np.ascontiguousarray(uniforms[:, 1])
+        for k, mask in enumerate((in_branch1, ~in_branch1)):
+            quantiles = np.compress(mask, position_uniforms)
+            if quantiles.size == 0:
+                continue
+            if patterns[k] is None:
+                patterns[k] = two_slit_pattern(
+                    config.constants, config.geometry, outcomes[k].phase, screen, envelope_width
+                )
+            counts[k] += detection_counts(patterns[k], quantiles)
+
     branch_reports = []
-    for outcome, mask in zip(outcomes, (in_branch1, ~in_branch1)):
-        count = int(np.count_nonzero(mask))
+    for outcome, branch_counts in zip(outcomes, counts):
+        count = int(branch_counts.sum())
         histogram = estimate = None
         if count > 0:
-            pattern = two_slit_pattern(
-                config.constants, config.geometry, outcome.phase, screen, envelope_width
-            )
-            histogram = histogram_pattern(inverse_cdf_positions(pattern, uniforms[mask, 1]), reference)
+            histogram = replace(reference, intensity=branch_counts, holds_counts=True)
             estimate = _measure(histogram, count, estimator, (seed, 1, outcome.branch), n_bootstrap)
         branch_reports.append(BranchReport(
             branch=outcome.branch, probability=outcome.probability, predicted_phase=outcome.phase,
             predicted_shift=outcome.shift, count=count, estimate=estimate, histogram=histogram,
         ))
 
-    # counts are integers binned on the same edges, so the sum is exact
-    counts = sum(r.histogram.intensity for r in branch_reports if r.histogram is not None)
-    pooled = replace(reference, intensity=counts, holds_counts=True)
+    pooled = replace(reference, intensity=counts[0] + counts[1], holds_counts=True)
     mean_shift, mean_sigma = _weighted_mean_shift(branch_reports, n_electrons)
 
     return ExperimentReport(

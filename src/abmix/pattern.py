@@ -233,21 +233,40 @@ def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> Fr
     return shift_estimator(reference)(pattern)
 
 
+def _cdf(pattern: IntensityPattern) -> np.ndarray:
+    """The pattern's normalized CDF at its n + 1 cell edges: 0, then the
+    running sum of the intensities over their total, ending at exactly 1."""
+    cdf = np.concatenate([[0.0], np.cumsum(pattern.intensity)])
+    cdf /= cdf[-1]
+    return cdf
+
+
 def inverse_cdf_positions(pattern: IntensityPattern, quantiles: np.ndarray) -> np.ndarray:
     """Map uniform quantiles to screen positions through the pattern's CDF.
 
     The pattern is read as a histogram density, constant on each cell
     [x_i - dx/2, x_i + dx/2), so the cumulative sum is piecewise linear
-    and inversion is exact.
+    and inversion is exact.  Quantile q falls in the last cell i with
+    cdf[i] <= q, i.e. cdf[i] <= q < cdf[i+1], clipped to the screen.
     """
-    weights = pattern.intensity
-    cdf = np.concatenate([[0.0], np.cumsum(weights)])
-    cdf /= cdf[-1]
+    cdf = _cdf(pattern)
     cells = np.clip(np.searchsorted(cdf, quantiles, side="right") - 1, 0, pattern.n - 1)
     width = np.maximum(cdf[cells + 1] - cdf[cells], np.finfo(float).tiny)
     fraction = np.clip((quantiles - cdf[cells]) / width, 0.0, 1.0)
     left_edges = pattern.grid.x_min - 0.5 * pattern.dx + pattern.dx * cells
     return left_edges + fraction * pattern.dx
+
+
+def detection_counts(pattern: IntensityPattern, quantiles: np.ndarray) -> np.ndarray:
+    """Per-cell int64 counts of the quantiles, each in the cell that
+    `inverse_cdf_positions` maps it into, without placing any of them.
+
+    With the quantiles sorted, the number falling in cells >= i is the
+    number at or above cdf[i], so one binary search per interior cell edge
+    counts them all; the end cells take the quantiles the clip sends there.
+    """
+    below = np.searchsorted(np.sort(quantiles), _cdf(pattern)[1:-1], side="left")
+    return np.diff(below, prepend=0, append=len(quantiles)).astype(np.int64, copy=False)
 
 
 def histogram_pattern(samples: np.ndarray, reference: IntensityPattern) -> IntensityPattern:

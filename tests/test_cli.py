@@ -196,8 +196,10 @@ class TestCurrentCommand:
             ({"width": 1e-300}, "1e-300"),         # the width's square underflows
             ({"k1": 1e308}, "1e+308"),             # k * eta overflows
             ({"kind": "plane", "k": 1e308}, "1e+308"),
+            ({"width": 1e300}, "width 1e+300"),    # the width's square overflows
+            ({"kind": "plane", "k": 1e200}, "wavepackets.k 1e+200"),   # (k * d_eta)**2 overflows
         ],
-        ids=["off_grid", "tiny_width", "huge_k1", "huge_plane_k"],
+        ids=["off_grid", "tiny_width", "huge_k1", "huge_plane_k", "huge_width", "huge_plane_bound_k"],
     )
     def test_packet_without_finite_weight_is_one_exit_2_line(self, tmp_path, capsys, wavepackets, value):
         config = write_config(tmp_path, wavepackets=wavepackets)
@@ -285,7 +287,9 @@ class TestValidationReporting:
         assert main(["experiment", "--out", str(out_dir)]) == 3
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: ")
-        assert all(key in errors[0] for key in ("n_electrons", "screen.n", "wavepackets.n"))
+        # memory does not grow with n_electrons: draws are counted in fixed chunks
+        assert all(key in errors[0] for key in ("screen.n", "wavepackets.n"))
+        assert "n_electrons" not in errors[0]
         assert not out_dir.exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period
 from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals
+from abmix import experiment
 from abmix.errors import ValidationError
 from abmix.experiment import report_text, run_experiment
 
@@ -113,6 +114,28 @@ class TestDeterminism:
         first = report_text(run_experiment(**kwargs))
         second = report_text(run_experiment(**kwargs))
         assert first == second
+
+    def test_draw_chunking_keeps_the_stream(self, monkeypatch):
+        # chunks of an odd size split the draws at other electrons than the
+        # default chunk does; the counts and the report must not move
+        kwargs = dict(
+            config=antisymmetric_config(),
+            amplitudes=EQUAL_WEIGHTS,
+            n_electrons=20_000,
+            seed=20240601,
+            screen=wide_screen(),
+            envelope_width=ENVELOPE,
+            n_bootstrap=10,
+        )
+        default = run_experiment(**kwargs)
+        assert experiment.DRAW_CHUNK > kwargs["n_electrons"]
+        monkeypatch.setattr(experiment, "DRAW_CHUNK", 997)
+        chunked = run_experiment(**kwargs)
+        assert report_text(chunked) == report_text(default)
+        for name in ("branch1", "branch2"):
+            assert np.array_equal(getattr(chunked, name).histogram.intensity,
+                                  getattr(default, name).histogram.intensity)
+        assert np.array_equal(chunked.pooled_histogram.intensity, default.pooled_histogram.intensity)
 
     def test_different_seed_changes_the_detections(self):
         base = dict(

@@ -9,6 +9,7 @@ from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period
 from abmix.errors import UnmeasurableShiftError, ValidationError
 from abmix.pattern import (
     IntensityPattern,
+    detection_counts,
     estimate_shift,
     histogram_pattern,
     inverse_cdf_positions,
@@ -258,6 +259,42 @@ class TestSampleDetections:
         chi2 = float(np.sum((counts[usable] - expected[usable]) ** 2 / expected[usable]))
         dof = int(usable.sum()) - 1
         assert chi2 < stats.chi2.ppf(0.99, dof)
+
+
+class TestDetectionCounts:
+    @pytest.mark.parametrize("phase", [1.0, -1.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_histogram_of_sampled_positions(self, seed, phase):
+        pattern = pattern_at(phase)
+        quantiles = np.random.default_rng(seed).random(20_000)
+        counts = detection_counts(pattern, quantiles)
+        assert counts.dtype == np.int64
+        expected = histogram_pattern(inverse_cdf_positions(pattern, quantiles), pattern).intensity
+        assert np.array_equal(counts, expected)
+
+    def test_quantile_on_a_cell_edge_lands_in_that_cell(self):
+        pattern = IntensityPattern(Grid(0.0, 15.0, 16), np.arange(1.0, 17.0), 1.0, 1.0)
+        cumulative = np.concatenate([[0.0], np.cumsum(pattern.intensity)])
+        cdf = cumulative / cumulative[-1]
+        for cell in (0, 5, 15):
+            counts = detection_counts(pattern, np.array([cdf[cell]]))
+            assert np.flatnonzero(counts).tolist() == [cell]
+            sampled = inverse_cdf_positions(pattern, np.array([cdf[cell]]))
+            assert np.flatnonzero(histogram_pattern(sampled, pattern).intensity).tolist() == [cell]
+
+    def test_zero_weight_cells_get_nothing_and_every_quantile_is_counted(self):
+        intensity = np.zeros(64)
+        intensity[[5, 17, 18, 40, 58]] = [1.0, 5.0, 0.5, 2.0, 3.0]   # zero-weight cells at both ends
+        pattern = IntensityPattern(Grid(0.0, 31.5, 64), intensity, 1.0, 1.0)
+        quantiles = np.concatenate([np.random.default_rng(3).random(5000), [0.0, 1.0 - 2**-53]])
+        counts = detection_counts(pattern, quantiles)
+        assert np.all(counts[intensity == 0.0] == 0)
+        assert np.all(counts[intensity > 0.0] > 0)
+        assert counts.sum() == len(quantiles)
+
+    def test_no_quantiles_give_no_counts(self):
+        counts = detection_counts(pattern_at(0.0, n=64, periods=6.0), np.array([]))
+        assert counts.shape == (64,) and not counts.any()
 
 
 class TestHistogramPattern:
