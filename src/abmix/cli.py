@@ -160,7 +160,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
     files = {"report.txt": text, "histogram_pooled.csv": pattern_csv(report.pooled_histogram, "count")}
     for branch in (report.branch1, report.branch2):
         if branch.histogram is not None:
-            files[f"histogram_branch{branch.branch}.csv"] = pattern_csv(branch.histogram, "count")
+            files[f"histogram_branch{branch.outcome.branch}.csv"] = pattern_csv(branch.histogram, "count")
     _write_all(cfg, "experiment", files)
     sys.stdout.write(text)
     print(f"wrote report and histograms to {cfg['out_dir']}/")
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (defaults used when omitted)")
         p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--csv", action="store_true", help="write pattern CSVs (mixture)")
+        if name == "mixture":
+            p.add_argument("--csv", action="store_true", help="write the pattern CSVs")
     return parser
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Grid
-from .dual import BranchAmplitudes, DualSolenoidConfig, outcome_distribution
+from .dual import BranchAmplitudes, DualSolenoidConfig, MixtureOutcome, outcome_distribution
 from .errors import UnmeasurableShiftError, ValidationError
 from .pattern import (
     FringeEstimate,
@@ -61,10 +61,7 @@ _UNESTIMATED = FringeEstimate(shift=math.nan, visibility=math.nan, uncertainty=m
 class BranchReport:
     """Per-branch tally and shift estimate (None when it could not be made)."""
 
-    branch: int
-    probability: float      # |c_k|^2
-    predicted_phase: float  # rad, closed form
-    predicted_shift: float  # m, closed form
+    outcome: MixtureOutcome   # branch, |c_k|^2 and the closed-form phase and shift
     count: int
     estimate: FringeEstimate | None
     histogram: IntensityPattern | None
@@ -133,11 +130,8 @@ def run_experiment(
         histogram = estimate = None
         if count > 0:
             histogram = replace(reference, intensity=branch_counts, holds_counts=True)
-            estimate = _measure(histogram, count, estimator, (seed, 1, outcome.branch), n_bootstrap)
-        branch_reports.append(BranchReport(
-            branch=outcome.branch, probability=outcome.probability, predicted_phase=outcome.phase,
-            predicted_shift=outcome.shift, count=count, estimate=estimate, histogram=histogram,
-        ))
+            estimate = _measure(histogram, estimator, (seed, 1, outcome.branch), n_bootstrap)
+        branch_reports.append(BranchReport(outcome, count, estimate, histogram))
 
     pooled = replace(reference, intensity=counts[0] + counts[1], holds_counts=True)
     mean_shift, mean_sigma = _weighted_mean_shift(branch_reports, n_electrons)
@@ -148,7 +142,7 @@ def run_experiment(
         branch1=branch_reports[0],
         branch2=branch_reports[1],
         pooled_histogram=pooled,
-        pooled_estimate=_measure(pooled, n_electrons, estimator, (seed, 1, 0), n_bootstrap),
+        pooled_estimate=_measure(pooled, estimator, (seed, 1, 0), n_bootstrap),
         pooled_visibility=visibility(pooled),
         mean_shift=mean_shift,
         mean_shift_sigma=mean_sigma,
@@ -160,29 +154,29 @@ def run_experiment(
 
 def _measure(
     histogram: IntensityPattern,
-    count: int,
     estimator: Callable[[IntensityPattern], FringeEstimate],
     entropy: tuple[int, ...],
     n_bootstrap: int,
 ) -> FringeEstimate | None:
-    """Shift estimate of a histogram of `count` detections with its bootstrap
+    """Shift estimate of a histogram of detections with its bootstrap
     1-sigma, or None when the histogram's fringes are washed out."""
     try:
         point = estimator(histogram)
     except UnmeasurableShiftError:
         return None
-    sigma = _bootstrap_sigma(histogram, count, estimator, entropy, n_bootstrap)
+    sigma = _bootstrap_sigma(histogram, estimator, entropy, n_bootstrap)
     return replace(point, uncertainty=sigma)
 
 
 def _bootstrap_sigma(
     histogram: IntensityPattern,
-    n_samples: int,
     estimator: Callable[[IntensityPattern], FringeEstimate],
     entropy: tuple[int, ...],
     n_bootstrap: int,
 ) -> float:
-    """Std dev of the shift estimate over multinomial histogram resamples."""
+    """Std dev of the shift estimate over multinomial resamples of the
+    histogram, each of as many detections as the histogram holds."""
+    n_samples = int(histogram.intensity.sum())
     if n_bootstrap < 2 or n_samples < 2:
         return float("nan")
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
@@ -271,11 +265,11 @@ def report_text(report: ExperimentReport) -> str:
     """
     lines = [f"config.{key} = {value}" for key, value in report.config_echo]
     for r in (report.branch1, report.branch2):
-        prefix = f"branch{r.branch}"
+        prefix = f"branch{r.outcome.branch}"
         lines.append(f"{prefix}.count = {r.count}")
-        lines.append(f"{prefix}.probability = {r.probability!r}")
-        lines.append(f"{prefix}.predicted_phase_rad = {r.predicted_phase!r}")
-        lines.append(f"{prefix}.predicted_shift_m = {r.predicted_shift!r}")
+        lines.append(f"{prefix}.probability = {r.outcome.probability!r}")
+        lines.append(f"{prefix}.predicted_phase_rad = {r.outcome.phase!r}")
+        lines.append(f"{prefix}.predicted_shift_m = {r.outcome.shift!r}")
         estimate = r.estimate if r.estimate is not None else _UNESTIMATED
         lines.append(f"{prefix}.estimated_shift_m = {estimate.shift!r}")
         lines.append(f"{prefix}.estimated_shift_sigma_m = {estimate.uncertainty!r}")

@@ -70,17 +70,9 @@ class IntensityPattern:
         return self.grid.n
 
     @property
-    def dx(self) -> float:
-        return self.grid.dx
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.grid.positions
-
-    @property
     def total(self) -> float:
         """Unnormalized mass sum I dx."""
-        return float(np.sum(self.intensity) * self.dx)
+        return float(np.sum(self.intensity) * self.grid.dx)
 
 
 def _check_optics(period: float, envelope_width: float) -> None:
@@ -143,31 +135,40 @@ def mixture_pattern(
     )
 
 
-def visibility(pattern: IntensityPattern) -> float:
-    """(I_max - I_min)/(I_max + I_min) of the envelope-normalized pattern
-    over the central two fringe periods.
-
-    A detection histogram (`holds_counts`) has every 16 adjacent cells
-    merged first, so its extremes are not set by per-cell counting noise.
-    """
-    period = pattern.period
-    x = pattern.positions
-    intensity = pattern.intensity
-    envelope = _envelope(x, pattern.envelope_width)
-    if pattern.holds_counts:
-        rebin = HISTOGRAM_REBIN
-        keep = (pattern.n // rebin) * rebin
-        intensity = intensity[:keep].reshape(-1, rebin).sum(axis=1)
-        envelope = envelope[:keep].reshape(-1, rebin).sum(axis=1)
-        x = x[:keep].reshape(-1, rebin).mean(axis=1)
-    central = np.abs(x) <= period
+def _contrast_rule(optics: IntensityPattern, envelope: np.ndarray,
+                   counts: bool) -> Callable[[np.ndarray], float]:
+    """Visibility of an intensity array on `optics`'s grid: (max - min)/(max + min)
+    of intensity/envelope over the cells within one fringe period of x = 0,
+    with counts merged HISTOGRAM_REBIN cells at a time first (one at a time is
+    the identity).  ValidationError if no cell is that central or the merged
+    envelope underflows to 0 on one of them."""
+    rebin = HISTOGRAM_REBIN if counts else 1
+    keep = (optics.n // rebin) * rebin
+    period = optics.period
+    central = np.abs(optics.grid.positions[:keep].reshape(-1, rebin).mean(axis=1)) <= period
     if not np.any(central):
         raise ValidationError(f"the screen has no cell within one fringe period ({period!r} m) of x = 0")
-    profile = intensity[central] / envelope[central]
-    hi, lo = float(np.max(profile)), float(np.min(profile))
-    if hi + lo <= 0.0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
+    central_envelope = envelope[:keep].reshape(-1, rebin).sum(axis=1)[central]
+    if not np.all(central_envelope > 0.0):
+        raise ValidationError(f"envelope_width {optics.envelope_width!r} m is too narrow: the envelope "
+                              f"underflows to 0 within one fringe period ({period!r} m) of x = 0")
+
+    def contrast(intensity: np.ndarray) -> float:
+        profile = intensity[:keep].reshape(-1, rebin).sum(axis=1)[central] / central_envelope
+        hi, lo = float(np.max(profile)), float(np.min(profile))
+        if hi + lo <= 0.0:
+            return 0.0
+        return (hi - lo) / (hi + lo)
+
+    return contrast
+
+
+def visibility(pattern: IntensityPattern) -> float:
+    """(I_max - I_min)/(I_max + I_min) of the envelope-normalized pattern
+    over the central two fringe periods, a detection histogram
+    (`holds_counts`) read after merging every 16 adjacent cells."""
+    envelope = _envelope(pattern.grid.positions, pattern.envelope_width)
+    return _contrast_rule(pattern, envelope, pattern.holds_counts)(pattern.intensity)
 
 
 def shift_estimator(reference: IntensityPattern) -> Callable[[IntensityPattern], FringeEstimate]:
@@ -187,13 +188,14 @@ def shift_estimator(reference: IntensityPattern) -> Callable[[IntensityPattern],
     pattern whose grid, fringe period or envelope width differs from the
     reference's.
     """
-    reference_visibility = visibility(reference)
+    envelope = _envelope(reference.grid.positions, reference.envelope_width)
+    contrast = {counts: _contrast_rule(reference, envelope, counts) for counts in (False, True)}
+    reference_visibility = contrast[reference.holds_counts](reference.intensity)
     if reference_visibility <= VISIBILITY_FLOOR:
         raise ValidationError(
             f"reference visibility {reference_visibility!r} is at or below {VISIBILITY_FLOOR}"
         )
     optics = (reference.grid, reference.period, reference.envelope_width)
-    envelope = _envelope(reference.positions, reference.envelope_width)
     envelope_norm_sq = np.dot(envelope, envelope)
 
     def fringe_part(pattern: IntensityPattern) -> np.ndarray:
@@ -203,12 +205,12 @@ def shift_estimator(reference: IntensityPattern) -> Callable[[IntensityPattern],
     n = reference.n
     nfft = 1 << (2 * n - 2).bit_length()   # smallest power of 2 >= 2n - 1
     reference_spectrum = np.conj(np.fft.rfft(fringe_part(reference), nfft))
-    half_span = 0.5 * (n - 1) * reference.dx
+    half_span = 0.5 * (n - 1) * reference.grid.dx
 
     def estimate(pattern: IntensityPattern) -> FringeEstimate:
         if (pattern.grid, pattern.period, pattern.envelope_width) != optics:
             raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
-        pattern_visibility = visibility(pattern)
+        pattern_visibility = contrast[pattern.holds_counts](pattern.intensity)
         if pattern_visibility <= VISIBILITY_FLOOR:
             raise UnmeasurableShiftError(
                 f"pattern visibility {pattern_visibility!r} is at or below {VISIBILITY_FLOOR}: "
@@ -222,7 +224,7 @@ def shift_estimator(reference: IntensityPattern) -> Callable[[IntensityPattern],
             curvature = correlation[peak - 1] - 2.0 * correlation[peak] + correlation[peak + 1]
             if curvature != 0.0:
                 offset = 0.5 * (correlation[peak - 1] - correlation[peak + 1]) / curvature
-        shift = float(np.clip((peak - (n - 1) + offset) * pattern.dx, -half_span, half_span))
+        shift = float(np.clip((peak - (n - 1) + offset) * reference.grid.dx, -half_span, half_span))
         return FringeEstimate(shift=shift, visibility=pattern_visibility, uncertainty=0.0)
 
     return estimate
@@ -253,8 +255,8 @@ def inverse_cdf_positions(pattern: IntensityPattern, quantiles: np.ndarray) -> n
     cells = np.clip(np.searchsorted(cdf, quantiles, side="right") - 1, 0, pattern.n - 1)
     width = np.maximum(cdf[cells + 1] - cdf[cells], np.finfo(float).tiny)
     fraction = np.clip((quantiles - cdf[cells]) / width, 0.0, 1.0)
-    left_edges = pattern.grid.x_min - 0.5 * pattern.dx + pattern.dx * cells
-    return left_edges + fraction * pattern.dx
+    left_edges = pattern.grid.x_min - 0.5 * pattern.grid.dx + pattern.grid.dx * cells
+    return left_edges + fraction * pattern.grid.dx
 
 
 def detection_counts(pattern: IntensityPattern, quantiles: np.ndarray) -> np.ndarray:
@@ -289,4 +291,4 @@ def csv_table(header: str, *columns: np.ndarray) -> str:
 
 def pattern_csv(pattern: IntensityPattern, value_column: str = "intensity") -> str:
     """CSV text for a pattern: header row, columns x_m and `value_column`."""
-    return csv_table(f"x_m,{value_column}", pattern.positions, pattern.intensity)
+    return csv_table(f"x_m,{value_column}", pattern.grid.positions, pattern.intensity)

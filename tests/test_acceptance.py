@@ -189,7 +189,7 @@ def test_criterion_8_monte_carlo_experiment():
         and abs(report.branch2.count - n / 2.0) <= count_window
     )
     branch_ok = all(
-        abs(branch.estimate.shift - branch.predicted_shift)
+        abs(branch.estimate.shift - branch.outcome.shift)
         <= SCREEN.dx / 2.0 + 3.0 * branch.estimate.uncertainty
         for branch in (report.branch1, report.branch2)
     )
@@ -222,7 +222,7 @@ def test_criterion_9_classical_vs_mixture_discriminator():
     )
 
     report = run_experiment(mixture, EQUAL_WEIGHTS, 100_000, 4242, SCREEN, ENVELOPE)
-    epsilon = abs(report.branch1.predicted_shift)
+    epsilon = abs(report.branch1.outcome.shift)
     bimodal_ok = (
         report.branch1.estimate.shift < -5.0 * report.branch1.estimate.uncertainty
         and report.branch2.estimate.shift > +5.0 * report.branch2.estimate.uncertainty

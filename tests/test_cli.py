@@ -152,6 +152,13 @@ class TestExperimentCommand:
         assert "branch2.count = 0" in report
         assert not (out_dir / "histogram_branch2.csv").exists()
 
+    def test_csv_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "--csv", "--out", str(tmp_path / "run")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out_dir = tmp_path / "run"

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,15 @@ def run(tmp_path, command, data):
     return code, err.getvalue().splitlines(), out_dir
 
 
+def run_without_warnings(tmp_path, command, data):
+    """`run`, failing on any warning the command emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(tmp_path, command, data)
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
 @pytest.mark.parametrize(
     "data, names",
     [
@@ -37,16 +47,26 @@ def run(tmp_path, command, data):
         ({"constants": {"h": 6.7e-34}}, ["constants", "h must equal"]),
         ({"screen": {"n": 64}}, ["screen.n"]),
         ({"screen": {"x_min": -1.0, "x_max": 1.0, "n": 100}}, ["screen.n"]),
+        # the envelope underflows to 0 within one fringe period of the axis
+        ({"envelope_width": 1e-7}, ["envelope_width", "too narrow"]),
     ],
     ids=["envelope_width", "seed", "eta_max", "wavepackets_n", "n_electrons", "geometry_zzz",
-         "constants_h", "screen_64_cells", "screen_2m_100_cells"],
+         "constants_h", "screen_64_cells", "screen_2m_100_cells", "envelope_too_narrow"],
 )
 def test_malformed_input_is_one_exit_2_line(tmp_path, data, names):
-    code, lines, out_dir = run(tmp_path, ["experiment"], data)
+    code, lines, out_dir = run_without_warnings(tmp_path, ["experiment"], data)
     assert code == 2
     assert len(lines) == 1
     assert lines[0].startswith(("invalid config: ", "error: "))
     assert all(name in lines[0] for name in names)
+    assert not out_dir.exists()
+
+
+def test_too_narrow_envelope_is_one_exit_2_line_for_mixture_csv(tmp_path):
+    code, lines, out_dir = run_without_warnings(tmp_path, ["mixture", "--csv"], {"envelope_width": 1e-7})
+    assert code == 2
+    assert len(lines) == 1
+    assert lines[0].startswith("error: envelope_width 1e-07 m is too narrow")
     assert not out_dir.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period
 from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals
-from abmix import experiment
+from abmix import experiment, pattern
 from abmix.errors import ValidationError
 from abmix.experiment import report_text, run_experiment
 
@@ -65,7 +65,7 @@ class TestRunExperimentBasics:
         assert np.array_equal(report.pooled_histogram.intensity, report.branch1.histogram.intensity)
         estimate = report.branch1.estimate
         tolerance = wide_screen().dx / 2.0 + 3.0 * estimate.uncertainty
-        assert abs(estimate.shift - report.branch1.predicted_shift) <= tolerance
+        assert abs(estimate.shift - report.branch1.outcome.shift) <= tolerance
 
     def test_unestimated_branch_with_detections_leaves_the_mean_undefined(self):
         # 8 electrons, seed 5: branch 1 is estimated from 4 detections, the
@@ -137,6 +137,26 @@ class TestDeterminism:
                                   getattr(default, name).histogram.intensity)
         assert np.array_equal(chunked.pooled_histogram.intensity, default.pooled_histogram.intensity)
 
+    def test_envelope_builds_do_not_grow_with_the_bootstrap(self, monkeypatch):
+        # the estimator judges every resample with the reference's envelope
+        build = pattern._envelope
+        calls = []
+
+        def counted(x, width):
+            calls.append(width)
+            return build(x, width)
+
+        monkeypatch.setattr(pattern, "_envelope", counted)
+        per_run = []
+        for n_bootstrap in (2, 30):
+            calls.clear()
+            run_experiment(
+                antisymmetric_config(), EQUAL_WEIGHTS, 2000, 3, wide_screen(1024), ENVELOPE,
+                n_bootstrap=n_bootstrap,
+            )
+            per_run.append(len(calls))
+        assert per_run[0] == per_run[1]
+
     def test_different_seed_changes_the_detections(self):
         base = dict(
             config=antisymmetric_config(),
@@ -159,11 +179,11 @@ class TestTwoPointStatistics:
             antisymmetric_config(), EQUAL_WEIGHTS, 100_000, 4242, wide_screen(), ENVELOPE,
             n_bootstrap=50,
         )
-        epsilon = abs(report.branch1.predicted_shift)
+        epsilon = abs(report.branch1.outcome.shift)
         for branch in (report.branch1, report.branch2):
             estimate = branch.estimate
             tolerance = wide_screen().dx / 2.0 + 3.0 * estimate.uncertainty
-            assert abs(estimate.shift - branch.predicted_shift) <= tolerance
+            assert abs(estimate.shift - branch.outcome.shift) <= tolerance
         assert report.branch1.estimate.shift < -0.5 * epsilon
         assert report.branch2.estimate.shift > +0.5 * epsilon
 

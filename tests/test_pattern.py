@@ -15,6 +15,7 @@ from abmix.pattern import (
     inverse_cdf_positions,
     mixture_pattern,
     pattern_csv,
+    shift_estimator,
     two_slit_pattern,
     visibility,
 )
@@ -72,7 +73,7 @@ class TestIntensityPattern:
 class TestTwoSlitPattern:
     def test_zero_phase_peaks_on_axis(self):
         pattern = pattern_at(0.0, n=4097)  # odd grid so x = 0 is sampled
-        assert pattern.positions[int(np.argmax(pattern.intensity))] == pytest.approx(0.0, abs=1e-18)
+        assert pattern.grid.positions[int(np.argmax(pattern.intensity))] == pytest.approx(0.0, abs=1e-18)
 
     def test_full_turn_is_indistinguishable_from_zero(self):
         base = pattern_at(0.0)
@@ -83,16 +84,16 @@ class TestTwoSlitPattern:
         pattern = pattern_at(math.pi / 2.0)
         expected = fringe_shift(CONSTANTS, GEOMETRY, flux_for_phase(math.pi / 2.0))
         assert expected == pytest.approx(-PERIOD / 4.0, rel=1e-12)
-        peak_x = pattern.positions[int(np.argmax(pattern.intensity))]
-        assert abs(peak_x - expected) <= pattern.dx
+        peak_x = pattern.grid.positions[int(np.argmax(pattern.intensity))]
+        assert abs(peak_x - expected) <= pattern.grid.dx
 
     @pytest.mark.parametrize("phase", [0.4, 1.0, -1.3])
     def test_peak_calibrated_against_closed_form_shift(self, phase):
         # the sign of the phase insertion must reproduce the closed form
         pattern = pattern_at(phase)
         expected = fringe_shift(CONSTANTS, GEOMETRY, flux_for_phase(phase))
-        peak_x = pattern.positions[int(np.argmax(pattern.intensity))]
-        assert abs(peak_x - expected) <= pattern.dx
+        peak_x = pattern.grid.positions[int(np.argmax(pattern.intensity))]
+        assert abs(peak_x - expected) <= pattern.grid.dx
 
     def test_rejects_narrow_screen(self):
         with pytest.raises(ValidationError, match="narrower"):
@@ -160,21 +161,21 @@ class TestEstimateShift:
     def test_self_correlation_is_zero(self):
         pattern = pattern_at(0.0)
         estimate = estimate_shift(pattern, pattern)
-        assert abs(estimate.shift) <= pattern.dx / 10.0
+        assert abs(estimate.shift) <= pattern.grid.dx / 10.0
 
     def test_one_radian_shift_recovered(self):
         reference = pattern_at(0.0)
         pattern = pattern_at(1.0)
         expected = fringe_shift(CONSTANTS, GEOMETRY, flux_for_phase(1.0))
         estimate = estimate_shift(pattern, reference)
-        assert abs(estimate.shift - expected) <= pattern.dx / 2.0
+        assert abs(estimate.shift - expected) <= pattern.grid.dx / 2.0
 
     @pytest.mark.parametrize("phase", [0.1, 0.5, 1.0, 2.0])
     def test_estimator_consistency_sweep(self, phase):
         reference = pattern_at(0.0)
         estimate = estimate_shift(pattern_at(phase), reference)
         expected = fringe_shift(CONSTANTS, GEOMETRY, flux_for_phase(phase))
-        assert abs(estimate.shift - expected) <= reference.dx / 2.0
+        assert abs(estimate.shift - expected) <= reference.grid.dx / 2.0
 
     def test_three_cell_circular_shift_with_flat_envelope(self):
         n = 1024
@@ -187,6 +188,16 @@ class TestEstimateShift:
         shifted = IntensityPattern(grid, np.roll(base, 3), **optics)
         estimate = estimate_shift(shifted, reference)
         assert abs(estimate.shift - 3.0 * dx) <= dx / 10.0
+
+    def test_estimate_carries_the_visibility_of_visibility(self):
+        # one contrast rule, bit for bit, also for counts on 4000 cells, which
+        # the 16-cell merging of a histogram does not divide
+        reference = pattern_at(0.0, n=4000)
+        counts = detection_counts(pattern_at(0.6, n=4000), np.random.default_rng(5).random(50_000))
+        histogram = replace(reference, intensity=counts, holds_counts=True)
+        estimate = shift_estimator(reference)
+        for pattern in (pattern_at(0.6, n=4000), histogram):
+            assert estimate(pattern).visibility == visibility(pattern)
 
     def test_washed_out_mixture_is_unmeasurable(self):
         # the equal-weight quarter-turn mixture has visibility |cos(pi/2)| ~ 0
@@ -249,7 +260,7 @@ class TestSampleDetections:
         samples = inverse_cdf_positions(pattern, np.random.default_rng(77).random(n))
         merge = 64
         edges = np.concatenate(
-            [pattern.positions - 0.5 * pattern.dx, [pattern.positions[-1] + 0.5 * pattern.dx]]
+            [pattern.grid.positions - 0.5 * pattern.grid.dx, [pattern.grid.positions[-1] + 0.5 * pattern.grid.dx]]
         )[::merge]
         counts, _ = np.histogram(samples, bins=edges)
         cell_probability = pattern.intensity / pattern.intensity.sum()

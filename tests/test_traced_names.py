@@ -9,7 +9,8 @@ from pathlib import Path
 
 from abmix.config import RunConfig
 from abmix.experiment import run_experiment
-from abmix.pattern import inverse_cdf_positions
+from abmix.core import Grid
+from abmix.pattern import IntensityPattern, inverse_cdf_positions
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +35,9 @@ def test_counted_arguments_keep_their_positions():
     # TARGETS reads n_electrons as argument 2 and quantiles as argument 1
     assert list(inspect.signature(run_experiment).parameters)[2] == "n_electrons"
     assert list(inspect.signature(inverse_cdf_positions).parameters)[1] == "quantiles"
+
+
+def test_pattern_rows_reads_an_attribute_the_pattern_has():
+    # pattern_csv's work count is the pattern's `n`, read by _pattern_rows
+    pattern = IntensityPattern(Grid(0.0, 1.0, 32), [1.0] * 32, 1.0, 1.0)
+    assert load_tracing()._pattern_rows((pattern,), {}) == pattern.grid.n == pattern.n
