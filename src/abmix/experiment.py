@@ -9,14 +9,17 @@ the branch uniform is consumed first and the position uniform second.
 Draws run in fixed chunks of DRAW_CHUNK electrons taken in order from the
 same stream, which yields the same uniforms as one draw of all of them,
 so memory is independent of n_electrons.  Derived streams get fixed
-entropy tuples:
+entropy tuples, each read by one thread only:
 
-    (seed, 0)      branch and position draws
-    (seed, 1, 1)   bootstrap of the branch-1 shift estimate
-    (seed, 1, 2)   bootstrap of the branch-2 shift estimate
-    (seed, 1, 0)   bootstrap of the pooled-pattern shift estimate
+    (seed, 0)      branch and position draws                       caller's thread
+    (seed, 1, 1)   bootstrap of the branch-1 shift estimate        caller's thread
+    (seed, 1, 2)   bootstrap of the branch-2 shift estimate        caller's thread
+    (seed, 1, 0)   bootstrap of the pooled-pattern shift estimate  worker thread
 
-so a report is reproducible bit for bit from (configuration, seed).
+so a report is reproducible bit for bit from (configuration, seed), on
+any number of CPUs and whichever thread finishes first.  A bootstrap
+draws its resamples a block at a time, `rng.multinomial(n, p, size=k)`,
+which is k successive draws from its stream.
 
 The report carries both views of the outcome statistics: the
 branch-separated estimates (which recover the two-point law, shifts of
@@ -30,7 +33,7 @@ the phase-0 reference pattern.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,8 +42,10 @@ from .core import Grid
 from .dual import BranchAmplitudes, DualSolenoidConfig, MixtureOutcome, outcome_distribution
 from .errors import UnmeasurableShiftError, ValidationError
 from .pattern import (
+    VISIBILITY_FLOOR,
     FringeEstimate,
     IntensityPattern,
+    ShiftEstimator,
     detection_counts,
     shift_estimator,
     two_slit_pattern,
@@ -50,6 +55,8 @@ from .pattern import (
 BOOTSTRAP_DEFAULT = 200
 
 DRAW_CHUNK = 1 << 18   # electrons drawn per block; memory is bounded by this, not by n_electrons
+
+BOOTSTRAP_BLOCK_CELLS = 1 << 15   # FFT cells per block of resamples: 4 rows of the default screen's 8192
 
 RNG_ALGORITHM = f"numpy.random.PCG64 via default_rng, numpy {np.__version__}"
 
@@ -92,8 +99,12 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate n_electrons detections and estimate the shifts back.
 
-    Reference behavior is single-threaded and sequential; the documented
-    draw order makes the whole report a pure function of (config, seed).
+    The pooled histogram is measured on one worker thread while this
+    thread measures the two branches, and its result or exception is
+    handed back here.  No result depends on the worker: each bootstrap
+    reads its own `(seed, 1, ...)` stream, the estimator is read-only, and
+    every value lands in its own place, so the documented draw order still
+    makes the whole report a pure function of (config, seed).
     """
     if n_electrons < 1:
         raise ValidationError(f"need at least one electron, got {n_electrons!r}")
@@ -114,6 +125,7 @@ def run_experiment(
         in_branch1 = uniforms[:, 0] < outcomes[0].probability
         # compress on a contiguous copy splits twice as fast as a boolean index of the column
         position_uniforms = np.ascontiguousarray(uniforms[:, 1])
+        del uniforms
         for k, mask in enumerate((in_branch1, ~in_branch1)):
             quantiles = np.compress(mask, position_uniforms)
             if quantiles.size == 0:
@@ -124,16 +136,21 @@ def run_experiment(
                 )
             counts[k] += detection_counts(patterns[k], quantiles)
 
-    branch_reports = []
-    for outcome, branch_counts in zip(outcomes, counts):
-        count = int(branch_counts.sum())
-        histogram = estimate = None
-        if count > 0:
-            histogram = replace(reference, intensity=branch_counts, holds_counts=True)
-            estimate = _measure(histogram, estimator, (seed, 1, outcome.branch), n_bootstrap)
-        branch_reports.append(BranchReport(outcome, count, estimate, histogram))
-
     pooled = replace(reference, intensity=counts[0] + counts[1], holds_counts=True)
+    pooled_worker = _Worker(_measure, pooled, estimator, (seed, 1, 0), n_bootstrap)
+    pooled_worker.start()
+    try:
+        branch_reports = []
+        for outcome, branch_counts in zip(outcomes, counts):
+            count = int(branch_counts.sum())
+            histogram = estimate = None
+            if count > 0:
+                histogram = replace(reference, intensity=branch_counts, holds_counts=True)
+                estimate = _measure(histogram, estimator, (seed, 1, outcome.branch), n_bootstrap)
+            branch_reports.append(BranchReport(outcome, count, estimate, histogram))
+    finally:
+        pooled_worker.join()
+    pooled_estimate = pooled_worker.result()
     mean_shift, mean_sigma = _weighted_mean_shift(branch_reports, n_electrons)
 
     return ExperimentReport(
@@ -142,7 +159,7 @@ def run_experiment(
         branch1=branch_reports[0],
         branch2=branch_reports[1],
         pooled_histogram=pooled,
-        pooled_estimate=_measure(pooled, estimator, (seed, 1, 0), n_bootstrap),
+        pooled_estimate=pooled_estimate,
         pooled_visibility=visibility(pooled),
         mean_shift=mean_shift,
         mean_shift_sigma=mean_sigma,
@@ -152,9 +169,32 @@ def run_experiment(
     )
 
 
+class _Worker(threading.Thread):
+    """One call on its own thread; `result()` joins it, then returns the
+    call's value or raises its exception in the caller's thread."""
+
+    def __init__(self, function, *args):
+        super().__init__(name="abmix-worker")
+        self._call = (function, args)
+        self._value = self._error = None
+
+    def run(self) -> None:
+        function, args = self._call
+        try:
+            self._value = function(*args)
+        except BaseException as exc:   # re-raised by result(), in the caller's thread
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def _measure(
     histogram: IntensityPattern,
-    estimator: Callable[[IntensityPattern], FringeEstimate],
+    estimator: ShiftEstimator,
     entropy: tuple[int, ...],
     n_bootstrap: int,
 ) -> FringeEstimate | None:
@@ -170,24 +210,27 @@ def _measure(
 
 def _bootstrap_sigma(
     histogram: IntensityPattern,
-    estimator: Callable[[IntensityPattern], FringeEstimate],
+    estimator: ShiftEstimator,
     entropy: tuple[int, ...],
     n_bootstrap: int,
 ) -> float:
     """Std dev of the shift estimate over multinomial resamples of the
-    histogram, each of as many detections as the histogram holds."""
+    histogram, each of as many detections as the histogram holds; a
+    resample at or below VISIBILITY_FLOOR is left out.  The resamples are
+    drawn and estimated BOOTSTRAP_BLOCK_CELLS // nfft (at least 1) at a
+    time, which keeps the draws in stream order."""
     n_samples = int(histogram.intensity.sum())
     if n_bootstrap < 2 or n_samples < 2:
         return float("nan")
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     probabilities = histogram.intensity / histogram.intensity.sum()
+    block = max(1, BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
     shifts = []
-    for _ in range(n_bootstrap):
-        counts = rng.multinomial(n_samples, probabilities).astype(float)
-        try:
-            shifts.append(estimator(replace(histogram, intensity=counts)).shift)
-        except UnmeasurableShiftError:
-            continue
+    for start in range(0, n_bootstrap, block):
+        size = min(block, n_bootstrap - start)
+        resamples = rng.multinomial(n_samples, probabilities, size=size).astype(float)
+        block_shifts, visibilities = estimator.shifts(resamples)
+        shifts.extend(block_shifts[visibilities > VISIBILITY_FLOOR])
     if len(shifts) < 2:
         return float("nan")
     return float(np.std(shifts, ddof=1))

@@ -171,23 +171,86 @@ def visibility(pattern: IntensityPattern) -> float:
     return _contrast_rule(pattern, envelope, pattern.holds_counts)(pattern.intensity)
 
 
-def shift_estimator(reference: IntensityPattern) -> Callable[[IntensityPattern], FringeEstimate]:
-    """Estimator of fringe translations relative to `reference`, which is
-    checked and transformed once; ValidationError if it has no usable contrast.
+def _fringe_parts(block: np.ndarray, envelope: np.ndarray) -> np.ndarray:
+    """Each row of `block` less its least-squares envelope multiple a*G(x).
 
-    `estimate(pattern)` is the argmax of the cross-correlation of the two
-    baseline-removed patterns, refined by quadratic interpolation around
-    the peak and clipped to half the grid span.  The baseline is the
-    least-squares envelope multiple a*G(x): for a model pattern
-    (1 + V cos)G this removes the non-oscillatory hump exactly, which would
-    otherwise bias the correlation peak toward zero lag.  Shifts are
-    resolved within half a fringe period; beyond that the nearest-period
-    alias wins because the envelope weights it higher.  It raises
-    UnmeasurableShiftError when the pattern's visibility is at or below
-    0.05 (the physically washed-out regime) and ValidationError for a
-    pattern whose grid, fringe period or envelope width differs from the
-    reference's.
+    For a model pattern (1 + V cos)G this removes the non-oscillatory hump
+    exactly, which would otherwise bias the correlation peak toward zero
+    lag.  Each row's a comes from its own `np.dot`: `block @ envelope` sums
+    in another order and would move the last bits.
     """
+    coefficients = np.array([np.dot(row, envelope) for row in block]) / np.dot(envelope, envelope)
+    fringe = coefficients[:, np.newaxis] * envelope
+    return np.subtract(block, fringe, out=fringe)
+
+
+@dataclass(frozen=True, eq=False)
+class ShiftEstimator:
+    """Estimator of fringe translations relative to `reference`, built by
+    `shift_estimator`, which checks and transforms the reference once.
+
+    A shift is the argmax of the cross-correlation of the two
+    baseline-removed patterns (`_fringe_parts`), refined by quadratic
+    interpolation around the peak and clipped to half the grid span.
+    Shifts are resolved within half a fringe period; beyond that the
+    nearest-period alias wins because the envelope weights it higher.
+    Every pattern is judged by the reference's envelope and contrast rules.
+    Nothing here is written after construction, so threads may share it.
+    """
+
+    reference: IntensityPattern
+    envelope: np.ndarray          # G(x) of the reference, read-only
+    contrast: dict[bool, Callable[[np.ndarray], float]]   # contrast rule by holds_counts
+    nfft: int                     # smallest power of 2 >= 2n - 1: no circular wrap
+    reference_spectrum: np.ndarray   # conj(rfft) of the reference's fringe part, read-only
+
+    def __call__(self, pattern: IntensityPattern) -> FringeEstimate:
+        """The shift of one pattern: UnmeasurableShiftError when its
+        visibility is at or below 0.05 (the physically washed-out regime),
+        ValidationError when its grid, fringe period or envelope width
+        differs from the reference's."""
+        reference = self.reference
+        if ((pattern.grid, pattern.period, pattern.envelope_width)
+                != (reference.grid, reference.period, reference.envelope_width)):
+            raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
+        shifts, visibilities = self.shifts(pattern.intensity[np.newaxis], pattern.holds_counts)
+        pattern_visibility = float(visibilities[0])
+        if pattern_visibility <= VISIBILITY_FLOOR:
+            raise UnmeasurableShiftError(
+                f"pattern visibility {pattern_visibility!r} is at or below {VISIBILITY_FLOOR}: "
+                "the fringes are washed out and the shift is unmeasurable"
+            )
+        return FringeEstimate(shift=float(shifts[0]), visibility=pattern_visibility, uncertainty=0.0)
+
+    def shifts(self, block: np.ndarray, holds_counts: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Shifts (m) and visibilities of the rows of a (k, n) block of
+        intensities on the reference's grid, detection counts unless
+        `holds_counts` is false, through one rfft and one irfft of the whole
+        block.  Rows are not validated, and a row at or below
+        VISIBILITY_FLOOR still gets a shift; the caller drops it."""
+        contrast = self.contrast[holds_counts]
+        visibilities = np.array([contrast(row) for row in block])
+        n, dx = self.reference.grid.n, self.reference.grid.dx
+        # temporaries are reused or freed as soon as they are spent: on the
+        # worker thread they are all the resident memory the thread adds
+        spectra = np.fft.rfft(_fringe_parts(block, self.envelope), self.nfft, axis=-1)
+        spectra *= self.reference_spectrum
+        c = np.fft.irfft(spectra, self.nfft, axis=-1)
+        del spectra
+        correlation = np.concatenate([c[:, -(n - 1):], c[:, :n]], axis=1)   # lags -(n-1) .. n-1
+        peaks = np.argmax(correlation, axis=1)
+        around = np.clip(peaks[:, np.newaxis] + [-1, 0, 1], 0, 2 * n - 2)
+        left, middle, right = np.take_along_axis(correlation, around, axis=1).T
+        curvature = left - 2.0 * middle + right
+        refined = (peaks > 0) & (peaks < 2 * n - 2) & (curvature != 0.0)
+        offsets = np.divide(0.5 * (left - right), curvature, out=np.zeros(len(peaks)), where=refined)
+        half_span = 0.5 * (n - 1) * dx
+        return np.clip((peaks - (n - 1) + offsets) * dx, -half_span, half_span), visibilities
+
+
+def shift_estimator(reference: IntensityPattern) -> ShiftEstimator:
+    """The ShiftEstimator bound to `reference`; ValidationError if the
+    reference has no usable contrast."""
     envelope = _envelope(reference.grid.positions, reference.envelope_width)
     contrast = {counts: _contrast_rule(reference, envelope, counts) for counts in (False, True)}
     reference_visibility = contrast[reference.holds_counts](reference.intensity)
@@ -195,39 +258,11 @@ def shift_estimator(reference: IntensityPattern) -> Callable[[IntensityPattern],
         raise ValidationError(
             f"reference visibility {reference_visibility!r} is at or below {VISIBILITY_FLOOR}"
         )
-    optics = (reference.grid, reference.period, reference.envelope_width)
-    envelope_norm_sq = np.dot(envelope, envelope)
-
-    def fringe_part(pattern: IntensityPattern) -> np.ndarray:
-        coefficient = float(np.dot(pattern.intensity, envelope) / envelope_norm_sq)
-        return pattern.intensity - coefficient * envelope
-
-    n = reference.n
-    nfft = 1 << (2 * n - 2).bit_length()   # smallest power of 2 >= 2n - 1
-    reference_spectrum = np.conj(np.fft.rfft(fringe_part(reference), nfft))
-    half_span = 0.5 * (n - 1) * reference.grid.dx
-
-    def estimate(pattern: IntensityPattern) -> FringeEstimate:
-        if (pattern.grid, pattern.period, pattern.envelope_width) != optics:
-            raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
-        pattern_visibility = contrast[pattern.holds_counts](pattern.intensity)
-        if pattern_visibility <= VISIBILITY_FLOOR:
-            raise UnmeasurableShiftError(
-                f"pattern visibility {pattern_visibility!r} is at or below {VISIBILITY_FLOOR}: "
-                "the fringes are washed out and the shift is unmeasurable"
-            )
-        c = np.fft.irfft(np.fft.rfft(fringe_part(pattern), nfft) * reference_spectrum, nfft)
-        correlation = np.concatenate([c[-(n - 1):], c[:n]])   # lags -(n-1) .. n-1
-        peak = int(np.argmax(correlation))
-        offset = 0.0
-        if 0 < peak < correlation.size - 1:
-            curvature = correlation[peak - 1] - 2.0 * correlation[peak] + correlation[peak + 1]
-            if curvature != 0.0:
-                offset = 0.5 * (correlation[peak - 1] - correlation[peak + 1]) / curvature
-        shift = float(np.clip((peak - (n - 1) + offset) * reference.grid.dx, -half_span, half_span))
-        return FringeEstimate(shift=shift, visibility=pattern_visibility, uncertainty=0.0)
-
-    return estimate
+    nfft = 1 << (2 * reference.grid.n - 2).bit_length()
+    reference_part = _fringe_parts(reference.intensity[np.newaxis], envelope)[0]
+    reference_spectrum = np.conj(np.fft.rfft(reference_part, nfft))
+    envelope.flags.writeable = reference_spectrum.flags.writeable = False
+    return ShiftEstimator(reference, envelope, contrast, nfft, reference_spectrum)
 
 
 def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> FringeEstimate:

@@ -1,10 +1,14 @@
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from abmix import experiment
 from abmix.cli import main
+from abmix.errors import ValidationError
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -300,10 +304,39 @@ class TestValidationReporting:
         assert not out_dir.exists()
 
 
-def test_module_entry_point_runs():
-    import subprocess
-    import sys
+    @pytest.mark.parametrize("failing", [(11, 1, 0), (11, 1, 1)], ids=["pooled", "branch1"])
+    @pytest.mark.parametrize("error, code", [(MemoryError, 3), (ValidationError("rejected"), 2)],
+                             ids=["memory", "validation"])
+    def test_a_failed_bootstrap_on_either_thread_exits_cleanly(
+        self, tmp_path, capsys, monkeypatch, failing, error, code
+    ):
+        # the pooled bootstrap runs on the worker thread, branch 1's on the caller's
+        bootstrap = experiment._bootstrap_sigma
 
+        def fails(histogram, estimator, entropy, n_bootstrap):
+            if entropy == failing:
+                raise error
+            return bootstrap(histogram, estimator, entropy, n_bootstrap)
+
+        monkeypatch.setattr(experiment, "_bootstrap_sigma", fails)
+        out_dir = tmp_path / "run"
+        assert main(["experiment", "--config", write_config(tmp_path), "--out", str(out_dir)]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+
+def test_importing_the_cli_loads_no_executor_and_no_logging():
+    # run_experiment's worker is a bare threading.Thread: concurrent.futures
+    # would load logging and a dozen more modules into every command
+    code = "import sys, abmix.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "abmix.cli", "phase"], capture_output=True, text=True
     )

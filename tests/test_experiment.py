@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -171,6 +174,51 @@ class TestDeterminism:
         assert not np.array_equal(
             first.pooled_histogram.intensity, second.pooled_histogram.intensity
         )
+
+
+class TestBlockBootstrap:
+    def test_numpy_multinomial_block_equals_successive_draws(self):
+        # _bootstrap_sigma draws its resamples a block at a time
+        probabilities = np.random.default_rng(0).random(300)
+        probabilities /= probabilities.sum()
+        block = np.random.default_rng(7).multinomial(5000, probabilities, size=5)
+        rng = np.random.default_rng(7)
+        assert np.array_equal(block, [rng.multinomial(5000, probabilities) for _ in range(5)])
+
+    def test_block_size_moves_no_bit(self, monkeypatch):
+        # 7 resamples are estimated 4 + 3 by default; 1 at a time, or all 7
+        # in one block, they must give the same report
+        args = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 8, wide_screen(), ENVELOPE, 7)
+        expected = report_text(run_experiment(*args))
+        nfft = 8192   # the transform length of the 4096-cell screen
+        for block_cells in (nfft, 7 * nfft):
+            monkeypatch.setattr(experiment, "BOOTSTRAP_BLOCK_CELLS", block_cells)
+            assert report_text(run_experiment(*args)) == expected
+
+
+class TestPooledWorker:
+    @pytest.mark.parametrize("delayed", ["pooled", "branches"])
+    def test_a_slow_bootstrap_moves_no_bit(self, monkeypatch, delayed):
+        # the pooled bootstrap runs beside the branch ones; which finishes
+        # first, and where the interpreter switches threads, must not matter
+        args = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 20240601, wide_screen(), ENVELOPE, 25)
+        expected = report_text(run_experiment(*args))
+        bootstrap = experiment._bootstrap_sigma
+
+        def slow(histogram, estimator, entropy, n_bootstrap):
+            if (entropy[-1] == 0) == (delayed == "pooled"):
+                time.sleep(0.05)
+            return bootstrap(histogram, estimator, entropy, n_bootstrap)
+
+        monkeypatch.setattr(experiment, "_bootstrap_sigma", slow)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert report_text(run_experiment(*args)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
 
 
 class TestTwoPointStatistics:

@@ -8,6 +8,8 @@ from scipy import stats
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period, fringe_shift, phase_shift
 from abmix.errors import UnmeasurableShiftError, ValidationError
 from abmix.pattern import (
+    VISIBILITY_FLOOR,
+    FringeEstimate,
     IntensityPattern,
     detection_counts,
     estimate_shift,
@@ -222,6 +224,59 @@ class TestEstimateShift:
     def test_grid_mismatch_is_rejected(self, make_pattern):
         with pytest.raises(ValidationError, match="must share"):
             estimate_shift(make_pattern(), pattern_at(0.0))
+
+
+def scalar_shift(estimator, intensity):
+    """One pattern's shift by scalar arithmetic on 1-D transforms, as the
+    estimator computed it before it took blocks: the reference that
+    ShiftEstimator.shifts must equal bit for bit."""
+    envelope, nfft = estimator.envelope, estimator.nfft
+    n, dx = estimator.reference.grid.n, estimator.reference.grid.dx
+    coefficient = float(np.dot(intensity, envelope) / np.dot(envelope, envelope))
+    spectrum = np.fft.rfft(intensity - coefficient * envelope, nfft)
+    c = np.fft.irfft(spectrum * estimator.reference_spectrum, nfft)
+    correlation = np.concatenate([c[-(n - 1):], c[:n]])
+    peak = int(np.argmax(correlation))
+    offset = 0.0
+    if 0 < peak < correlation.size - 1:
+        curvature = correlation[peak - 1] - 2.0 * correlation[peak] + correlation[peak + 1]
+        if curvature != 0.0:
+            offset = 0.5 * (correlation[peak - 1] - correlation[peak + 1]) / curvature
+    half_span = 0.5 * (n - 1) * dx
+    return float(np.clip((peak - (n - 1) + offset) * dx, -half_span, half_span))
+
+
+class TestShiftEstimatorBlocks:
+    @pytest.mark.parametrize("n", [4096, 4000])   # 4000 cells: the 16-cell merging leaves a remainder
+    def test_block_equals_one_pattern_estimates_bit_for_bit(self, n):
+        reference = pattern_at(0.0, n=n)
+        estimator = shift_estimator(reference)
+        shifted = pattern_at(0.6, n=n).intensity
+        rows = np.random.default_rng(n).multinomial(20_000, shifted / shifted.sum(), size=5)
+        block = np.vstack([rows, np.full(n, 3.0)])   # the flat last row is washed out
+        shifts, visibilities = estimator.shifts(block)
+        assert visibilities[-1] <= VISIBILITY_FLOOR < visibilities[:-1].min()
+        for row, shift, row_visibility in zip(block, shifts, visibilities):
+            histogram = replace(reference, intensity=row, holds_counts=True)
+            assert shift == scalar_shift(estimator, histogram.intensity)
+            assert row_visibility == visibility(histogram)
+            one_shift, one_visibility = estimator.shifts(row[np.newaxis])   # a 1-row block
+            assert (one_shift[0], one_visibility[0]) == (shift, row_visibility)
+            if row_visibility > VISIBILITY_FLOOR:
+                assert estimator(histogram) == FringeEstimate(shift, row_visibility, 0.0)
+            else:
+                with pytest.raises(UnmeasurableShiftError):
+                    estimator(histogram)
+
+    def test_numpy_transforms_a_block_of_rows_as_it_does_each_row(self):
+        # ShiftEstimator.shifts takes one rfft and one irfft of a whole block;
+        # 5 rows, so an odd row is left over if rows are paired inside the FFT
+        rows = np.random.default_rng(3).random((5, 4000))
+        spectra = np.fft.rfft(rows, 8192, axis=-1)
+        back = np.fft.irfft(spectra, 8192, axis=-1)
+        for row, spectrum, inverse in zip(rows, spectra, back):
+            assert np.array_equal(spectrum, np.fft.rfft(row, 8192))
+            assert np.array_equal(inverse, np.fft.irfft(spectrum, 8192))
 
 
 class TestSampleDetections:
