@@ -223,9 +223,9 @@ def plane_wave(grid: Grid, wavenumber: float) -> GridWavefunction:
 
 def wavefunction_table(psi: GridWavefunction) -> str:
     """CSV table of the wavefunction, columns eta_m, re_psi, im_psi."""
-    return csv_table("eta_m,re_psi,im_psi", psi.grid.positions, psi.samples.real, psi.samples.imag)
+    return csv_table("eta_m,re_psi,im_psi", psi.grid, psi.samples.real, psi.samples.imag)
 
 
 def current_table(j: CurrentDensity) -> str:
     """CSV table of a current density, columns eta_m, j_A."""
-    return csv_table("eta_m,j_A", j.grid.positions, j.samples)
+    return csv_table("eta_m,j_A", j.grid, j.samples)

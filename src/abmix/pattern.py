@@ -76,10 +76,19 @@ class IntensityPattern:
 
 
 def _check_optics(period: float, envelope_width: float) -> None:
-    """A pattern's fringe period and envelope width must be finite and positive."""
+    """A pattern's fringe period and envelope width must be finite and
+    positive, and the envelope's 2 w^2 neither overflow nor underflow to 0."""
     for name, value in (("period", period), ("envelope_width", envelope_width)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+    try:
+        two_width_sq = 2.0 * envelope_width**2
+    except OverflowError:
+        raise ValidationError(f"envelope_width {envelope_width!r} m is too large: "
+                              "its square overflows") from None
+    if two_width_sq == 0.0:
+        raise ValidationError(f"envelope_width {envelope_width!r} m is too narrow: "
+                              "its square underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,9 @@ def two_slit_pattern(
 ) -> IntensityPattern:
     """Synthesize the two-slit pattern with phase difference `phase` inserted.
 
-    The screen must span at least four fringe periods and the Gaussian
-    envelope width must be positive.
+    The screen must span at least four fringe periods, and the Gaussian
+    envelope width must be positive and leave the envelope above 0 on some
+    screen cell.
     """
     period = fringe_period(constants, geometry)
     _check_optics(period, envelope_width)
@@ -109,12 +119,17 @@ def two_slit_pattern(
             f"periods ({MIN_PERIODS * period!r} m)"
         )
     x = screen.positions
-    intensity = (1.0 + np.cos(2.0 * math.pi * x / period + phase)) * _envelope(x, envelope_width)
+    envelope = _envelope(x, envelope_width)
+    if not np.any(envelope > 0.0):
+        raise ValidationError(f"envelope_width {envelope_width!r} m is too narrow: the envelope "
+                              "underflows to 0 on every screen cell")
+    intensity = (1.0 + np.cos(2.0 * math.pi * x / period + phase)) * envelope
     return IntensityPattern(screen, intensity, period, envelope_width)
 
 
 def _envelope(x: np.ndarray, width: float) -> np.ndarray:
-    return np.exp(-(x**2) / (2.0 * width**2))
+    with np.errstate(over="ignore"):   # x^2 / 2w^2 beyond the float range is inf, and exp(-inf) = 0
+        return np.exp(-(x**2) / (2.0 * width**2))
 
 
 def mixture_pattern(
@@ -317,13 +332,16 @@ def histogram_pattern(samples: np.ndarray, reference: IntensityPattern) -> Inten
     )
 
 
-def csv_table(header: str, *columns: np.ndarray) -> str:
-    """CSV text: the header row, then one row per sample of the equal-length
-    columns, each value written as the repr of a Python float."""
-    rows = zip(*(map(repr, np.asarray(column, dtype=float).tolist()) for column in columns))
+def csv_table(header: str, grid: Grid, *columns: np.ndarray) -> str:
+    """CSV text: the header row, then one row per position of `grid`, the
+    position followed by each column's value there, every value written as
+    the repr of a Python float.  The position column is `grid.position_text`,
+    formatted once per Grid instance however many tables it heads."""
+    values = (map(repr, np.asarray(column, dtype=float).tolist()) for column in columns)
+    rows = zip(grid.position_text, *values)
     return "\n".join([header, *map(",".join, rows), ""])
 
 
 def pattern_csv(pattern: IntensityPattern, value_column: str = "intensity") -> str:
     """CSV text for a pattern: header row, columns x_m and `value_column`."""
-    return csv_table(f"x_m,{value_column}", pattern.grid.positions, pattern.intensity)
+    return csv_table(f"x_m,{value_column}", pattern.grid, pattern.intensity)

@@ -247,6 +247,26 @@ class TestValidationReporting:
         assert "amplitudes" in err
         assert "n_electrons" in err
 
+    @pytest.mark.parametrize("command", [["mixture", "--csv"], ["experiment"]], ids=["mixture", "experiment"])
+    @pytest.mark.parametrize(
+        "width, message",
+        [
+            (1e300, "envelope_width 1e+300 m is too large"),    # its square overflows
+            (1e-200, "envelope_width 1e-200 m is too narrow"),  # its square underflows to 0
+            (1e-300, "envelope_width 1e-300 m is too narrow"),
+            (1e-160, "envelope_width 1e-160 m is too narrow"),  # x^2 / 2w^2 overflows
+            (1e-100, "envelope_width 1e-100 m is too narrow"),  # exp underflows on every cell
+        ],
+        ids=["huge", "square_underflows", "square_underflows_further", "quotient_overflows", "exp_underflows"],
+    )
+    def test_unusable_envelope_width_is_one_exit_2_line(self, tmp_path, capsys, command, width, message):
+        config = write_config(tmp_path, envelope_width=width)
+        out_dir = tmp_path / "run"
+        assert main([*command, "--config", config, "--out", str(out_dir)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+        assert not out_dir.exists()
+
     def test_unknown_keys_are_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"geomtry": {}}), encoding="utf-8")

@@ -394,6 +394,10 @@ def test_pattern_requires_a_positive_period_and_envelope_width():
         IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 0.0, 1.0)
     with pytest.raises(ValidationError, match="envelope_width"):
         IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 1.0, float("nan"))
+    with pytest.raises(ValidationError, match="envelope_width 1e\\+300 m is too large"):
+        IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 1.0, 1e300)
+    with pytest.raises(ValidationError, match="envelope_width 1e-200 m is too narrow"):
+        IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 1.0, 1e-200)
 
 
 def test_visibility_needs_the_central_fringes_on_the_screen():
