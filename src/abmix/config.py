@@ -27,6 +27,8 @@ import math
 import sys
 from typing import Any
 
+import numpy as np
+
 from .core import (ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, ApparatusGeometry, Grid, PhysicalConstants,
                    Solenoid, fringe_period)
 from .current import MIN_SAMPLES
@@ -91,6 +93,19 @@ def _unit_field(radius: str, sign: float):
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
+# numpy sizes an array in np.intp bytes: a grid whose largest array would
+# need more fails at allocation with a ValueError, not with MemoryError.
+# A screen's largest arrays take 32 bytes per cell: the shift estimator's
+# rfft of the zero-padded pattern, nfft // 2 + 1 complex128 values with nfft
+# the power of 2 at or above 2n - 1, so nfft <= 4n - 4 and 16 * (nfft // 2 + 1)
+# <= 32n - 16 bytes; and the experiment's int64 counts by thread and branch,
+# 2 x 2 x n.  The wire grid's largest take 16 bytes per point: complex128
+# samples, derivatives and current brackets.  Up to these bounds a grid too
+# large for the machine fails with the out-of-memory line.
+_INTP_MAX = int(np.iinfo(np.intp).max)
+SCREEN_N_MAX = _INTP_MAX // 32
+WIRE_N_MAX = _INTP_MAX // 16
+
 # dotted key -> (type rule, default); a callable default reads the keys above it
 SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
     "constants.e": (FLOAT, ELEMENTARY_CHARGE),
@@ -106,7 +121,7 @@ SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
     "solenoids.B2": (FLOAT, _unit_field("solenoids.R2", -1.0)),
     "amplitudes.c1": (PAIR, [ROOT_HALF, 0.0]),
     "amplitudes.c2": (PAIR, [ROOT_HALF, 0.0]),
-    "screen.n": (_integer("an integer"), 4096),
+    "screen.n": (_integer(f"an integer <= {SCREEN_N_MAX}", high=SCREEN_N_MAX + 1), 4096),
     "screen.x_min": (FLOAT, _periods(-8.0)),
     "screen.x_max": (FLOAT, _periods(8.0)),
     "envelope_width": (POSITIVE, _periods(2.5)),
@@ -118,7 +133,9 @@ SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
     "wavepackets.kind": (KIND, "gaussian"),
     "wavepackets.eta_min": (FLOAT, -256.0),
     "wavepackets.eta_max": (FLOAT, 256.0),
-    "wavepackets.n": (_integer(f"an integer >= {MIN_SAMPLES}", MIN_SAMPLES), 4096),
+    "wavepackets.n": (
+        _integer(f"an integer in [{MIN_SAMPLES}, {WIRE_N_MAX}]", MIN_SAMPLES, WIRE_N_MAX + 1), 4096
+    ),
     "wavepackets.center1": (FLOAT, -128.0),
     "wavepackets.center2": (FLOAT, 128.0),
     "wavepackets.width": (POSITIVE, 16.0),

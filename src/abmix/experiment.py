@@ -9,15 +9,20 @@ the branch uniform is consumed first and the position uniform second.
 Draws run in fixed chunks of DRAW_CHUNK electrons taken in order from the
 same stream, which yields the same uniforms as one draw of all of them,
 so memory is independent of n_electrons.  Derived streams get fixed
-entropy tuples, each read by one thread only:
+entropy tuples, each read in order under its own lock, by either thread:
 
-    (seed, 0)      branch and position draws                       caller's thread
-    (seed, 1, 1)   bootstrap of the branch-1 shift estimate        caller's thread
-    (seed, 1, 2)   bootstrap of the branch-2 shift estimate        caller's thread
-    (seed, 1, 0)   bootstrap of the pooled-pattern shift estimate  worker thread
+    (seed, 0)      branch and position draws
+    (seed, 1, 1)   bootstrap of the branch-1 shift estimate
+    (seed, 1, 2)   bootstrap of the branch-2 shift estimate
+    (seed, 1, 0)   bootstrap of the pooled-pattern shift estimate
 
-so a report is reproducible bit for bit from (configuration, seed), on
-any number of CPUs and whichever thread finishes first.  A bootstrap
+The calling thread and one worker share the chunks of the first stream
+and then the resample blocks of the bootstrap streams (`_share`).  A
+block's position in its stream is taken under the stream's lock with
+its draw, and every result lands by that position: detection counts are
+summed as integers, and bootstrap shifts are joined in block order.  So
+a report is reproducible bit for bit from (configuration, seed), on any
+number of CPUs and whichever thread draws which block.  A bootstrap
 draws its resamples a block at a time, `rng.multinomial(n, p, size=k)`,
 which is k successive draws from its stream.
 
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,7 +60,8 @@ from .pattern import (
 
 BOOTSTRAP_DEFAULT = 200
 
-DRAW_CHUNK = 1 << 18   # electrons drawn per block; memory is bounded by this, not by n_electrons
+DRAW_CHUNK = 1 << 17   # electrons drawn per chunk, one chunk in flight per thread; memory is
+                       # bounded by this, not by n_electrons
 
 BOOTSTRAP_BLOCK_CELLS = 1 << 15   # FFT cells per block of resamples: 4 rows of the default screen's 8192
 
@@ -99,12 +106,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate n_electrons detections and estimate the shifts back.
 
-    The pooled histogram is measured on one worker thread while this
-    thread measures the two branches, and its result or exception is
-    handed back here.  No result depends on the worker: each bootstrap
-    reads its own `(seed, 1, ...)` stream, the estimator is read-only, and
-    every value lands in its own place, so the documented draw order still
-    makes the whole report a pure function of (config, seed).
+    This thread and one worker count the detections and bootstrap the
+    estimates (`_share`); as the module docstring sets out, the report is
+    still a pure function of (config, seed).
     """
     if n_electrons < 1:
         raise ValidationError(f"need at least one electron, got {n_electrons!r}")
@@ -115,42 +119,24 @@ def run_experiment(
     reference = two_slit_pattern(config.constants, config.geometry, 0.0, screen, envelope_width)
     estimator = shift_estimator(reference)
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    # a branch's pattern is built at its first detection: a branch of weight 0
-    # may carry a phase no pattern can show, such as inf
-    patterns: list[IntensityPattern | None] = [None, None]
-    counts = [np.zeros(screen.n, dtype=np.int64) for _ in outcomes]
-    for start in range(0, n_electrons, DRAW_CHUNK):
-        uniforms = rng.random((min(DRAW_CHUNK, n_electrons - start), 2))
-        in_branch1 = uniforms[:, 0] < outcomes[0].probability
-        # compress on a contiguous copy splits twice as fast as a boolean index of the column
-        position_uniforms = np.ascontiguousarray(uniforms[:, 1])
-        del uniforms
-        for k, mask in enumerate((in_branch1, ~in_branch1)):
-            quantiles = np.compress(mask, position_uniforms)
-            if quantiles.size == 0:
-                continue
-            if patterns[k] is None:
-                patterns[k] = two_slit_pattern(
-                    config.constants, config.geometry, outcomes[k].phase, screen, envelope_width
-                )
-            counts[k] += detection_counts(patterns[k], quantiles)
-
+    counts = _count_detections(config, outcomes, n_electrons, seed, screen, envelope_width)
     pooled = replace(reference, intensity=counts[0] + counts[1], holds_counts=True)
-    pooled_worker = _Worker(_measure, pooled, estimator, (seed, 1, 0), n_bootstrap)
-    pooled_worker.start()
-    try:
-        branch_reports = []
-        for outcome, branch_counts in zip(outcomes, counts):
-            count = int(branch_counts.sum())
-            histogram = estimate = None
-            if count > 0:
-                histogram = replace(reference, intensity=branch_counts, holds_counts=True)
-                estimate = _measure(histogram, estimator, (seed, 1, outcome.branch), n_bootstrap)
-            branch_reports.append(BranchReport(outcome, count, estimate, histogram))
-    finally:
-        pooled_worker.join()
-    pooled_estimate = pooled_worker.result()
+    histograms = [
+        replace(reference, intensity=branch_counts, holds_counts=True) if branch_counts.any() else None
+        for branch_counts in counts
+    ] + [pooled]
+    estimates = [_point_estimate(histogram, estimator) for histogram in histograms]
+    measured = [k for k, estimate in enumerate(estimates) if estimate is not None]
+    entropies = [(seed, 1, outcome.branch) for outcome in outcomes] + [(seed, 1, 0)]
+    sigmas = _bootstrap_sigma(
+        [histograms[k] for k in measured], estimator, [entropies[k] for k in measured], n_bootstrap
+    )
+    for k, sigma in zip(measured, sigmas):
+        estimates[k] = replace(estimates[k], uncertainty=sigma)
+    branch_reports = [
+        BranchReport(outcome, int(branch_counts.sum()), estimate, histogram)
+        for outcome, branch_counts, estimate, histogram in zip(outcomes, counts, estimates, histograms)
+    ]
     mean_shift, mean_sigma = _weighted_mean_shift(branch_reports, n_electrons)
 
     return ExperimentReport(
@@ -159,7 +145,7 @@ def run_experiment(
         branch1=branch_reports[0],
         branch2=branch_reports[1],
         pooled_histogram=pooled,
-        pooled_estimate=pooled_estimate,
+        pooled_estimate=estimates[2],
         pooled_visibility=visibility(pooled),
         mean_shift=mean_shift,
         mean_shift_sigma=mean_sigma,
@@ -170,70 +156,186 @@ def run_experiment(
 
 
 class _Worker(threading.Thread):
-    """One call on its own thread; `result()` joins it, then returns the
-    call's value or raises its exception in the caller's thread."""
+    """One call on its own thread; `reraise()` joins it, then raises the
+    call's exception, if it raised one, in the caller's thread."""
 
     def __init__(self, function, *args):
-        super().__init__(name="abmix-worker")
-        self._call = (function, args)
-        self._value = self._error = None
+        super().__init__(target=function, args=args, name="abmix-worker")
+        self._error = None
 
     def run(self) -> None:
-        function, args = self._call
         try:
-            self._value = function(*args)
-        except BaseException as exc:   # re-raised by result(), in the caller's thread
+            super().run()
+        except BaseException as exc:   # raised again by reraise(), in the caller's thread
             self._error = exc
 
-    def result(self):
+    def reraise(self) -> None:
         self.join()
         if self._error is not None:
             raise self._error
-        return self._value
 
 
-def _measure(
-    histogram: IntensityPattern,
-    estimator: ShiftEstimator,
-    entropy: tuple[int, ...],
-    n_bootstrap: int,
-) -> FringeEstimate | None:
-    """Shift estimate of a histogram of detections with its bootstrap
-    1-sigma, or None when the histogram's fringes are washed out."""
+class _Stream:
+    """A random stream read in order under its own lock, by either thread."""
+
+    def __init__(self, entropy: tuple[int, ...], length: int, block: int):
+        self._rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        self._lock = threading.Lock()
+        self._length, self._block, self._next = length, block, 0
+
+    def take(self, draw: Callable[[np.random.Generator, int], np.ndarray]):
+        """`(start, draw(rng, size))` for the next block of at most `block`
+        of the stream's `length` draws, the position and the draw both taken
+        under the lock; None once every draw is taken."""
+        with self._lock:
+            start = self._next
+            if start >= self._length:
+                return None
+            size = min(self._block, self._length - start)
+            self._next = start + size
+            return start, draw(self._rng, size)
+
+
+def _share(step: Callable[[int], bool], units: int) -> None:
+    """Call `step(slot)` until it finds no unit left, on this thread (slot 0)
+    and, when there are at least 2 `units`, on one `_Worker` (slot 1).
+
+    A step takes the next unit under its stream's lock, works it outside
+    every lock, possibly into results of its own slot, and returns False
+    when no unit was left.  This thread works the first unit before the
+    worker starts.  A failure on either thread, KeyboardInterrupt included,
+    stops the other before its next unit and is raised here, once.
+    """
+    stop = threading.Event()
+
+    def run(slot: int) -> None:
+        try:
+            while not stop.is_set() and step(slot):
+                pass
+        except BaseException:
+            stop.set()
+            raise
+
+    worker = _Worker(run, 1) if step(0) and units > 1 else None
+    if worker is None:
+        run(0)
+        return
+    worker.start()
     try:
-        point = estimator(histogram)
+        run(0)
+    finally:
+        # every unit is taken once run returns, so this cuts the worker short only after a failure
+        stop.set()
+        worker.join()
+    worker.reraise()
+
+
+def _count_detections(
+    config: DualSolenoidConfig,
+    outcomes: tuple[MixtureOutcome, MixtureOutcome],
+    n_electrons: int,
+    seed: int,
+    screen: Grid,
+    envelope_width: float,
+) -> np.ndarray:
+    """(2, screen.n) int64 detection counts of the two branches, drawn from
+    the (seed, 0) stream DRAW_CHUNK electrons at a time; each thread adds
+    the chunks it draws into counts of its own."""
+    stream = _Stream((seed, 0), n_electrons, DRAW_CHUNK)
+    counts = np.zeros((2, 2, screen.n), dtype=np.int64)   # by thread slot, then branch
+    # a branch's pattern is built at its first detection: a branch of weight 0
+    # may carry a phase no pattern can show, such as inf
+    patterns: list[IntensityPattern | None] = [None, None]
+    patterns_lock = threading.Lock()
+
+    def pattern(k: int) -> IntensityPattern:
+        with patterns_lock:
+            if patterns[k] is None:
+                patterns[k] = two_slit_pattern(
+                    config.constants, config.geometry, outcomes[k].phase, screen, envelope_width
+                )
+            return patterns[k]
+
+    def step(slot: int) -> bool:
+        chunk = stream.take(lambda rng, size: rng.random((size, 2)))
+        if chunk is None:
+            return False
+        uniforms = chunk[1]
+        in_branch1 = uniforms[:, 0] < outcomes[0].probability
+        # compress on a contiguous copy splits twice as fast as a boolean index of the column
+        position_uniforms = np.ascontiguousarray(uniforms[:, 1])
+        del chunk, uniforms
+        for k, mask in enumerate((in_branch1, ~in_branch1)):
+            quantiles = np.compress(mask, position_uniforms)
+            if quantiles.size > 0:
+                counts[slot, k] += detection_counts(pattern(k), quantiles)
+        return True
+
+    _share(step, -(-n_electrons // DRAW_CHUNK))
+    return counts[0] + counts[1]
+
+
+def _point_estimate(histogram: IntensityPattern | None, estimator: ShiftEstimator) -> FringeEstimate | None:
+    """Shift estimate of a histogram of detections, without its 1-sigma;
+    None when there is no histogram or its fringes are washed out."""
+    if histogram is None:
+        return None
+    try:
+        return estimator(histogram)
     except UnmeasurableShiftError:
         return None
-    sigma = _bootstrap_sigma(histogram, estimator, entropy, n_bootstrap)
-    return replace(point, uncertainty=sigma)
 
 
 def _bootstrap_sigma(
-    histogram: IntensityPattern,
+    histograms: list[IntensityPattern],
     estimator: ShiftEstimator,
-    entropy: tuple[int, ...],
+    entropies: list[tuple[int, ...]],
     n_bootstrap: int,
-) -> float:
-    """Std dev of the shift estimate over multinomial resamples of the
-    histogram, each of as many detections as the histogram holds; a
-    resample at or below VISIBILITY_FLOOR is left out.  The resamples are
-    drawn and estimated BOOTSTRAP_BLOCK_CELLS // nfft (at least 1) at a
-    time, which keeps the draws in stream order."""
-    n_samples = int(histogram.intensity.sum())
-    if n_bootstrap < 2 or n_samples < 2:
-        return float("nan")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    probabilities = histogram.intensity / histogram.intensity.sum()
+) -> list[float]:
+    """Std dev of the shift estimate over n_bootstrap multinomial resamples
+    of each histogram, each of as many detections as the histogram holds;
+    a resample at or below VISIBILITY_FLOOR is left out, and with fewer
+    than 2 kept the std dev is nan.
+
+    Histogram i is resampled from the stream of entropies[i],
+    BOOTSTRAP_BLOCK_CELLS // nfft (at least 1) resamples at a time.  This
+    thread and one worker take the blocks of all streams in turn
+    (`_share`); each block's shifts are kept by its start in its stream and
+    joined in stream order.
+    """
     block = max(1, BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
-    shifts = []
-    for start in range(0, n_bootstrap, block):
-        size = min(block, n_bootstrap - start)
-        resamples = rng.multinomial(n_samples, probabilities, size=size).astype(float)
-        block_shifts, visibilities = estimator.shifts(resamples)
-        shifts.extend(block_shifts[visibilities > VISIBILITY_FLOOR])
-    if len(shifts) < 2:
-        return float("nan")
-    return float(np.std(shifts, ddof=1))
+    resampled = {}   # histogram index -> (stream, detections, cell probabilities)
+    for i, (histogram, entropy) in enumerate(zip(histograms, entropies)):
+        n_samples = int(histogram.intensity.sum())
+        if n_bootstrap >= 2 and n_samples >= 2:
+            probabilities = histogram.intensity / histogram.intensity.sum()
+            resampled[i] = (_Stream(entropy, n_bootstrap, block), n_samples, probabilities)
+    tasks = [i for _ in range(0, n_bootstrap, block) for i in resampled]   # streams interleaved
+    order, order_lock = iter(tasks), threading.Lock()
+    kept = {}   # (histogram index, block start) -> the block's kept shifts
+
+    def step(slot: int) -> bool:
+        with order_lock:
+            i = next(order, None)
+        if i is None:
+            return False
+        stream, n_samples, probabilities = resampled[i]
+        start, resamples = stream.take(
+            lambda rng, size: rng.multinomial(n_samples, probabilities, size=size)
+        )
+        shifts, visibilities = estimator.shifts(resamples.astype(float))
+        kept[i, start] = shifts[visibilities > VISIBILITY_FLOOR]
+        return True
+
+    _share(step, len(tasks))
+
+    def sigma(i: int) -> float:
+        if i not in resampled:
+            return float("nan")
+        shifts = np.concatenate([kept[i, start] for start in range(0, n_bootstrap, block)])
+        return float(np.std(shifts, ddof=1)) if len(shifts) >= 2 else float("nan")
+
+    return [sigma(i) for i in range(len(histograms))]
 
 
 def _weighted_mean_shift(reports: list[BranchReport], n: int) -> tuple[float, float]:

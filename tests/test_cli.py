@@ -324,27 +324,25 @@ class TestValidationReporting:
         assert not out_dir.exists()
 
 
-    @pytest.mark.parametrize("failing", [(11, 1, 0), (11, 1, 1)], ids=["pooled", "branch1"])
-    @pytest.mark.parametrize("error, code", [(MemoryError, 3), (ValidationError("rejected"), 2)],
+    @pytest.mark.parametrize("phase", ["counting", "bootstrap"])
+    @pytest.mark.parametrize("thread", ["caller", "worker"])
+    @pytest.mark.parametrize("error, code", [(MemoryError(), 3), (ValidationError("rejected"), 2)],
                              ids=["memory", "validation"])
-    def test_a_failed_bootstrap_on_either_thread_exits_cleanly(
-        self, tmp_path, capsys, monkeypatch, failing, error, code
+    def test_a_failure_on_either_thread_exits_cleanly(
+        self, tmp_path, capsys, monkeypatch, schedule, phase, thread, error, code
     ):
-        # the pooled bootstrap runs on the worker thread, branch 1's on the caller's
-        bootstrap = experiment._bootstrap_sigma
-
-        def fails(histogram, estimator, entropy, n_bootstrap):
-            if entropy == failing:
-                raise error
-            return bootstrap(histogram, estimator, entropy, n_bootstrap)
-
-        monkeypatch.setattr(experiment, "_bootstrap_sigma", fails)
+        # both threads count chunks and bootstrap blocks; the caller works its
+        # first unit of a phase before the worker starts, so it fails its second
+        monkeypatch.setattr(experiment, "DRAW_CHUNK", 100)   # 20 chunks of the 2000 electrons
+        schedule.fault = (phase, thread, 2 if thread == "caller" else 1, error)
         out_dir = tmp_path / "run"
         assert main(["experiment", "--config", write_config(tmp_path), "--out", str(out_dir)]) == code
+        assert (phase, thread, "raise") in schedule.events
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
         assert not out_dir.exists()
+        assert not schedule.workers_alive()
 
 
 def test_importing_the_cli_loads_no_executor_and_no_logging():

@@ -8,11 +8,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from abmix.cli import main
-from abmix.config import SCHEMA, SECTIONS, RunConfig
+from abmix.config import SCHEMA, SCREEN_N_MAX, SECTIONS, WIRE_N_MAX, RunConfig
 
 
 def run(tmp_path, command, data):
@@ -76,6 +77,46 @@ def test_type_and_range_errors_in_two_sections_are_both_listed(tmp_path):
     assert len(lines) == 2
     assert "geometry.L: must be a finite number" in lines[0]
     assert "solenoid1: solenoid radius must be finite and positive" in lines[1]
+
+
+@pytest.mark.parametrize(
+    "command, data, key",
+    [
+        (["mixture"], {"screen": {"n": 1e300}}, "screen.n"),
+        (["mixture"], {"screen": {"n": 2**62}}, "screen.n"),
+        (["experiment"], {"screen": {"n": SCREEN_N_MAX + 1}}, "screen.n"),
+        (["current"], {"wavepackets": {"n": 2**62}}, "wavepackets.n"),
+        (["current"], {"wavepackets": {"n": WIRE_N_MAX + 1}}, "wavepackets.n"),
+    ],
+    ids=["screen_1e300", "screen_2_62", "screen_past_bound", "wire_2_62", "wire_past_bound"],
+)
+def test_grids_past_addressable_bytes_are_one_exit_2_line(tmp_path, command, data, key):
+    code, lines, out_dir = run(tmp_path, command, data)
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"invalid config: {key}: must be an integer")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [(["mixture"], {"screen": {"n": SCREEN_N_MAX}}), (["experiment"], {"screen": {"n": SCREEN_N_MAX}}),
+     (["current"], {"wavepackets": {"n": WIRE_N_MAX}})],
+    ids=["mixture", "experiment", "current"],
+)
+def test_grids_at_the_bound_stay_out_of_memory_failures(tmp_path, command, data):
+    # addressable, but far beyond any machine's memory: the allocation fails
+    code, lines, out_dir = run(tmp_path, command, data)
+    assert code == 3
+    assert lines == ["error: out of memory: reduce screen.n or wavepackets.n"]
+    assert not out_dir.exists()
+
+
+def test_grid_bounds_follow_from_the_largest_arrays():
+    intp_max = int(np.iinfo(np.intp).max)
+    nfft = 1 << (2 * SCREEN_N_MAX - 2).bit_length()   # the estimator's transform length
+    assert 16 * (nfft // 2 + 1) <= intp_max           # its rfft, complex128
+    assert 2 * 2 * 8 * SCREEN_N_MAX <= intp_max < 2 * 2 * 8 * (SCREEN_N_MAX + 1)   # int64 counts
+    assert 16 * WIRE_N_MAX <= intp_max < 16 * (WIRE_N_MAX + 1)   # complex128 samples
 
 
 def test_schema_holds_31_keys():

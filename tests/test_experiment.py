@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -196,29 +195,101 @@ class TestBlockBootstrap:
             assert report_text(run_experiment(*args)) == expected
 
 
-class TestPooledWorker:
-    @pytest.mark.parametrize("delayed", ["pooled", "branches"])
-    def test_a_slow_bootstrap_moves_no_bit(self, monkeypatch, delayed):
-        # the pooled bootstrap runs beside the branch ones; which finishes
-        # first, and where the interpreter switches threads, must not matter
-        args = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 20240601, wide_screen(), ENVELOPE, 25)
-        expected = report_text(run_experiment(*args))
-        bootstrap = experiment._bootstrap_sigma
+class TestSharedSchedule:
+    ARGS = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 20240601, wide_screen(), ENVELOPE, 25)
 
-        def slow(histogram, estimator, entropy, n_bootstrap):
-            if (entropy[-1] == 0) == (delayed == "pooled"):
-                time.sleep(0.05)
-            return bootstrap(histogram, estimator, entropy, n_bootstrap)
-
-        monkeypatch.setattr(experiment, "_bootstrap_sigma", slow)
+    @pytest.mark.parametrize("delayed", ["caller", "worker"])
+    @pytest.mark.parametrize("phase", ["counting", "bootstrap"])
+    def test_forced_interleavings_move_no_bit(self, monkeypatch, schedule, phase, delayed):
+        # which thread draws which chunk or resample block, and where the
+        # interpreter switches threads, must not matter
+        expected = run_experiment(*self.ARGS)   # one chunk: counted on this thread alone
+        monkeypatch.setattr(experiment, "DRAW_CHUNK", 997)   # 21 chunks; the bootstrap has 3 x 7 blocks
+        schedule.reset()
+        schedule.delay[phase, delayed] = 0.002
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            assert report_text(run_experiment(*args)) == expected
+            report = run_experiment(*self.ARGS)
         finally:
             sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
+        assert schedule.takers(phase) == {"caller", "worker"}
+        assert report_text(report) == report_text(expected)
+        for name in ("branch1", "branch2"):
+            assert np.array_equal(getattr(report, name).histogram.intensity,
+                                  getattr(expected, name).histogram.intensity)
+        assert np.array_equal(report.pooled_histogram.intensity, expected.pooled_histogram.intensity)
+        assert threading.active_count() == threads and not schedule.workers_alive()
+
+    @pytest.mark.parametrize("delayed", ["caller", "worker"])
+    def test_bootstrap_shifts_join_in_stream_order(self, monkeypatch, schedule, delayed):
+        # blocks finish out of order when one thread is slowed; the shifts
+        # must still reach np.std as one stream estimated block after block
+        reported = []
+        std = np.std
+
+        def recorded(shifts, **kwargs):
+            reported.append(np.array(shifts))
+            return std(shifts, **kwargs)
+
+        monkeypatch.setattr(np, "std", recorded)
+        schedule.delay["bootstrap", delayed] = 0.002
+        config, amplitudes, n_electrons, seed, screen, width, n_bootstrap = self.ARGS
+        report = run_experiment(*self.ARGS)
+        estimator = pattern.shift_estimator(
+            pattern.two_slit_pattern(config.constants, config.geometry, 0.0, screen, width)
+        )
+        block = max(1, experiment.BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
+        histograms = (report.branch1.histogram, report.branch2.histogram, report.pooled_histogram)
+        for histogram, stream, shifts in zip(histograms, (1, 2, 0), reported, strict=True):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 1, stream)))
+            n_samples = int(histogram.intensity.sum())
+            expected = []
+            for start in range(0, n_bootstrap, block):
+                resamples = rng.multinomial(n_samples, histogram.intensity / histogram.intensity.sum(),
+                                            size=min(block, n_bootstrap - start))
+                block_shifts, visibilities = estimator.shifts(resamples.astype(float))
+                expected.extend(block_shifts[visibilities > pattern.VISIBILITY_FLOOR])
+            assert np.array_equal(shifts, expected)
+        assert schedule.takers("bootstrap") == {"caller", "worker"}
+
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    @pytest.mark.parametrize("phase", ["counting", "bootstrap"])
+    def test_a_failure_stops_the_other_thread_within_one_unit(
+        self, monkeypatch, schedule, phase, failing, error
+    ):
+        monkeypatch.setattr(experiment, "DRAW_CHUNK", 100)   # 200 chunks; the bootstrap has 3 x 50 blocks
+        other = {"caller": "worker", "worker": "caller"}[failing]
+        # the caller's first unit is worked before the worker starts, so it fails its second;
+        # the other thread is slowed so that units are still left when the fault hits
+        schedule.fault = (phase, failing, 2 if failing == "caller" else 1, error())
+        schedule.delay[phase, other] = 0.001
+        args = (*self.ARGS[:6], 200)
+        with pytest.raises(error):
+            run_experiment(*args)
+        units = {"counting": 200, "bootstrap": 150}[phase]
+        assert sum(1 for p, _, what in schedule.events if p == phase and what == "take") < units
+        assert schedule.takes_after_the_fault(other) <= 1
+        assert not schedule.workers_alive()
+
+    def test_a_run_of_one_chunk_starts_no_counting_thread(self, monkeypatch):
+        started = []
+
+        class Recorded(experiment._Worker):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(experiment, "_Worker", Recorded)
+        for n_electrons, workers in ((experiment.DRAW_CHUNK, 0), (experiment.DRAW_CHUNK + 1, 1)):
+            started.clear()
+            run_experiment(
+                antisymmetric_config(), EQUAL_WEIGHTS, n_electrons, 3, wide_screen(1024), ENVELOPE,
+                n_bootstrap=0,
+            )
+            assert len(started) == workers
 
 
 class TestTwoPointStatistics:
