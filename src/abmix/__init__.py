@@ -32,6 +32,7 @@ from .current import (
     non_interfering,
     overlap,
     plane_wave,
+    plane_wave_check,
     superpose,
     wavefunction_table,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "pattern_csv",
     "phase_shift",
     "plane_wave",
+    "plane_wave_check",
     "report_text",
     "run_experiment",
     "shift_estimator",

@@ -172,15 +172,7 @@ def cmd_current(cfg: RunConfig) -> int:
 
     if cfg["wavepackets.kind"] == "plane":
         k = cfg["wavepackets.k"]
-        psi = cur.plane_wave(grid, k)
-        j = cur.current_density(psi, constants)
-        analytic = (constants.e * constants.hbar * k / constants.m) * abs(psi.samples) ** 2
-        deviation = float(max(abs(j.samples - analytic)))
-        try:
-            bound = 0.4 * (k * grid.dx) ** 2 * float(max(abs(analytic)))
-        except OverflowError:
-            raise ValidationError(f"wavepackets.k {k!r} is too large for the wire grid spacing "
-                                  f"{grid.dx!r}: the discretization bound (k * d_eta)**2 overflows") from None
+        j, deviation, bound = cur.plane_wave_check(grid, k, constants)
         print(f"plane wave k = {k!r} 1/m on {grid.n} samples, d_eta = {grid.dx!r} m")
         print(f"max |j - e*hbar*k/m*|psi|^2| = {deviation!r} A (discretization bound {bound!r} A)")
         _write_all(cfg, "current", {"current_plane.csv": cur.current_table(j)})

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -154,12 +153,6 @@ class Grid:
     @property
     def positions(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n)
-
-    @cached_property
-    def position_text(self) -> tuple[str, ...]:
-        """The repr of each position, formatted on first use and kept by
-        this instance, so every CSV table on it shares one column of text."""
-        return tuple(map(repr, self.positions.tolist()))
 
 
 def de_broglie_wavelength(constants: PhysicalConstants, geometry: ApparatusGeometry) -> float:

@@ -181,6 +181,28 @@ def mixture_current_check(
     return j_total, j_mixture, deviation, bound
 
 
+def plane_wave_check(
+    grid: Grid, wavenumber: float, constants: PhysicalConstants
+) -> tuple[CurrentDensity, float, float]:
+    """Compare the current of the plane wave exp(i k eta) on `grid` with
+    its closed form e hbar k / m |psi|^2.
+
+    Returns (j, max_abs_deviation, bound) where bound = 0.4 (k d_eta)^2
+    max|e hbar k / m |psi|^2| is the discretization bound of the central
+    differences.  Raises ValidationError when (k d_eta)^2 overflows.
+    """
+    psi = plane_wave(grid, wavenumber)
+    j = current_density(psi, constants)
+    analytic = (constants.e * constants.hbar * wavenumber / constants.m) * np.abs(psi.samples) ** 2
+    deviation = float(np.max(np.abs(j.samples - analytic)))
+    try:
+        bound = 0.4 * (wavenumber * grid.dx) ** 2 * float(np.max(np.abs(analytic)))
+    except OverflowError:
+        raise ValidationError(f"wavepackets.k {wavenumber!r} is too large for the wire grid spacing "
+                              f"{grid.dx!r}: the discretization bound (k * d_eta)**2 overflows") from None
+    return j, deviation, bound
+
+
 def ensemble_current(n: int, j: CurrentDensity) -> CurrentDensity:
     """Current of a beam of n identically prepared electrons: n * j."""
     if not isinstance(n, (int, np.integer)) or n < 1:

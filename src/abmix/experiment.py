@@ -155,26 +155,6 @@ def run_experiment(
     )
 
 
-class _Worker(threading.Thread):
-    """One call on its own thread; `reraise()` joins it, then raises the
-    call's exception, if it raised one, in the caller's thread."""
-
-    def __init__(self, function, *args):
-        super().__init__(target=function, args=args, name="abmix-worker")
-        self._error = None
-
-    def run(self) -> None:
-        try:
-            super().run()
-        except BaseException as exc:   # raised again by reraise(), in the caller's thread
-            self._error = exc
-
-    def reraise(self) -> None:
-        self.join()
-        if self._error is not None:
-            raise self._error
-
-
 class _Stream:
     """A random stream read in order under its own lock, by either thread."""
 
@@ -198,7 +178,7 @@ class _Stream:
 
 def _share(step: Callable[[int], bool], units: int) -> None:
     """Call `step(slot)` until it finds no unit left, on this thread (slot 0)
-    and, when there are at least 2 `units`, on one `_Worker` (slot 1).
+    and, when there are at least 2 `units`, on one worker thread (slot 1).
 
     A step takes the next unit under its stream's lock, works it outside
     every lock, possibly into results of its own slot, and returns False
@@ -207,6 +187,7 @@ def _share(step: Callable[[int], bool], units: int) -> None:
     stops the other before its next unit and is raised here, once.
     """
     stop = threading.Event()
+    worker_errors: list[BaseException] = []
 
     def run(slot: int) -> None:
         try:
@@ -216,10 +197,16 @@ def _share(step: Callable[[int], bool], units: int) -> None:
             stop.set()
             raise
 
-    worker = _Worker(run, 1) if step(0) and units > 1 else None
-    if worker is None:
+    def work() -> None:
+        try:
+            run(1)
+        except BaseException as exc:   # raised again below, on this thread
+            worker_errors.append(exc)
+
+    if not (step(0) and units > 1):
         run(0)
         return
+    worker = threading.Thread(target=work, name="abmix-worker")
     worker.start()
     try:
         run(0)
@@ -227,7 +214,8 @@ def _share(step: Callable[[int], bool], units: int) -> None:
         # every unit is taken once run returns, so this cuts the worker short only after a failure
         stop.set()
         worker.join()
-    worker.reraise()
+    if worker_errors:
+        raise worker_errors[0]
 
 
 def _count_detections(

@@ -24,6 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period
 from .dual import NORMALIZATION_TOL
@@ -334,12 +335,35 @@ def histogram_pattern(samples: np.ndarray, reference: IntensityPattern) -> Inten
 
 def csv_table(header: str, grid: Grid, *columns: np.ndarray) -> str:
     """CSV text: the header row, then one row per position of `grid`, the
-    position followed by each column's value there, every value written as
-    the repr of a Python float.  The position column is `grid.position_text`,
-    formatted once per Grid instance however many tables it heads."""
-    values = (map(repr, np.asarray(column, dtype=float).tolist()) for column in columns)
-    rows = zip(grid.position_text, *values)
-    return "\n".join([header, *map(",".join, rows), ""])
+    position followed by each column's value there, every value written
+    byte for byte as the repr of a Python float.
+
+    The whole table goes through one `orjson.dumps`, whose Ryu output has
+    repr's shortest digits and, for +-0, for 1e-4 <= |x| < 1e16 and for
+    nonzero |x| < 1e-9, repr's notation too.  Every other value (1e-9 <=
+    |x| < 1e-4, where orjson writes 0.00001 or 1e-7 for repr's 1e-05 or
+    1e-07; |x| >= 1e16, where it writes 1e16 for 1e+16; nan and inf) is
+    passed as nan, which orjson writes as null, and each null is replaced
+    by the repr of its value, in row order.  The magnitude tests are exact:
+    a double below fl(1e-4) has no shortest digits at or above 1e-4, and so
+    for every bound.
+    """
+    table = np.column_stack([grid.positions, *(np.asarray(column, dtype=float) for column in columns)])
+    magnitude = np.abs(table)
+    by_repr = ~((magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude < 1e-9))
+    # orjson writes a flat array about 3x as fast as a 2-D one; each row's last comma becomes a newline
+    text = bytearray(orjson.dumps(np.where(by_repr, np.nan, table).ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    chars = np.frombuffer(text, dtype=np.uint8)
+    width = table.shape[1]
+    chars[np.flatnonzero(chars == ord(","))[width - 1::width]] = ord("\n")
+    rows = text[1:-1].decode()
+    if by_repr.any():
+        parts = rows.split("null")
+        filled = [""] * (2 * len(parts) - 1)
+        filled[::2] = parts
+        filled[1::2] = map(repr, table[by_repr].tolist())
+        rows = "".join(filled)
+    return f"{header}\n{rows}\n"
 
 
 def pattern_csv(pattern: IntensityPattern, value_column: str = "intensity") -> str:

@@ -1,16 +1,19 @@
 """The CSV writer: every table is a grid's position column plus value columns,
-written byte for byte as the repr of each Python float, with each Grid
-instance formatting its positions once however many tables it heads."""
+written byte for byte as the repr of each Python float, whichever notation
+repr picks and whether the value is subnormal, signed zero, nan or inf."""
 
-from functools import cached_property
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from abmix.cli import main
+from abmix.config import RunConfig
 from abmix.core import Grid
 from abmix.current import CurrentDensity, GridWavefunction, current_table, wavefunction_table
-from abmix.pattern import IntensityPattern, pattern_csv
+from abmix.pattern import IntensityPattern, csv_table, pattern_csv
 
 # values whose repr switches notation, is subnormal, signed zero or integral
 AWKWARD = [-0.0, 5e-324, 1e-05, 0.0001, 9999999999999998.0, 1e16, 1e22, 12.0]
@@ -47,54 +50,77 @@ class TestBytesMatchNaiveRepr:
         assert text.splitlines()[1].split(",")[1:] == ["-0.0", "-12.0"]
 
     def test_current_table(self, grid):
-        samples = np.array([-v for v in AWKWARD] + AWKWARD)
+        # a CurrentDensity takes any float samples, non-finite ones included
+        samples = np.array([-v for v in AWKWARD[:5]] + [math.nan, math.inf, -math.inf] + AWKWARD)
         text = current_table(CurrentDensity(grid, samples))
         assert text == naive_table("eta_m,j_A", grid.positions, samples)
+        assert [line.split(",")[1] for line in text.splitlines()[6:9]] == ["nan", "inf", "-inf"]
         assert [line.split(",")[1] for line in text.splitlines()[9:]] == AWKWARD_TEXT
 
 
-@pytest.fixture
-def formatted(monkeypatch):
-    """The Grids whose position text is formatted, once per formatting."""
-    grids = []
-    build = Grid.position_text.func
-
-    def spy(grid):
-        grids.append(grid)
-        return build(grid)
-
-    spied = cached_property(spy)
-    spied.__set_name__(Grid, "position_text")
-    monkeypatch.setattr(Grid, "position_text", spied)
-    return grids
-
-
 @pytest.mark.parametrize(
-    "args, tables",
+    "args, grid, tables",
     [
-        (["mixture", "--csv"], 3),
-        (["current"], 5),
-        (["experiment", "--seed", "5"], 3),
+        (["mixture", "--csv"], "screen", 3),
+        (["current"], "wavepackets", 5),
+        (["experiment", "--seed", "5"], "screen", 3),
     ],
     ids=["mixture", "current", "experiment"],
 )
-def test_each_command_formats_its_grid_once(tmp_path, capsys, formatted, args, tables):
+def test_each_table_starts_with_the_repr_of_each_position(tmp_path, capsys, args, grid, tables):
     out_dir = tmp_path / "run"
     assert main([*args, "--out", str(out_dir)]) == 0
     capsys.readouterr()
-    assert len(formatted) == 1
-    position_lines = formatted[0].position_text
+    cfg = RunConfig()
+    assert cfg.validate() == []
+    positions = [repr(x) for x in cfg.objects[grid].positions.tolist()]
     written = [path for path in out_dir.glob("*.csv") if path.name != "mixture_summary.csv"]
     assert len(written) == tables
     for path in written:
         body = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
-        assert [row.split(",")[0] for row in body[1:]] == list(position_lines)
+        assert [row.split(",")[0] for row in body[1:]] == positions
 
 
-def test_equal_grids_format_their_own_text(formatted):
-    first, second = Grid(0.0, 1.5, 16), Grid(0.0, 1.5, 16)
-    assert first == second and first is not second
-    tables = [current_table(CurrentDensity(grid, np.arange(16.0))) for grid in (first, second, first)]
-    assert tables[0] == tables[1] == tables[2]
-    assert [id(grid) for grid in formatted] == [id(first), id(second)]
-    assert first.position_text is not second.position_text
+def _around(*values):
+    """Each value and its neighbours either way, with both signs."""
+    near = [np.nextafter(v, direction) for v in values for direction in (-math.inf, math.inf)]
+    return [sign * float(v) for v in (*values, *near) for sign in (1.0, -1.0)]
+
+
+# the bounds of the writer's notation rule and of float formatting itself
+EDGES = [
+    *_around(1e-9, 1e-4, 1e16),
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    *_around(2.0**53 - 1.0, 2.0**53, 2.0**53 + 2.0, 2.0**63 - 1024.0, 2.0**63, 2.0**63 + 2048.0),
+]
+
+
+def test_edges_match_naive_repr():
+    edges = np.array(EDGES)
+    grid = Grid(-1e16, 1e16, len(edges))
+    assert csv_table("x,a,b", grid, edges, edges[::-1]) == naive_table("x,a,b", grid.positions, edges, edges[::-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bounds=st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+    columns=st.integers(2, 24).flatmap(
+        lambda n: st.lists(st.lists(st.floats(), min_size=n, max_size=n), min_size=1, max_size=3)
+    ),
+)
+def test_any_floats_match_naive_repr(bounds, columns):
+    n = len(columns[0])
+    assume(0.0 < bounds[1] - bounds[0] < math.inf)
+    grid = Grid(*bounds, n)
+    header = ",".join(["x", *"abc"[:len(columns)]])
+    assert csv_table(header, grid, *map(np.array, columns)) == naive_table(header, grid.positions, *columns)
+
+
+def test_a_million_random_bit_patterns_match_repr():
+    # checked column by column with one repr per value: naive_table's row loop
+    # would take seconds longer on a million values
+    columns = np.random.default_rng(20261018).integers(0, 2**64, (10, 100_000), dtype=np.uint64).view(float)
+    grid = Grid(-1.0, 1.0, columns.shape[1])
+    header = ",".join(["x", *"abcdefghij"])
+    reprs = (map(repr, values.tolist()) for values in (grid.positions, *columns))
+    assert csv_table(header, grid, *columns) == "\n".join([header, *map(",".join, zip(*reprs)), ""])

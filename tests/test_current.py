@@ -17,6 +17,7 @@ from abmix.current import (
     non_interfering,
     overlap,
     plane_wave,
+    plane_wave_check,
     pointwise_product_max,
     superpose,
     wavefunction_table,
@@ -144,7 +145,9 @@ class TestCurrentDensity:
         analytic = (CONSTANTS.e * CONSTANTS.hbar * k / CONSTANTS.m) * np.abs(psi.samples) ** 2
         # second-order stencils: interior (k d_eta)^2/6, one-sided ends (k d_eta)^2/3
         bound = 0.4 * (k * spacing) ** 2 * float(np.max(np.abs(analytic)))
-        assert float(np.max(np.abs(j.samples - analytic))) < bound
+        deviation = float(np.max(np.abs(j.samples - analytic)))
+        assert deviation < bound
+        assert plane_wave_check(psi.grid, k, CONSTANTS)[1:] == (deviation, bound)
 
     def test_gaussian_packet_matches_analytic_current(self):
         # envelope is real, so j = e hbar k / m |psi|^2 exactly in the continuum

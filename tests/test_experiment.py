@@ -276,13 +276,14 @@ class TestSharedSchedule:
 
     def test_a_run_of_one_chunk_starts_no_counting_thread(self, monkeypatch):
         started = []
+        start = threading.Thread.start
 
-        class Recorded(experiment._Worker):
-            def start(self):
-                started.append(self)
-                super().start()
+        def recorded(thread):
+            if thread.name == "abmix-worker":
+                started.append(thread)
+            start(thread)
 
-        monkeypatch.setattr(experiment, "_Worker", Recorded)
+        monkeypatch.setattr(threading.Thread, "start", recorded)
         for n_electrons, workers in ((experiment.DRAW_CHUNK, 0), (experiment.DRAW_CHUNK + 1, 1)):
             started.clear()
             run_experiment(
