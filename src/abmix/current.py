@@ -132,14 +132,21 @@ def superpose(
 def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> CurrentDensity:
     """Electric current j = (i hbar e / 2m)(psi dpsi* - psi* dpsi), amperes.
 
-    The complex bracket is evaluated literally; its imaginary residue must
-    cancel to below 1e-12 of the natural scale (hbar e / 2m) max|psi|
-    max|dpsi|, which is checked on every call before the real part is
-    returned.
+    The complex bracket is evaluated literally.  ArithmeticError when a
+    sample of it is not finite (the derivative or the bracket overflows),
+    or when its imaginary residue does not cancel to below 1e-12 of the
+    natural scale (hbar e / 2m) max|psi| max|dpsi|; both are checked on
+    every call before the real part is returned.
     """
-    dpsi = _derivative(psi.samples, psi.grid.dx)
     prefactor = 1j * constants.hbar * constants.e / (2.0 * constants.m)
-    j_complex = prefactor * (psi.samples * np.conj(dpsi) - np.conj(psi.samples) * dpsi)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite current is refused below
+        dpsi = _derivative(psi.samples, psi.grid.dx)
+        j_complex = prefactor * (psi.samples * np.conj(dpsi) - np.conj(psi.samples) * dpsi)
+    if not np.all(np.isfinite(j_complex)):
+        raise ArithmeticError(
+            f"current is not finite on the wire grid of spacing {psi.grid.dx!r} m: "
+            "its derivative or its bracket overflows"
+        )
     scale = (
         (constants.hbar * constants.e / (2.0 * constants.m))
         * float(np.max(np.abs(psi.samples)))

@@ -16,37 +16,40 @@ entropy tuples, each read in order under its own lock, by either thread:
     (seed, 1, 2)   bootstrap of the branch-2 shift estimate
     (seed, 1, 0)   bootstrap of the pooled-pattern shift estimate
 
-The calling thread and one worker share the chunks of the first stream
-and then the resample blocks of the bootstrap streams (`_share`).  A
-block's position in its stream is taken under the stream's lock with
-its draw, and every result lands by that position: detection counts are
-summed as integers, and bootstrap shifts are joined in block order.  So
-a report is reproducible bit for bit from (configuration, seed), on any
-number of CPUs and whichever thread draws which block.  A bootstrap
-draws its resamples a block at a time, `rng.multinomial(n, p, size=k)`,
-which is k successive draws from its stream.
+The calling thread and one worker take each phase's tasks from one list
+(`_share`): one per draw chunk of the first stream, then one per
+resample block of the bootstrap streams, interleaved.  A block's
+position in its stream is taken under the stream's lock with its draw,
+and every result lands by that position: detection counts are summed as
+integers, and bootstrap shifts are joined in block order.  So a report
+is reproducible bit for bit from (configuration, seed), on any number of
+CPUs and whichever thread draws which block.  A bootstrap draws its
+resamples a block at a time, `rng.multinomial(n, p, size=k)`, which is
+k successive draws from its stream.
 
 The report carries both views of the outcome statistics: the
 branch-separated estimates (which recover the two-point law, shifts of
 +epsilon and -epsilon) and the pooled estimates a branch-blind detector
 would see (mean shift compatible with zero, visibility reduced to
 |cos delta|).  The pooled histogram is the sum of the two branch
-histograms, and all three are measured by one shift estimator bound to
-the phase-0 reference pattern.
+histograms.  One shift estimator, bound to the phase-0 reference
+pattern, estimates the three count rows as one block, and one floor
+rule holds for them and for every bootstrap resample: a row is measured,
+and only then bootstrapped, when its visibility is above VISIBILITY_FLOOR.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Grid
 from .dual import BranchAmplitudes, DualSolenoidConfig, MixtureOutcome, outcome_distribution
-from .errors import UnmeasurableShiftError, ValidationError
+from .errors import ValidationError
 from .pattern import (
     VISIBILITY_FLOOR,
     FringeEstimate,
@@ -83,8 +86,6 @@ class BranchReport:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    seed: int
-    n_electrons: int
     branch1: BranchReport
     branch2: BranchReport
     pooled_histogram: IntensityPattern   # branch1 + branch2 histograms
@@ -121,18 +122,18 @@ def run_experiment(
 
     counts = _count_detections(config, outcomes, n_electrons, seed, screen, envelope_width)
     pooled = replace(reference, intensity=counts[0] + counts[1], holds_counts=True)
+    rows = np.vstack([counts, pooled.intensity]).astype(float)   # branch 1, branch 2, pooled
+    shifts, visibilities = estimator.shifts(rows)
+    measured = [k for k in range(3) if visibilities[k] > VISIBILITY_FLOOR]   # an empty row has contrast 0
+    entropies = [(seed, 1, outcome.branch) for outcome in outcomes] + [(seed, 1, 0)]
+    sigmas = _bootstrap_sigma(rows[measured], estimator, [entropies[k] for k in measured], n_bootstrap)
+    estimates: list[FringeEstimate | None] = [None, None, None]
+    for k, sigma in zip(measured, sigmas):
+        estimates[k] = FringeEstimate(float(shifts[k]), float(visibilities[k]), sigma)
     histograms = [
         replace(reference, intensity=branch_counts, holds_counts=True) if branch_counts.any() else None
         for branch_counts in counts
-    ] + [pooled]
-    estimates = [_point_estimate(histogram, estimator) for histogram in histograms]
-    measured = [k for k, estimate in enumerate(estimates) if estimate is not None]
-    entropies = [(seed, 1, outcome.branch) for outcome in outcomes] + [(seed, 1, 0)]
-    sigmas = _bootstrap_sigma(
-        [histograms[k] for k in measured], estimator, [entropies[k] for k in measured], n_bootstrap
-    )
-    for k, sigma in zip(measured, sigmas):
-        estimates[k] = replace(estimates[k], uncertainty=sigma)
+    ]
     branch_reports = [
         BranchReport(outcome, int(branch_counts.sum()), estimate, histogram)
         for outcome, branch_counts, estimate, histogram in zip(outcomes, counts, estimates, histograms)
@@ -140,8 +141,6 @@ def run_experiment(
     mean_shift, mean_sigma = _weighted_mean_shift(branch_reports, n_electrons)
 
     return ExperimentReport(
-        seed=seed,
-        n_electrons=n_electrons,
         branch1=branch_reports[0],
         branch2=branch_reports[1],
         pooled_histogram=pooled,
@@ -163,55 +162,60 @@ class _Stream:
         self._lock = threading.Lock()
         self._length, self._block, self._next = length, block, 0
 
-    def take(self, draw: Callable[[np.random.Generator, int], np.ndarray]):
+    def take(self, draw: Callable[[np.random.Generator, int], np.ndarray]) -> tuple[int, np.ndarray]:
         """`(start, draw(rng, size))` for the next block of at most `block`
         of the stream's `length` draws, the position and the draw both taken
-        under the lock; None once every draw is taken."""
+        under the lock.  The caller takes each of the
+        ceil(length / block) blocks once."""
         with self._lock:
             start = self._next
-            if start >= self._length:
-                return None
             size = min(self._block, self._length - start)
             self._next = start + size
             return start, draw(self._rng, size)
 
 
-def _share(step: Callable[[int], bool], units: int) -> None:
-    """Call `step(slot)` until it finds no unit left, on this thread (slot 0)
-    and, when there are at least 2 `units`, on one worker thread (slot 1).
+def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
+    """Call `work(slot, task)` once per task, on this thread (slot 0) and,
+    when there are at least 2 tasks, on one worker thread (slot 1).
 
-    A step takes the next unit under its stream's lock, works it outside
-    every lock, possibly into results of its own slot, and returns False
-    when no unit was left.  This thread works the first unit before the
-    worker starts.  A failure on either thread, KeyboardInterrupt included,
-    stops the other before its next unit and is raised here, once.
+    Both threads take the tasks from one list in order under one lock; a
+    task works outside that lock, possibly into results of its own slot.
+    This thread works the first task before the worker starts.  A failure
+    on either thread, KeyboardInterrupt included, stops the other before
+    its next task and is raised here, once.
     """
+    pending, lock = iter(tasks), threading.Lock()
     stop = threading.Event()
     worker_errors: list[BaseException] = []
 
     def run(slot: int) -> None:
         try:
-            while not stop.is_set() and step(slot):
-                pass
+            while not stop.is_set():
+                with lock:
+                    task = next(pending, None)
+                if task is None:
+                    return
+                work(slot, task)
         except BaseException:
             stop.set()
             raise
 
-    def work() -> None:
+    def run_worker() -> None:
         try:
             run(1)
         except BaseException as exc:   # raised again below, on this thread
             worker_errors.append(exc)
 
-    if not (step(0) and units > 1):
+    if len(tasks) < 2:
         run(0)
         return
-    worker = threading.Thread(target=work, name="abmix-worker")
+    work(0, next(pending))
+    worker = threading.Thread(target=run_worker, name="abmix-worker")
     worker.start()
     try:
         run(0)
     finally:
-        # every unit is taken once run returns, so this cuts the worker short only after a failure
+        # every task is taken once run returns, so this cuts the worker short only after a failure
         stop.set()
         worker.join()
     if worker_errors:
@@ -227,8 +231,8 @@ def _count_detections(
     envelope_width: float,
 ) -> np.ndarray:
     """(2, screen.n) int64 detection counts of the two branches, drawn from
-    the (seed, 0) stream DRAW_CHUNK electrons at a time; each thread adds
-    the chunks it draws into counts of its own."""
+    the (seed, 0) stream DRAW_CHUNK electrons at a time, one task per chunk;
+    each thread adds the chunks it draws into counts of its own."""
     stream = _Stream((seed, 0), n_electrons, DRAW_CHUNK)
     counts = np.zeros((2, 2, screen.n), dtype=np.int64)   # by thread slot, then branch
     # a branch's pattern is built at its first detection: a branch of weight 0
@@ -244,78 +248,56 @@ def _count_detections(
                 )
             return patterns[k]
 
-    def step(slot: int) -> bool:
-        chunk = stream.take(lambda rng, size: rng.random((size, 2)))
-        if chunk is None:
-            return False
-        uniforms = chunk[1]
+    def count(slot: int, _chunk: int) -> None:
+        _, uniforms = stream.take(lambda rng, size: rng.random((size, 2)))
         in_branch1 = uniforms[:, 0] < outcomes[0].probability
         # compress on a contiguous copy splits twice as fast as a boolean index of the column
         position_uniforms = np.ascontiguousarray(uniforms[:, 1])
-        del chunk, uniforms
+        del uniforms
         for k, mask in enumerate((in_branch1, ~in_branch1)):
             quantiles = np.compress(mask, position_uniforms)
             if quantiles.size > 0:
                 counts[slot, k] += detection_counts(pattern(k), quantiles)
-        return True
 
-    _share(step, -(-n_electrons // DRAW_CHUNK))
+    _share(range(-(-n_electrons // DRAW_CHUNK)), count)
     return counts[0] + counts[1]
 
 
-def _point_estimate(histogram: IntensityPattern | None, estimator: ShiftEstimator) -> FringeEstimate | None:
-    """Shift estimate of a histogram of detections, without its 1-sigma;
-    None when there is no histogram or its fringes are washed out."""
-    if histogram is None:
-        return None
-    try:
-        return estimator(histogram)
-    except UnmeasurableShiftError:
-        return None
-
-
 def _bootstrap_sigma(
-    histograms: list[IntensityPattern],
+    rows: np.ndarray,
     estimator: ShiftEstimator,
     entropies: list[tuple[int, ...]],
     n_bootstrap: int,
 ) -> list[float]:
     """Std dev of the shift estimate over n_bootstrap multinomial resamples
-    of each histogram, each of as many detections as the histogram holds;
-    a resample at or below VISIBILITY_FLOOR is left out, and with fewer
-    than 2 kept the std dev is nan.
+    of each row of detection counts, each of as many detections as the row
+    holds.  A resample is kept by the rule the point estimates follow, a
+    visibility above VISIBILITY_FLOOR; with fewer than 2 kept the std dev
+    is nan.
 
-    Histogram i is resampled from the stream of entropies[i],
-    BOOTSTRAP_BLOCK_CELLS // nfft (at least 1) resamples at a time.  This
-    thread and one worker take the blocks of all streams in turn
-    (`_share`); each block's shifts are kept by its start in its stream and
-    joined in stream order.
+    Row i is resampled from the stream of entropies[i],
+    BOOTSTRAP_BLOCK_CELLS // nfft (at least 1) resamples at a time.  The
+    blocks of all streams, interleaved, are one task list for this thread
+    and one worker (`_share`); each block's shifts are kept by its start in
+    its stream and joined in stream order.
     """
     block = max(1, BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
-    resampled = {}   # histogram index -> (stream, detections, cell probabilities)
-    for i, (histogram, entropy) in enumerate(zip(histograms, entropies)):
-        n_samples = int(histogram.intensity.sum())
+    resampled = {}   # row index -> (stream, detections, cell probabilities)
+    for i, (row, entropy) in enumerate(zip(rows, entropies)):
+        n_samples = int(row.sum())
         if n_bootstrap >= 2 and n_samples >= 2:
-            probabilities = histogram.intensity / histogram.intensity.sum()
-            resampled[i] = (_Stream(entropy, n_bootstrap, block), n_samples, probabilities)
-    tasks = [i for _ in range(0, n_bootstrap, block) for i in resampled]   # streams interleaved
-    order, order_lock = iter(tasks), threading.Lock()
-    kept = {}   # (histogram index, block start) -> the block's kept shifts
+            resampled[i] = (_Stream(entropy, n_bootstrap, block), n_samples, row / row.sum())
+    kept = {}   # (row index, block start) -> the block's kept shifts
 
-    def step(slot: int) -> bool:
-        with order_lock:
-            i = next(order, None)
-        if i is None:
-            return False
+    def resample(slot: int, i: int) -> None:
         stream, n_samples, probabilities = resampled[i]
         start, resamples = stream.take(
             lambda rng, size: rng.multinomial(n_samples, probabilities, size=size)
         )
         shifts, visibilities = estimator.shifts(resamples.astype(float))
         kept[i, start] = shifts[visibilities > VISIBILITY_FLOOR]
-        return True
 
-    _share(step, len(tasks))
+    _share([i for _ in range(0, n_bootstrap, block) for i in resampled], resample)   # streams interleaved
 
     def sigma(i: int) -> float:
         if i not in resampled:
@@ -323,7 +305,7 @@ def _bootstrap_sigma(
         shifts = np.concatenate([kept[i, start] for start in range(0, n_bootstrap, block)])
         return float(np.std(shifts, ddof=1)) if len(shifts) >= 2 else float("nan")
 
-    return [sigma(i) for i in range(len(histograms))]
+    return [sigma(i) for i in range(len(rows))]
 
 
 def _weighted_mean_shift(reports: list[BranchReport], n: int) -> tuple[float, float]:

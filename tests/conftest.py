@@ -42,9 +42,8 @@ class Schedule:
                     self.events.append((*key, "raise"))
                     raise self.fault[3]
                 taken = take(stream, draw)
-                if taken is not None:
-                    self.events.append((*key, "take"))
-            if taken is not None and key in self.delay:
+                self.events.append((*key, "take"))
+            if key in self.delay:
                 time.sleep(self.delay[key])
             return taken
 

@@ -111,6 +111,15 @@ def test_grids_at_the_bound_stay_out_of_memory_failures(tmp_path, command, data)
     assert not out_dir.exists()
 
 
+def test_a_plane_wave_whose_current_overflows_is_one_exit_3_line(tmp_path):
+    # k * d_eta stays finite, but the derivative k / d_eta overflows
+    data = {"wavepackets": {"kind": "plane", "k": 1e300, "eta_min": -1e-300, "eta_max": 1e-300, "n": 64}}
+    code, lines, out_dir = run_without_warnings(tmp_path, ["current"], data)
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("error: current is not finite")
+    assert not out_dir.exists()
+
+
 def test_grid_bounds_follow_from_the_largest_arrays():
     intp_max = int(np.iinfo(np.intp).max)
     nfft = 1 << (2 * SCREEN_N_MAX - 2).bit_length()   # the estimator's transform length

@@ -8,7 +8,7 @@ import pytest
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period
 from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals
 from abmix import experiment, pattern
-from abmix.errors import ValidationError
+from abmix.errors import UnmeasurableShiftError, ValidationError
 from abmix.experiment import report_text, run_experiment
 
 CONSTANTS = PhysicalConstants()
@@ -100,6 +100,43 @@ class TestRunExperimentBasics:
         assert echo["seed"] == "99"
         assert "PCG64" in echo["rng"]
         assert "branch uniform" in echo["draw_order"]
+
+
+class TestPointEstimates:
+    @pytest.mark.parametrize(
+        "delta, amplitudes, measured",
+        [
+            (1.0, EQUAL_WEIGHTS, [True, True, True]),
+            (1.0, BranchAmplitudes(c1=1.0 + 0.0j, c2=0.0j), [True, False, True]),   # an empty row
+            (math.pi / 2.0, EQUAL_WEIGHTS, [True, True, False]),   # the pooled fringes wash out
+        ],
+        ids=["antisymmetric", "pure_branch1", "washed_out_pool"],
+    )
+    def test_block_estimates_equal_one_pattern_estimates(self, delta, amplitudes, measured):
+        # run_experiment estimates the three count rows as one block; each row
+        # must match estimate_shift of its own histogram, and be None exactly
+        # where estimate_shift raises or, for an empty row, there is no histogram
+        screen = wide_screen()
+        # at 1e6 detections the pooled contrast of delta = pi/2 is shot noise, about 0.02
+        report = run_experiment(antisymmetric_config(delta), amplitudes, 1_000_000, 11, screen, ENVELOPE,
+                                n_bootstrap=0)
+        reference = pattern.two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, screen, ENVELOPE)
+        rows = [
+            (report.branch1.estimate, report.branch1.histogram),
+            (report.branch2.estimate, report.branch2.histogram),
+            (report.pooled_estimate, report.pooled_histogram),
+        ]
+        for (estimate, histogram), expected in zip(rows, measured, strict=True):
+            assert (estimate is not None) == expected
+            if histogram is None:   # an empty row
+                continue
+            if estimate is None:
+                with pytest.raises(UnmeasurableShiftError):
+                    pattern.estimate_shift(histogram, reference)
+            else:
+                one = pattern.estimate_shift(histogram, reference)
+                assert (estimate.shift, estimate.visibility) == (one.shift, one.visibility)
+                assert math.isnan(estimate.uncertainty)
 
 
 class TestDeterminism:
