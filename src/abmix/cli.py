@@ -15,6 +15,8 @@ artifacts are plain text, deterministic for a fixed (config, seed).
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
 import os
 import sys
@@ -63,8 +65,12 @@ def _echo_preamble(cfg: RunConfig, command: str) -> str:
 def _write_all(cfg: RunConfig, command: str, files: dict[str, str]) -> None:
     """Write every artifact or none: each file goes to a temporary directory
     beside the output directory, and only when all are written are they
-    moved into place.  CSV files get the config-echo comment preamble."""
+    moved into place.  A target that is a directory fails the write before
+    anything is moved.  CSV files get the config-echo comment preamble."""
     directory = Path(cfg["out_dir"])
+    for target in (directory / name for name in files):
+        if target.is_dir() and not target.is_symlink():   # os.replace replaces a symlink, even one to a directory
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     directory.parent.mkdir(parents=True, exist_ok=True)
     preamble = _echo_preamble(cfg, command)
     with tempfile.TemporaryDirectory(prefix=f".{directory.name}-", dir=directory.parent) as staging:
@@ -209,7 +215,10 @@ def _print_table(title: str, rows: list[tuple[str, float]]) -> None:
         print(f"  {label:<{label_width}}  {value!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `abmix` parser, built once per process: `parse_args` returns a new
+    namespace each call, so one parser serves every `main(argv)`."""
     parser = argparse.ArgumentParser(
         prog="abmix",
         description="Two-solenoid Aharonov-Bohm mixture: closed forms, "

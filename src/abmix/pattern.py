@@ -333,6 +333,35 @@ def histogram_pattern(samples: np.ndarray, reference: IntensityPattern) -> Inten
     )
 
 
+def _repr_texts(values: np.ndarray) -> list[str]:
+    """The repr of each value, from one `orjson.dumps` of them all.
+
+    Ryu's shortest digits are repr's digits; only orjson's notation differs
+    from repr's, by three rules that hold for the values `csv_table` flags:
+    0.0000123 is 1.23e-05 (1e-5 <= |x| < 1e-4), 1e-6 is 1e-06 (a one-digit
+    negative exponent) and 1e16 is 1e+16.  nan and inf, which orjson writes
+    as null, are the only values formatted by repr.
+    """
+    dump = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = bytearray(dump.replace(b"e", b"e+").replace(b"e+-", b"e-0"))
+    chars = np.frombuffer(text, dtype=np.uint8)
+    # only a 0.0000Drest token has a 0 before its point (an exponent token's
+    # first digit is nonzero).  Its D moves before the point and its rest
+    # stays put: 0.000D.rest, whose 0.000 is dropped and whose end, marked
+    # ;, becomes e-05.  A lone D keeps no point.
+    dots = np.flatnonzero(chars == ord("."))
+    dots = dots[chars[dots - 1] == ord("0")]
+    ends = np.flatnonzero((chars == ord(",")) | (chars == ord("]")))
+    chars[ends[np.searchsorted(ends, dots)]] = ord(";")
+    chars[dots + 4] = chars[dots + 5]
+    chars[dots + 5] = ord(".")
+    text = text.replace(b"0.000", b"").replace(b";", b"e-05,").replace(b".e", b"e")
+    texts = text[1:-1].decode().split(",")
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = repr(float(values[i]))
+    return texts
+
+
 def csv_table(header: str, grid: Grid, *columns: np.ndarray) -> str:
     """CSV text: the header row, then one row per position of `grid`, the
     position followed by each column's value there, every value written
@@ -341,12 +370,12 @@ def csv_table(header: str, grid: Grid, *columns: np.ndarray) -> str:
     The whole table goes through one `orjson.dumps`, whose Ryu output has
     repr's shortest digits and, for +-0, for 1e-4 <= |x| < 1e16 and for
     nonzero |x| < 1e-9, repr's notation too.  Every other value (1e-9 <=
-    |x| < 1e-4, where orjson writes 0.00001 or 1e-7 for repr's 1e-05 or
-    1e-07; |x| >= 1e16, where it writes 1e16 for 1e+16; nan and inf) is
-    passed as nan, which orjson writes as null, and each null is replaced
-    by the repr of its value, in row order.  The magnitude tests are exact:
-    a double below fl(1e-4) has no shortest digits at or above 1e-4, and so
-    for every bound.
+    |x| < 1e-4, |x| >= 1e16, nan and inf) is flagged and passed as nan,
+    which orjson writes as null.  The flagged values are formatted together
+    by `_repr_texts`, from one more orjson dump rewritten by three notation
+    rules, with repr for nan and inf only, and fill the nulls in row order.
+    The magnitude tests are exact: a double below fl(1e-4) has no shortest
+    digits at or above 1e-4, and so for every bound.
     """
     table = np.column_stack([grid.positions, *(np.asarray(column, dtype=float) for column in columns)])
     magnitude = np.abs(table)
@@ -361,7 +390,7 @@ def csv_table(header: str, grid: Grid, *columns: np.ndarray) -> str:
         parts = rows.split("null")
         filled = [""] * (2 * len(parts) - 1)
         filled[::2] = parts
-        filled[1::2] = map(repr, table[by_repr].tolist())
+        filled[1::2] = _repr_texts(table[by_repr])
         rows = "".join(filled)
     return f"{header}\n{rows}\n"
 

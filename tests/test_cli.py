@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from abmix import experiment
-from abmix.cli import main
+from abmix.cli import build_parser, main
 from abmix.errors import ValidationError
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -309,6 +309,15 @@ class TestValidationReporting:
         assert len(calls) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_directory_in_place_of_a_table_moves_no_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        (out_dir / "pattern_branch2.csv").mkdir(parents=True)
+        assert main(["mixture", "--csv", "--out", str(out_dir)]) == 4
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ") and "Is a directory" in errors[0]
+        assert [path.name for path in out_dir.iterdir()] == ["pattern_branch2.csv"]
+        assert list(tmp_path.iterdir()) == [out_dir]
+
     def test_out_of_memory_is_a_precondition_failure(self, tmp_path, capsys, monkeypatch):
         def exhausted(**kwargs):
             raise MemoryError
@@ -343,6 +352,33 @@ class TestValidationReporting:
         assert "Traceback" not in err
         assert not out_dir.exists()
         assert not schedule.workers_alive()
+
+
+def test_one_parser_serves_every_run(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    commands = [["mixture", "--csv"], ["experiment", "--csv"], ["current"], ["mixture"]]
+
+    def run_all(base, fresh_parser):
+        base.mkdir()
+        monkeypatch.chdir(base)
+        codes = []
+        for i, command in enumerate(commands):
+            if fresh_parser:
+                build_parser.cache_clear()
+            try:
+                codes.append(main([*command, "--out", f"out{i}"]))
+            except SystemExit as exc:
+                codes.append(exc.code)
+        capsys.readouterr()
+        return codes, {path.relative_to(base).as_posix(): path.read_bytes()
+                       for path in sorted(base.rglob("*")) if path.is_file()}
+
+    reused = run_all(tmp_path / "reused", fresh_parser=False)
+    fresh = run_all(tmp_path / "fresh", fresh_parser=True)
+    assert reused == fresh
+    codes, files = reused
+    assert codes == [0, 2, 0, 0]
+    assert {name.split("/")[0] for name in files} == {"out0", "out2"}
 
 
 def test_importing_the_cli_loads_no_executor_and_no_logging():

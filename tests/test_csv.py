@@ -5,6 +5,7 @@ repr picks and whether the value is subnormal, signed zero, nan or inf."""
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,14 @@ def naive_table(header, positions, *columns):
     rows = [",".join(repr(float(value)) for value in (x, *(column[i] for column in columns)))
             for i, x in enumerate(positions)]
     return "\n".join([header, *rows]) + "\n"
+
+
+def test_orjson_writes_the_notation_the_writer_rewrites():
+    # csv_table rewrites these forms into repr's; if this fails, orjson's
+    # notation changed and pyproject.toml needs an upper bound on orjson
+    values = [1.234e-05, -1e-06, 1e16, math.nan]
+    written = orjson.dumps(np.array(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    assert written == b"[0.00001234,-1e-6,1e16,null]", f"orjson {orjson.__version__} wrote {written!r}"
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["integral", "small", "large", "subnormal"])
