@@ -8,19 +8,22 @@ pattern CSVs of `mixture`).
 
 Exit codes: 0 success, 2 validation failure (every violation is listed
 once, not just the first), 3 physical-precondition or numerical failure
-or out of memory, 4 I/O failure.  A failed run writes no file.  All
-artifacts are plain text, deterministic for a fixed (config, seed).
+or out of memory, 4 I/O failure.  A failed run writes no file: each
+artifact is written to a hidden temporary file beside the output
+directory and renamed into it only once all are written (a killed process
+can leave such `.<out>-...` files behind).  All artifacts are plain text,
+deterministic for a fixed (config, seed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -63,24 +66,41 @@ def _echo_preamble(cfg: RunConfig, command: str) -> str:
 
 
 def _write_all(cfg: RunConfig, command: str, files: dict[str, str]) -> None:
-    """Write every artifact or none: each file goes to a temporary directory
-    beside the output directory, and only when all are written are they
-    moved into place.  A target that is a directory fails the write before
-    anything is moved.  CSV files get the config-echo comment preamble."""
+    """Write every artifact or none.  Each file is written to its own hidden
+    temporary `.<out>-<file>-<token>` beside the output directory `<out>`;
+    only once all are written is `<out>` made and each file renamed into it.
+    On any failure, KeyboardInterrupt included, the temporaries written so
+    far are removed.  A target that is a directory fails the write before
+    anything is written.  If a rename fails partway, the files already
+    renamed stay in place; a killed process can leave hidden temporaries
+    beside `<out>`.  CSV files get the config-echo comment preamble."""
     directory = Path(cfg["out_dir"])
     for target in (directory / name for name in files):
         if target.is_dir() and not target.is_symlink():   # os.replace replaces a symlink, even one to a directory
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     directory.parent.mkdir(parents=True, exist_ok=True)
     preamble = _echo_preamble(cfg, command)
-    with tempfile.TemporaryDirectory(prefix=f".{directory.name}-", dir=directory.parent) as staging:
+    # the token keeps concurrent runs apart; the name is cut so the temporary fits NAME_MAX
+    prefix = f".{directory.name[:64]}-"
+    token = os.urandom(6).hex()
+    staged: list[tuple[Path, Path]] = []
+    try:
         for name, content in files.items():
             if name.endswith(".csv"):
                 content = preamble + content
-            (Path(staging) / name).write_text(content, encoding="utf-8")
+            temporary = directory.parent / f"{prefix}{name}-{token}"
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)   # the umask applies
+            staged.append((temporary, directory / name))
+            with open(fd, "w", encoding="utf-8") as handle:
+                handle.write(content)
         directory.mkdir(exist_ok=True)
-        for name in files:
-            os.replace(Path(staging) / name, directory / name)
+        for temporary, target in staged:
+            os.replace(temporary, target)
+    except BaseException:
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):   # a moved temporary is already gone
+                os.unlink(temporary)
+        raise
 
 
 def cmd_phase(cfg: RunConfig) -> int:

@@ -10,7 +10,8 @@ follow the constants and the geometry.
 Type rules: float keys take finite numbers; int keys take integers or
 integral floats (2.0 but not 2.5) within the bounds SCHEMA names; booleans
 and numeric strings are never numbers; amplitudes are [re, im] lists of two
-numbers; wavepackets.kind is "gaussian" or "plane"; out_dir is a string.
+numbers; wavepackets.kind is "gaussian" or "plane"; out_dir is a string
+with no NUL character (no path can hold one).
 Unknown keys are rejected at any depth, and a partial section is merged key
 by key with the defaults.  The screen must resolve the fringes with at
 least 2 * HISTOGRAM_REBIN = 32 cells per fringe period, so the rebinned
@@ -68,7 +69,7 @@ FLOAT = ("a finite number", _number)
 POSITIVE = ("a positive finite number", _positive)
 PAIR = ("an [re, im] pair of finite numbers", _pair)
 KIND = ("'gaussian' or 'plane'", lambda raw: raw if raw in ("gaussian", "plane") else None)
-TEXT = ("a string", lambda raw: raw if isinstance(raw, str) else None)
+TEXT = ("a string with no NUL character", lambda raw: raw if isinstance(raw, str) and "\x00" not in raw else None)
 
 # -- derived defaults and builders read the resolved values through `v`
 

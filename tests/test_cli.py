@@ -1,8 +1,9 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,31 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+MIXTURE_FILES = {"pattern_branch1.csv", "pattern_branch2.csv", "pattern_mixture.csv", "mixture_summary.csv"}
+CURRENT_FILES = {"wavefunction_branch1.csv", "wavefunction_branch2.csv", "current_total.csv",
+                 "current_mixture.csv", "current_ensemble.csv"}
+
+
+def files_in(directory):
+    """Name -> bytes of every entry in `directory`, hidden ones included."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def fail_the_nth_call(monkeypatch, module, name, n, error):
+    """Make the n-th call of `module.name` raise `error`; returns the list of
+    calls' first arguments."""
+    function, calls = getattr(module, name), []
+
+    def failing(first, *args, **kwargs):
+        calls.append(first)
+        if len(calls) == n:
+            raise error
+        return function(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    return calls
 
 
 def value_of(output, label):
@@ -294,20 +320,94 @@ class TestValidationReporting:
         assert "I/O failure" in capsys.readouterr().err
 
     def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        write_text = Path.write_text
-        calls = []
-
-        def second_write_fails(path, *args, **kwargs):
-            calls.append(path)
-            if len(calls) == 2:
-                raise OSError("disk full")
-            return write_text(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", second_write_fails)
+        calls = fail_the_nth_call(monkeypatch, os, "open", 2, OSError("disk full"))
         assert main(["mixture", "--csv", "--out", str(tmp_path / "run")]) == 4
         assert "disk full" in capsys.readouterr().err
         assert len(calls) == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_interrupted_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        fail_the_nth_call(monkeypatch, os, "open", 3, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            main(["mixture", "--csv", "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_outputs(self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "run"
+        assert main(["mixture", "--csv", "--out", str(out_dir)]) == 0
+        old = files_in(out_dir)
+        fail_the_nth_call(monkeypatch, os, "open", 3, OSError("disk full"))
+        # other optics, so every table would change
+        assert main(["mixture", "--csv", "--config", write_config(tmp_path), "--out", str(out_dir)]) == 4
+        capsys.readouterr()
+        assert files_in(out_dir) == old
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "run"]
+
+    def test_a_rename_failing_partway_keeps_the_files_already_moved(self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "run"
+        fail_the_nth_call(monkeypatch, os, "replace", 2, OSError("disk full"))
+        assert main(["mixture", "--csv", "--out", str(out_dir)]) == 4
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == [out_dir]
+        assert [path.name for path in out_dir.iterdir()] == ["pattern_branch1.csv"]
+
+    def test_a_run_leaves_only_its_outputs(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(["mixture", "--csv", "--out", str(out_dir)]) == 0
+        assert list(tmp_path.iterdir()) == [out_dir]
+        assert set(files_in(out_dir)) == MIXTURE_FILES
+        assert main(["current", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == [out_dir]
+        assert set(files_in(out_dir)) == MIXTURE_FILES | CURRENT_FILES
+
+    def test_a_second_run_replaces_the_files(self, tmp_path, capsys):
+        out_dir, fresh = tmp_path / "outs" / "run", tmp_path / "outs" / "fresh"
+        config = write_config(tmp_path)
+        assert main(["mixture", "--csv", "--out", str(out_dir)]) == 0
+        first = files_in(out_dir)
+        assert main(["mixture", "--csv", "--config", config, "--out", str(out_dir)]) == 0
+        assert main(["mixture", "--csv", "--config", config, "--out", str(fresh)]) == 0
+        capsys.readouterr()
+        second = files_in(out_dir)
+        assert second == files_in(fresh)
+        assert all(second[name] != first[name] for name in MIXTURE_FILES)
+        assert sorted(path.name for path in (tmp_path / "outs").iterdir()) == ["fresh", "run"]
+
+    def test_a_long_output_directory_name_still_fits(self, tmp_path, capsys):
+        out_dir = tmp_path / ("o" * 240)   # a temporary named after all of it would exceed NAME_MAX
+        assert main(["mixture", "--csv", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == [out_dir]
+        assert set(files_in(out_dir)) == MIXTURE_FILES
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=lambda umask: f"{umask:03o}")
+    def test_outputs_take_the_umask(self, tmp_path, capsys, umask):
+        previous = os.umask(umask)
+        try:
+            assert main(["mixture", "--csv", "--out", str(tmp_path / "run")]) == 0
+            with open(tmp_path / "reference", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        capsys.readouterr()
+        expected = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+        assert expected == 0o666 & ~umask
+        assert {stat.S_IMODE(path.stat().st_mode) for path in (tmp_path / "run").iterdir()} == {expected}
+
+    @pytest.mark.parametrize("command", [["mixture", "--csv"], ["experiment"], ["current"]])
+    def test_a_nul_in_out_dir_is_one_exit_2_line(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": "a\u0000b"}), encoding="utf-8")
+        assert main([*command, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("invalid config: out_dir: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""   # rejected before anything is computed
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_a_directory_in_place_of_a_table_moves_no_file(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -344,6 +444,8 @@ class TestValidationReporting:
         # first unit of a phase before the worker starts, so it fails its second
         monkeypatch.setattr(experiment, "DRAW_CHUNK", 100)   # 20 chunks of the 2000 electrons
         schedule.fault = (phase, thread, 2 if thread == "caller" else 1, error)
+        # the other thread is slowed so that it cannot take every unit left before the fault
+        schedule.delay[phase, {"caller": "worker", "worker": "caller"}[thread]] = 0.001
         out_dir = tmp_path / "run"
         assert main(["experiment", "--config", write_config(tmp_path), "--out", str(out_dir)]) == code
         assert (phase, thread, "raise") in schedule.events
