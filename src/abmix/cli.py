@@ -12,7 +12,8 @@ or out of memory, 4 I/O failure.  A failed run writes no file: each
 artifact is written to a hidden temporary file beside the output
 directory and renamed into it only once all are written (a killed process
 can leave such `.<out>-...` files behind).  All artifacts are plain text,
-deterministic for a fixed (config, seed).
+deterministic for a fixed (config, seed), and echo the resolved config:
+the CSVs as one `# config =` JSON line, report.txt as its `config.*` block.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import itertools
 import json
 import os
 import sys
@@ -34,7 +36,7 @@ from .core import (de_broglie_wavelength, flux, fringe_period, fringe_shift,
                    fringe_shift_classical_form, phase_shift)
 from .dual import classical_totals, mixture_mean, outcome_distribution
 from .errors import InterferenceError, UnmeasurableShiftError, ValidationError
-from .experiment import report_text, run_experiment
+from .experiment import BOOTSTRAP_DEFAULT, DRAW_ORDER, RNG_ALGORITHM, report_text, run_experiment
 from .pattern import mixture_pattern, pattern_csv, two_slit_pattern, visibility
 
 EXIT_OK = 0
@@ -65,6 +67,34 @@ def _echo_preamble(cfg: RunConfig, command: str) -> str:
     return f"# command = {command}\n# config = {payload}\n"
 
 
+# report.txt's `config.*` names -> SCHEMA keys, in the report's order, which
+# is not SCHEMA's (B before R, screen.n after the bounds); an amplitude's
+# [re, im] pair gives a `_re` and an `_im` line
+_REPORT_CONFIG = {
+    "constants.e_C": "constants.e", "constants.m_kg": "constants.m",
+    "constants.hbar_Js": "constants.hbar", "constants.h_Js": "constants.h",
+    "geometry.L_m": "geometry.L", "geometry.d_m": "geometry.d", "geometry.v_m_per_s": "geometry.v",
+    "solenoid1.B_T": "solenoids.B1", "solenoid1.R_m": "solenoids.R1",
+    "solenoid2.B_T": "solenoids.B2", "solenoid2.R_m": "solenoids.R2",
+    "amplitudes.c1": "amplitudes.c1", "amplitudes.c2": "amplitudes.c2",
+    "screen.x_min_m": "screen.x_min", "screen.x_max_m": "screen.x_max", "screen.n": "screen.n",
+    "envelope_width_m": "envelope_width", "n_electrons": "n_electrons", "seed": "seed",
+}
+
+
+def _report_config(cfg: RunConfig) -> str:
+    """report.txt's `config.*` block: the resolved values the CSVs' `# config =`
+    line holds, then the experiment's fixed bootstrap size, RNG and draw order."""
+    items = []
+    for name, key in _REPORT_CONFIG.items():
+        value = cfg[key]
+        items += zip((f"{name}_re", f"{name}_im"), value) if isinstance(value, list) else [(name, value)]
+    lines = [f"config.{name} = {value!r}" for name, value in items]
+    lines += [f"config.n_bootstrap = {BOOTSTRAP_DEFAULT!r}", f"config.rng = {RNG_ALGORITHM}",
+              f"config.draw_order = {DRAW_ORDER}"]
+    return "\n".join(lines) + "\n"
+
+
 def _write_all(cfg: RunConfig, command: str, files: dict[str, str]) -> None:
     """Write every artifact or none.  Each file is written to its own hidden
     temporary `.<out>-<file>-<token>` beside the output directory `<out>`;
@@ -73,18 +103,22 @@ def _write_all(cfg: RunConfig, command: str, files: dict[str, str]) -> None:
     far are removed.  A target that is a directory fails the write before
     anything is written.  If a rename fails partway, the files already
     renamed stay in place; a killed process can leave hidden temporaries
-    beside `<out>`.  CSV files get the config-echo comment preamble."""
+    beside `<out>`.  The directories a failed run made, `<out>` and its
+    parents, are removed again as long as they are empty.  CSV files get
+    the config-echo comment preamble."""
     directory = Path(cfg["out_dir"])
     for target in (directory / name for name in files):
         if target.is_dir() and not target.is_symlink():   # os.replace replaces a symlink, even one to a directory
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-    directory.parent.mkdir(parents=True, exist_ok=True)
+    made = list(itertools.takewhile(lambda path: not path.exists(), (directory, *directory.parents)))
     preamble = _echo_preamble(cfg, command)
-    # the token keeps concurrent runs apart; the name is cut so the temporary fits NAME_MAX
-    prefix = f".{directory.name[:64]}-"
+    # the token keeps concurrent runs apart; the name is cut to 64 bytes, whole
+    # characters only, so the temporary fits NAME_MAX, which counts bytes
+    prefix = f".{os.fsencode(directory.name)[:64].decode('utf-8', 'ignore')}-"
     token = os.urandom(6).hex()
     staged: list[tuple[Path, Path]] = []
     try:
+        directory.parent.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             if name.endswith(".csv"):
                 content = preamble + content
@@ -100,6 +134,9 @@ def _write_all(cfg: RunConfig, command: str, files: dict[str, str]) -> None:
         for temporary, _ in staged:
             with contextlib.suppress(OSError):   # a moved temporary is already gone
                 os.unlink(temporary)
+        for path in made:   # deepest first
+            with contextlib.suppress(OSError):   # not empty, or never made
+                path.rmdir()
         raise
 
 
@@ -182,7 +219,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
         screen=cfg.objects["screen"],
         envelope_width=cfg["envelope_width"],
     )
-    text = report_text(report)
+    text = _report_config(cfg) + report_text(report)
     files = {"report.txt": text, "histogram_pooled.csv": pattern_csv(report.pooled_histogram, "count")}
     for branch in (report.branch1, report.branch2):
         if branch.histogram is not None:

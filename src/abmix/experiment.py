@@ -70,6 +70,8 @@ BOOTSTRAP_BLOCK_CELLS = 1 << 15   # FFT cells per block of resamples: 4 rows of 
 
 RNG_ALGORITHM = f"numpy.random.PCG64 via default_rng, numpy {np.__version__}"
 
+DRAW_ORDER = "per electron: branch uniform, then position uniform"
+
 # how report_text renders a missing estimate
 _UNESTIMATED = FringeEstimate(shift=math.nan, visibility=math.nan, uncertainty=math.nan)
 
@@ -93,7 +95,6 @@ class ExperimentReport:
     pooled_visibility: float
     mean_shift: float              # sum of count/n * branch shift estimate, m
     mean_shift_sigma: float        # propagated 1-sigma on mean_shift, m
-    config_echo: tuple[tuple[str, str], ...]
 
 
 def run_experiment(
@@ -148,9 +149,6 @@ def run_experiment(
         pooled_visibility=visibility(pooled),
         mean_shift=mean_shift,
         mean_shift_sigma=mean_sigma,
-        config_echo=_config_echo(
-            config, amplitudes, n_electrons, seed, screen, envelope_width, n_bootstrap
-        ),
     )
 
 
@@ -331,54 +329,16 @@ def _weighted_mean_shift(reports: list[BranchReport], n: int) -> tuple[float, fl
     return mean, math.sqrt(variance)
 
 
-def _config_echo(
-    config: DualSolenoidConfig,
-    amplitudes: BranchAmplitudes,
-    n_electrons: int,
-    seed: int,
-    screen: Grid,
-    envelope_width: float,
-    n_bootstrap: int,
-) -> tuple[tuple[str, str], ...]:
-    c = config.constants
-    g = config.geometry
-    items = [
-        ("constants.e_C", c.e),
-        ("constants.m_kg", c.m),
-        ("constants.hbar_Js", c.hbar),
-        ("constants.h_Js", c.h),
-        ("geometry.L_m", g.screen_distance),
-        ("geometry.d_m", g.slit_separation),
-        ("geometry.v_m_per_s", g.speed),
-        ("solenoid1.B_T", config.solenoid1.field),
-        ("solenoid1.R_m", config.solenoid1.radius),
-        ("solenoid2.B_T", config.solenoid2.field),
-        ("solenoid2.R_m", config.solenoid2.radius),
-        ("amplitudes.c1_re", amplitudes.c1.real),
-        ("amplitudes.c1_im", amplitudes.c1.imag),
-        ("amplitudes.c2_re", amplitudes.c2.real),
-        ("amplitudes.c2_im", amplitudes.c2.imag),
-        ("screen.x_min_m", screen.x_min),
-        ("screen.x_max_m", screen.x_max),
-        ("screen.n", screen.n),
-        ("envelope_width_m", envelope_width),
-        ("n_electrons", n_electrons),
-        ("seed", seed),
-        ("n_bootstrap", n_bootstrap),
-        ("rng", RNG_ALGORITHM),
-        ("draw_order", "per electron: branch uniform, then position uniform"),
-    ]
-    return tuple((key, value if isinstance(value, str) else repr(value)) for key, value in items)
-
-
 def report_text(report: ExperimentReport) -> str:
-    """Flat key = value rendering of the report, fixed key order.
+    """Flat key = value rendering of the results, fixed key order.
 
-    Keys: the config echo block first (config.*), then per-branch counts,
-    closed-form predictions and estimates, pooled statistics and the
-    frequency-weighted mean.  Unavailable estimates render as nan.
+    Keys: per-branch counts, closed-form predictions and estimates, pooled
+    statistics and the frequency-weighted mean.  Unavailable estimates
+    render as nan.  The configuration is not part of the report: report.txt
+    opens with the `config.*` block that the command line writes from the
+    resolved configuration.
     """
-    lines = [f"config.{key} = {value}" for key, value in report.config_echo]
+    lines = []
     for r in (report.branch1, report.branch2):
         prefix = f"branch{r.outcome.branch}"
         lines.append(f"{prefix}.count = {r.count}")

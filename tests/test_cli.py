@@ -9,6 +9,7 @@ import pytest
 
 from abmix import experiment
 from abmix.cli import build_parser, main
+from abmix.config import SCHEMA
 from abmix.errors import ValidationError
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -27,6 +28,21 @@ def write_config(tmp_path, **overrides):
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
 
+
+# report.txt's config names -> the SCHEMA key each echoes, and the part of an [re, im] pair
+REPORT_CONFIG_KEYS = {
+    "constants.e_C": ("constants.e", None), "constants.m_kg": ("constants.m", None),
+    "constants.hbar_Js": ("constants.hbar", None), "constants.h_Js": ("constants.h", None),
+    "geometry.L_m": ("geometry.L", None), "geometry.d_m": ("geometry.d", None),
+    "geometry.v_m_per_s": ("geometry.v", None),
+    "solenoid1.B_T": ("solenoids.B1", None), "solenoid1.R_m": ("solenoids.R1", None),
+    "solenoid2.B_T": ("solenoids.B2", None), "solenoid2.R_m": ("solenoids.R2", None),
+    "amplitudes.c1_re": ("amplitudes.c1", 0), "amplitudes.c1_im": ("amplitudes.c1", 1),
+    "amplitudes.c2_re": ("amplitudes.c2", 0), "amplitudes.c2_im": ("amplitudes.c2", 1),
+    "screen.x_min_m": ("screen.x_min", None), "screen.x_max_m": ("screen.x_max", None),
+    "screen.n": ("screen.n", None), "envelope_width_m": ("envelope_width", None),
+    "n_electrons": ("n_electrons", None), "seed": ("seed", None),
+}
 
 MIXTURE_FILES = {"pattern_branch1.csv", "pattern_branch2.csv", "pattern_mixture.csv", "mixture_summary.csv"}
 CURRENT_FILES = {"wavefunction_branch1.csv", "wavefunction_branch2.csv", "current_total.csv",
@@ -196,6 +212,46 @@ class TestExperimentCommand:
         capsys.readouterr()
         assert "config.seed = 777" in (out_dir / "report.txt").read_text(encoding="utf-8")
 
+    def test_report_echo_pins_rng_and_seed(self, tmp_path, capsys):
+        config = write_config(tmp_path, n_electrons=100, screen={"n": 1024})
+        out_dir = tmp_path / "run"
+        assert main(["experiment", "--config", config, "--seed", "99", "--out", str(out_dir)]) == 0
+        text = (out_dir / "report.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out.startswith(text)
+        lines = text.splitlines()
+        assert all(" = " in line for line in lines)
+        echo = dict(line.split(" = ", 1) for line in lines)
+        assert len(echo) == len(lines)   # every key of the file is unique, config.* and results alike
+        assert echo["config.seed"] == "99"
+        assert "PCG64" in echo["config.rng"]
+        assert "branch uniform" in echo["config.draw_order"]
+        assert echo["config.n_bootstrap"] == str(experiment.BOOTSTRAP_DEFAULT)
+        assert "branch1.count" in echo and "mean_shift_m" in echo
+
+    def test_report_config_equals_the_csv_config_line(self, tmp_path, capsys):
+        # a signed zero and an integral float must come out as the resolved config holds them
+        config = write_config(tmp_path, amplitudes={"c1": [0.6, -0.0], "c2": [0, 0.8]}, screen={"n": 1024.0})
+        out_dir = tmp_path / "run"
+        assert main(["experiment", "--config", config, "--seed", "0", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        csv_configs = set()
+        for name in ("histogram_pooled.csv", "histogram_branch1.csv", "histogram_branch2.csv"):
+            lines = (out_dir / name).read_text(encoding="utf-8").splitlines()
+            csv_configs |= {line.removeprefix("# config = ") for line in lines if line.startswith("# config = ")}
+        assert len(csv_configs) == 1
+        resolved = json.loads(csv_configs.pop())
+        report = (out_dir / "report.txt").read_text(encoding="utf-8").splitlines()
+        echo = [line.removeprefix("config.").split(" = ", 1) for line in report if line.startswith("config.")]
+        assert [name for name, _ in echo] == [*REPORT_CONFIG_KEYS, "n_bootstrap", "rng", "draw_order"]
+        for name, text in echo[:len(REPORT_CONFIG_KEYS)]:
+            key, part = REPORT_CONFIG_KEYS[name]
+            section, _, field = key.rpartition(".")
+            value = resolved[section][field] if section else resolved[field]
+            assert text == json.dumps(value if part is None else value[part]), name
+        assert dict(echo)["amplitudes.c1_im"] == "-0.0" and dict(echo)["screen.n"] == "1024"
+        echoed = {key for key, _ in REPORT_CONFIG_KEYS.values()}
+        assert echoed == {key for key in SCHEMA if key != "out_dir" and not key.startswith("wavepackets.")}
+
 
 class TestCurrentCommand:
     def test_gaussian_decomposition_artifacts(self, tmp_path, capsys):
@@ -344,6 +400,17 @@ class TestValidationReporting:
         assert files_in(out_dir) == old
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "run"]
 
+    @pytest.mark.parametrize("fault", [("open", 2), ("replace", 1)], ids=["write", "rename"])
+    @pytest.mark.parametrize("kept", [[], ["a", "a/b", "a/b/kept.txt"]], ids=["new", "partly_existing"])
+    def test_a_failed_write_removes_the_directories_it_made(self, tmp_path, capsys, monkeypatch, fault, kept):
+        if kept:
+            (tmp_path / "a" / "b").mkdir(parents=True)
+            (tmp_path / "a" / "b" / "kept.txt").write_text("kept", encoding="utf-8")
+        fail_the_nth_call(monkeypatch, os, *fault, OSError("disk full"))
+        assert main(["mixture", "--csv", "--out", str(tmp_path / "a" / "b" / "c" / "run")]) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == kept
+
     def test_a_rename_failing_partway_keeps_the_files_already_moved(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "run"
         fail_the_nth_call(monkeypatch, os, "replace", 2, OSError("disk full"))
@@ -375,8 +442,10 @@ class TestValidationReporting:
         assert all(second[name] != first[name] for name in MIXTURE_FILES)
         assert sorted(path.name for path in (tmp_path / "outs").iterdir()) == ["fresh", "run"]
 
-    def test_a_long_output_directory_name_still_fits(self, tmp_path, capsys):
-        out_dir = tmp_path / ("o" * 240)   # a temporary named after all of it would exceed NAME_MAX
+    # a temporary named after all of it would exceed NAME_MAX, 255 bytes
+    @pytest.mark.parametrize("name", ["o" * 240, "\U0001F600" * 60], ids=["ascii", "four_byte_characters"])
+    def test_a_long_output_directory_name_still_fits(self, tmp_path, capsys, name):
+        out_dir = tmp_path / name
         assert main(["mixture", "--csv", "--out", str(out_dir)]) == 0
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == [out_dir]

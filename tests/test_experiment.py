@@ -91,16 +91,6 @@ class TestRunExperimentBasics:
         assert report.mean_shift == resampled.mean_shift
         assert math.isfinite(resampled.mean_shift_sigma)
 
-    def test_report_echo_pins_rng_and_seed(self):
-        report = run_experiment(
-            antisymmetric_config(), EQUAL_WEIGHTS, 100, 99, wide_screen(1024), ENVELOPE,
-            n_bootstrap=0,
-        )
-        echo = dict(report.config_echo)
-        assert echo["seed"] == "99"
-        assert "PCG64" in echo["rng"]
-        assert "branch uniform" in echo["draw_order"]
-
 
 class TestPointEstimates:
     @pytest.mark.parametrize(
@@ -419,7 +409,6 @@ class TestReportText:
         assert text.endswith("\n")
         assert all(" = " in line for line in lines)
         keys = [line.split(" = ")[0] for line in lines]
-        assert "config.seed" in keys
         assert "branch1.count" in keys
         assert "branch2.predicted_shift_m" in keys
         assert "pooled.visibility" in keys
