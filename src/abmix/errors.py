@@ -17,6 +17,7 @@ class InterferenceError(RuntimeError):
 
 
 class UnmeasurableShiftError(RuntimeError):
-    """Fringe visibility is too low for the shift estimator to lock onto
-    a correlation peak (e.g. an equal-weight mixture near quarter-turn
-    phase difference washes the fringes out)."""
+    """Raised only by `pattern.estimate_shift`: the pattern's fringe
+    visibility is too low for the shift estimator to lock onto a
+    correlation peak (e.g. an equal-weight mixture near quarter-turn phase
+    difference washes the fringes out).  Blocks of rows get nan instead."""

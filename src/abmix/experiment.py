@@ -33,9 +33,10 @@ branch-separated estimates (which recover the two-point law, shifts of
 would see (mean shift compatible with zero, visibility reduced to
 |cos delta|).  The pooled histogram is the sum of the two branch
 histograms.  One shift estimator, bound to the phase-0 reference
-pattern, estimates the three count rows as one block, and one floor
-rule holds for them and for every bootstrap resample: a row is measured,
-and only then bootstrapped, when its visibility is above VISIBILITY_FLOOR.
+pattern, estimates the three count rows as one block.  Its `shifts` is
+the one home of the floor rule: it returns nan as the shift of a row it
+does not measure, count row or bootstrap resample, and a count row is
+bootstrapped only when its shift is not nan.
 """
 
 from __future__ import annotations
@@ -51,14 +52,12 @@ from .core import Grid
 from .dual import BranchAmplitudes, DualSolenoidConfig, MixtureOutcome, outcome_distribution
 from .errors import ValidationError
 from .pattern import (
-    VISIBILITY_FLOOR,
     FringeEstimate,
     IntensityPattern,
     ShiftEstimator,
     detection_counts,
     shift_estimator,
     two_slit_pattern,
-    visibility,
 )
 
 BOOTSTRAP_DEFAULT = 200
@@ -125,7 +124,7 @@ def run_experiment(
     pooled = replace(reference, intensity=counts[0] + counts[1], holds_counts=True)
     rows = np.vstack([counts, pooled.intensity]).astype(float)   # branch 1, branch 2, pooled
     shifts, visibilities = estimator.shifts(rows)
-    measured = [k for k in range(3) if visibilities[k] > VISIBILITY_FLOOR]   # an empty row has contrast 0
+    measured = np.flatnonzero(~np.isnan(shifts)).tolist()   # an empty row has contrast 0: nan
     entropies = [(seed, 1, outcome.branch) for outcome in outcomes] + [(seed, 1, 0)]
     sigmas = _bootstrap_sigma(rows[measured], estimator, [entropies[k] for k in measured], n_bootstrap)
     estimates: list[FringeEstimate | None] = [None, None, None]
@@ -146,7 +145,7 @@ def run_experiment(
         branch2=branch_reports[1],
         pooled_histogram=pooled,
         pooled_estimate=estimates[2],
-        pooled_visibility=visibility(pooled),
+        pooled_visibility=float(visibilities[2]),
         mean_shift=mean_shift,
         mean_shift_sigma=mean_sigma,
     )
@@ -269,8 +268,8 @@ def _bootstrap_sigma(
 ) -> list[float]:
     """Std dev of the shift estimate over n_bootstrap multinomial resamples
     of each row of detection counts, each of as many detections as the row
-    holds.  A resample is kept by the rule the point estimates follow, a
-    visibility above VISIBILITY_FLOOR; with fewer than 2 kept the std dev
+    holds.  A resample is kept, as a point estimate is, when the estimator
+    measures it (its shift is not nan); with fewer than 2 kept the std dev
     is nan.
 
     Row i is resampled from the stream of entropies[i],
@@ -292,8 +291,8 @@ def _bootstrap_sigma(
         start, resamples = stream.take(
             lambda rng, size: rng.multinomial(n_samples, probabilities, size=size)
         )
-        shifts, visibilities = estimator.shifts(resamples.astype(float))
-        kept[i, start] = shifts[visibilities > VISIBILITY_FLOOR]
+        shifts, _ = estimator.shifts(resamples.astype(float))
+        kept[i, start] = shifts[~np.isnan(shifts)]
 
     _share([i for _ in range(0, n_bootstrap, block) for i in resampled], resample)   # streams interleaved
 

@@ -152,10 +152,10 @@ def mixture_pattern(
 
 
 def _contrast_rule(optics: IntensityPattern, envelope: np.ndarray,
-                   counts: bool) -> Callable[[np.ndarray], float]:
-    """Visibility of an intensity array on `optics`'s grid: (max - min)/(max + min)
-    of intensity/envelope over the cells within one fringe period of x = 0,
-    with counts merged HISTOGRAM_REBIN cells at a time first (one at a time is
+                   counts: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Visibility of each row of a (k, n) block on `optics`'s grid: (max - min)/(max + min),
+    or 0 if that is 0/0, of intensity/envelope over the cells within one fringe period
+    of x = 0, with counts merged HISTOGRAM_REBIN cells at a time first (one at a time is
     the identity).  ValidationError if no cell is that central or the merged
     envelope underflows to 0 on one of them."""
     rebin = HISTOGRAM_REBIN if counts else 1
@@ -169,12 +169,11 @@ def _contrast_rule(optics: IntensityPattern, envelope: np.ndarray,
         raise ValidationError(f"envelope_width {optics.envelope_width!r} m is too narrow: the envelope "
                               f"underflows to 0 within one fringe period ({period!r} m) of x = 0")
 
-    def contrast(intensity: np.ndarray) -> float:
-        profile = intensity[:keep].reshape(-1, rebin).sum(axis=1)[central] / central_envelope
-        hi, lo = float(np.max(profile)), float(np.min(profile))
-        if hi + lo <= 0.0:
-            return 0.0
-        return (hi - lo) / (hi + lo)
+    def contrast(block: np.ndarray) -> np.ndarray:
+        merged = block[:, :keep].reshape(len(block), -1, rebin).sum(axis=2)
+        profile = merged[:, central] / central_envelope
+        hi, lo = profile.max(axis=1), profile.min(axis=1)
+        return np.divide(hi - lo, hi + lo, out=np.zeros(len(block)), where=hi + lo > 0.0)
 
     return contrast
 
@@ -184,7 +183,7 @@ def visibility(pattern: IntensityPattern) -> float:
     over the central two fringe periods, a detection histogram
     (`holds_counts`) read after merging every 16 adjacent cells."""
     envelope = _envelope(pattern.grid.positions, pattern.envelope_width)
-    return _contrast_rule(pattern, envelope, pattern.holds_counts)(pattern.intensity)
+    return float(_contrast_rule(pattern, envelope, pattern.holds_counts)(pattern.intensity[np.newaxis])[0])
 
 
 def _fringe_parts(block: np.ndarray, envelope: np.ndarray) -> np.ndarray:
@@ -216,36 +215,17 @@ class ShiftEstimator:
 
     reference: IntensityPattern
     envelope: np.ndarray          # G(x) of the reference, read-only
-    contrast: dict[bool, Callable[[np.ndarray], float]]   # contrast rule by holds_counts
+    contrast: dict[bool, Callable[[np.ndarray], np.ndarray]]   # block contrast rule by holds_counts
     nfft: int                     # smallest power of 2 >= 2n - 1: no circular wrap
     reference_spectrum: np.ndarray   # conj(rfft) of the reference's fringe part, read-only
-
-    def __call__(self, pattern: IntensityPattern) -> FringeEstimate:
-        """The shift of one pattern: UnmeasurableShiftError when its
-        visibility is at or below 0.05 (the physically washed-out regime),
-        ValidationError when its grid, fringe period or envelope width
-        differs from the reference's."""
-        reference = self.reference
-        if ((pattern.grid, pattern.period, pattern.envelope_width)
-                != (reference.grid, reference.period, reference.envelope_width)):
-            raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
-        shifts, visibilities = self.shifts(pattern.intensity[np.newaxis], pattern.holds_counts)
-        pattern_visibility = float(visibilities[0])
-        if pattern_visibility <= VISIBILITY_FLOOR:
-            raise UnmeasurableShiftError(
-                f"pattern visibility {pattern_visibility!r} is at or below {VISIBILITY_FLOOR}: "
-                "the fringes are washed out and the shift is unmeasurable"
-            )
-        return FringeEstimate(shift=float(shifts[0]), visibility=pattern_visibility, uncertainty=0.0)
 
     def shifts(self, block: np.ndarray, holds_counts: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Shifts (m) and visibilities of the rows of a (k, n) block of
         intensities on the reference's grid, detection counts unless
         `holds_counts` is false, through one rfft and one irfft of the whole
-        block.  Rows are not validated, and a row at or below
-        VISIBILITY_FLOOR still gets a shift; the caller drops it."""
-        contrast = self.contrast[holds_counts]
-        visibilities = np.array([contrast(row) for row in block])
+        block.  Rows are not validated.  A row at or below VISIBILITY_FLOOR
+        is not measured: its shift is nan, which is how every caller tells."""
+        visibilities = self.contrast[holds_counts](block)
         n, dx = self.reference.grid.n, self.reference.grid.dx
         # temporaries are reused or freed as soon as they are spent: on the
         # worker thread they are all the resident memory the thread adds
@@ -261,29 +241,47 @@ class ShiftEstimator:
         refined = (peaks > 0) & (peaks < 2 * n - 2) & (curvature != 0.0)
         offsets = np.divide(0.5 * (left - right), curvature, out=np.zeros(len(peaks)), where=refined)
         half_span = 0.5 * (n - 1) * dx
-        return np.clip((peaks - (n - 1) + offsets) * dx, -half_span, half_span), visibilities
+        shifts = np.clip((peaks - (n - 1) + offsets) * dx, -half_span, half_span)
+        shifts[visibilities <= VISIBILITY_FLOOR] = math.nan
+        return shifts, visibilities
 
 
 def shift_estimator(reference: IntensityPattern) -> ShiftEstimator:
     """The ShiftEstimator bound to `reference`; ValidationError if the
-    reference has no usable contrast."""
+    reference itself is not measured."""
     envelope = _envelope(reference.grid.positions, reference.envelope_width)
     contrast = {counts: _contrast_rule(reference, envelope, counts) for counts in (False, True)}
-    reference_visibility = contrast[reference.holds_counts](reference.intensity)
-    if reference_visibility <= VISIBILITY_FLOOR:
-        raise ValidationError(
-            f"reference visibility {reference_visibility!r} is at or below {VISIBILITY_FLOOR}"
-        )
     nfft = 1 << (2 * reference.grid.n - 2).bit_length()
     reference_part = _fringe_parts(reference.intensity[np.newaxis], envelope)[0]
     reference_spectrum = np.conj(np.fft.rfft(reference_part, nfft))
     envelope.flags.writeable = reference_spectrum.flags.writeable = False
-    return ShiftEstimator(reference, envelope, contrast, nfft, reference_spectrum)
+    estimator = ShiftEstimator(reference, envelope, contrast, nfft, reference_spectrum)
+    shifts, visibilities = estimator.shifts(reference.intensity[np.newaxis], reference.holds_counts)
+    if math.isnan(shifts[0]):
+        raise ValidationError(
+            f"reference visibility {float(visibilities[0])!r} is at or below {VISIBILITY_FLOOR}"
+        )
+    return estimator
 
 
 def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> FringeEstimate:
-    """Fringe translation of `pattern` relative to `reference`, by a one-off estimator."""
-    return shift_estimator(reference)(pattern)
+    """Fringe translation of `pattern` relative to `reference`, by a one-off
+    estimator: UnmeasurableShiftError when the pattern's visibility is at or
+    below VISIBILITY_FLOOR (the physically washed-out regime),
+    ValidationError when its grid, fringe period or envelope width differs
+    from the reference's."""
+    estimator = shift_estimator(reference)
+    if ((pattern.grid, pattern.period, pattern.envelope_width)
+            != (reference.grid, reference.period, reference.envelope_width)):
+        raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
+    shifts, visibilities = estimator.shifts(pattern.intensity[np.newaxis], pattern.holds_counts)
+    pattern_visibility = float(visibilities[0])
+    if math.isnan(shifts[0]):
+        raise UnmeasurableShiftError(
+            f"pattern visibility {pattern_visibility!r} is at or below {VISIBILITY_FLOOR}: "
+            "the fringes are washed out and the shift is unmeasurable"
+        )
+    return FringeEstimate(shift=float(shifts[0]), visibility=pattern_visibility, uncertainty=0.0)
 
 
 def _cdf(pattern: IntensityPattern) -> np.ndarray:

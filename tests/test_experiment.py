@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period
+from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period, fringe_shift
 from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals
 from abmix import experiment, pattern
 from abmix.errors import UnmeasurableShiftError, ValidationError
@@ -127,6 +127,8 @@ class TestPointEstimates:
                 one = pattern.estimate_shift(histogram, reference)
                 assert (estimate.shift, estimate.visibility) == (one.shift, one.visibility)
                 assert math.isnan(estimate.uncertainty)
+        # the pooled visibility is the block's own, and equals a fresh one of the pooled histogram
+        assert report.pooled_visibility == pattern.visibility(report.pooled_histogram)
 
 
 class TestDeterminism:
@@ -352,6 +354,54 @@ class TestTwoPointStatistics:
         # the branch-separated view still resolves full-magnitude shifts
         assert report.branch1.estimate is not None
         assert report.branch2.estimate is not None
+
+
+def phasor(weights, phases):
+    """z = sum of p_k exp(i phi_k): a mixture of fringes (1 + cos(t + phi_k))
+    with weights p_k is the fringe (1 + |z| cos(t + arg z))."""
+    return sum(p * complex(math.cos(phi), math.sin(phi)) for p, phi in zip(weights, phases, strict=True))
+
+
+def shift_at(phase):
+    """The closed-form fringe translation of a phase difference, m."""
+    return fringe_shift(CONSTANTS, GEOMETRY, phase * CONSTANTS.hbar / CONSTANTS.e)
+
+
+class TestPooledPhasorLaw:
+    # the branch-blind view shows one fringe at the phasor's phase, not at
+    # the mixture mean of the branch phases
+    @pytest.mark.parametrize(
+        "p1, phases",
+        [(p1, (d, -d)) for p1 in (0.5, 0.6, 0.75, 0.9, 0.97) for d in (0.3, 0.8, 1.0, 1.4, 2.0)]
+        + [(0.6, (1.1, -0.4))],   # one asymmetric flux pair
+    )
+    def test_mixture_pattern_is_the_phasor_fringe(self, p1, phases):
+        screen = wide_screen()
+        branches = [pattern.two_slit_pattern(CONSTANTS, GEOMETRY, phi, screen, ENVELOPE) for phi in phases]
+        mixed = pattern.mixture_pattern(p1, branches[0], 1.0 - p1, branches[1])
+        z = phasor((p1, 1.0 - p1), phases)
+        assert abs(pattern.visibility(mixed) - abs(z)) <= 1e-3
+        reference = pattern.two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, screen, ENVELOPE)
+        estimate = pattern.estimate_shift(mixed, reference)
+        # arg z = pi (p1 = 0.5, delta = 2) is half a period either way: compare modulo the period
+        offset = (estimate.shift - shift_at(math.atan2(z.imag, z.real)) + PERIOD / 2.0) % PERIOD - PERIOD / 2.0
+        assert abs(offset) <= screen.dx / 2.0
+
+    def test_pooled_shift_follows_the_phasor_not_the_mean(self):
+        p1 = 0.75
+        amplitudes = BranchAmplitudes(c1=complex(math.sqrt(p1)), c2=complex(math.sqrt(1.0 - p1)))
+        n = 100_000
+        report = run_experiment(antisymmetric_config(1.0), amplitudes, n, 4242, wide_screen(), ENVELOPE,
+                                n_bootstrap=50)
+        branches = (report.branch1, report.branch2)
+        z = phasor([b.count / n for b in branches], [b.outcome.phase for b in branches])
+        pooled = report.pooled_estimate
+        predicted = shift_at(math.atan2(z.imag, z.real))
+        assert abs(pooled.shift - predicted) <= wide_screen().dx / 2.0 + 3.0 * pooled.uncertainty
+        mixture_mean = p1 * branches[0].outcome.shift + (1.0 - p1) * branches[1].outcome.shift
+        assert abs(report.mean_shift - mixture_mean) <= 3.0 * report.mean_shift_sigma
+        sigma = math.hypot(pooled.uncertainty, report.mean_shift_sigma)
+        assert abs(pooled.shift - report.mean_shift) > 10.0 * sigma
 
 
 class TestConvergence:

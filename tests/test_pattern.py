@@ -8,6 +8,7 @@ from scipy import stats
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period, fringe_shift, phase_shift
 from abmix.errors import UnmeasurableShiftError, ValidationError
 from abmix.pattern import (
+    HISTOGRAM_REBIN,
     VISIBILITY_FLOOR,
     FringeEstimate,
     IntensityPattern,
@@ -192,14 +193,13 @@ class TestEstimateShift:
         assert abs(estimate.shift - 3.0 * dx) <= dx / 10.0
 
     def test_estimate_carries_the_visibility_of_visibility(self):
-        # one contrast rule, bit for bit, also for counts on 4000 cells, which
-        # the 16-cell merging of a histogram does not divide
-        reference = pattern_at(0.0, n=4000)
-        counts = detection_counts(pattern_at(0.6, n=4000), np.random.default_rng(5).random(50_000))
+        # one contrast rule, bit for bit, also for counts on 4090 cells, which
+        # the 16-cell merging of a histogram leaves 10 cells over
+        reference = pattern_at(0.0, n=4090)
+        counts = detection_counts(pattern_at(0.6, n=4090), np.random.default_rng(5).random(50_000))
         histogram = replace(reference, intensity=counts, holds_counts=True)
-        estimate = shift_estimator(reference)
-        for pattern in (pattern_at(0.6, n=4000), histogram):
-            assert estimate(pattern).visibility == visibility(pattern)
+        for pattern in (pattern_at(0.6, n=4090), histogram):
+            assert estimate_shift(pattern, reference).visibility == visibility(pattern)
 
     def test_washed_out_mixture_is_unmeasurable(self):
         # the equal-weight quarter-turn mixture has visibility |cos(pi/2)| ~ 0
@@ -246,8 +246,25 @@ def scalar_shift(estimator, intensity):
     return float(np.clip((peak - (n - 1) + offset) * dx, -half_span, half_span))
 
 
+def scalar_visibility(optics, intensity, holds_counts):
+    """One intensity row's visibility on `optics`'s grid by the per-row
+    formula the contrast rule used before it took blocks: the reference that
+    the block contrast must equal bit for bit."""
+    rebin = HISTOGRAM_REBIN if holds_counts else 1
+    keep = (optics.n // rebin) * rebin
+    x = optics.grid.positions
+    envelope = np.exp(-(x**2) / (2.0 * optics.envelope_width**2))
+    central = np.abs(x[:keep].reshape(-1, rebin).mean(axis=1)) <= optics.period
+    merged = intensity[:keep].reshape(-1, rebin).sum(axis=1)[central]
+    profile = merged / envelope[:keep].reshape(-1, rebin).sum(axis=1)[central]
+    hi, lo = float(np.max(profile)), float(np.min(profile))
+    if hi + lo <= 0.0:
+        return 0.0
+    return (hi - lo) / (hi + lo)
+
+
 class TestShiftEstimatorBlocks:
-    @pytest.mark.parametrize("n", [4096, 4000])   # 4000 cells: the 16-cell merging leaves a remainder
+    @pytest.mark.parametrize("n", [4096, 4090])   # 4090 cells: the 16-cell merging leaves 10 over
     def test_block_equals_one_pattern_estimates_bit_for_bit(self, n):
         reference = pattern_at(0.0, n=n)
         estimator = shift_estimator(reference)
@@ -258,15 +275,48 @@ class TestShiftEstimatorBlocks:
         assert visibilities[-1] <= VISIBILITY_FLOOR < visibilities[:-1].min()
         for row, shift, row_visibility in zip(block, shifts, visibilities):
             histogram = replace(reference, intensity=row, holds_counts=True)
-            assert shift == scalar_shift(estimator, histogram.intensity)
             assert row_visibility == visibility(histogram)
             one_shift, one_visibility = estimator.shifts(row[np.newaxis])   # a 1-row block
-            assert (one_shift[0], one_visibility[0]) == (shift, row_visibility)
+            assert one_visibility[0] == row_visibility
+            assert np.array_equal(one_shift, [shift], equal_nan=True)
             if row_visibility > VISIBILITY_FLOOR:
-                assert estimator(histogram) == FringeEstimate(shift, row_visibility, 0.0)
+                assert shift == scalar_shift(estimator, histogram.intensity)
+                assert estimate_shift(histogram, reference) == FringeEstimate(shift, row_visibility, 0.0)
             else:
+                assert math.isnan(shift)
                 with pytest.raises(UnmeasurableShiftError):
-                    estimator(histogram)
+                    estimate_shift(histogram, reference)
+
+    @pytest.mark.parametrize("n", [4096, 4090])
+    def test_block_contrast_equals_the_per_row_formula_bit_for_bit(self, n):
+        reference = pattern_at(0.0, n=n)
+        estimator = shift_estimator(reference)
+        shifted = pattern_at(0.6, n=n).intensity
+        counts = np.random.default_rng(n).multinomial(5_000, shifted / shifted.sum(), size=4)
+        counts = np.vstack([counts, np.zeros(n)])   # an empty row has contrast 0.0
+        synthesized = np.vstack([
+            pattern_at(phase, n=n).intensity for phase in (0.0, 0.6, -2.0)
+        ] + [mixture_pattern(0.5, pattern_at(delta, n=n), 0.5, pattern_at(-delta, n=n)).intensity
+             for delta in (1.0, math.pi / 2.0)])
+        for block, holds_counts in ((counts, True), (synthesized, False)):
+            _, visibilities = estimator.shifts(block, holds_counts)
+            assert visibilities.tolist() == [scalar_visibility(reference, row, holds_counts) for row in block]
+
+    def test_shifts_are_nan_exactly_at_or_below_the_floor(self):
+        # equal-weight mixtures of 0.3 +- delta have visibility |cos delta|:
+        # rows on both sides of the floor, and a measured row's shift unchanged
+        reference = pattern_at(0.0)
+        estimator = shift_estimator(reference)
+        deltas = [math.acos(v) for v in (0.02, 0.045, 0.055, 0.3)]
+        block = np.vstack([pattern_at(0.6).intensity] + [
+            mixture_pattern(0.5, pattern_at(0.3 + delta), 0.5, pattern_at(0.3 - delta)).intensity
+            for delta in deltas
+        ])
+        shifts, visibilities = estimator.shifts(block, holds_counts=False)
+        assert (visibilities <= VISIBILITY_FLOOR).any() and (visibilities > VISIBILITY_FLOOR).any()
+        assert np.array_equal(np.isnan(shifts), visibilities <= VISIBILITY_FLOOR)
+        for row, shift in zip(block[visibilities > VISIBILITY_FLOOR], shifts[visibilities > VISIBILITY_FLOOR]):
+            assert shift == scalar_shift(estimator, row)
 
     def test_numpy_transforms_a_block_of_rows_as_it_does_each_row(self):
         # ShiftEstimator.shifts takes one rfft and one irfft of a whole block;
