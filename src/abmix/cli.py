@@ -7,8 +7,9 @@ CSV / flat-text artifacts into the output directory (--csv enables the
 pattern CSVs of `mixture`).
 
 Exit codes: 0 success, 2 validation failure (every violation is listed
-once, not just the first), 3 physical-precondition or numerical failure
-or out of memory, 4 I/O failure.  A failed run writes no file: each
+once, not just the first), 3 when the wire packets overlap
+(InterferenceError), a current is not finite or not real (ArithmeticError)
+or memory runs out, 4 I/O failure.  A failed run writes no file: each
 artifact is written to a hidden temporary file beside the output
 directory and renamed into it only once all are written (a killed process
 can leave such `.<out>-...` files behind).  All artifacts are plain text,
@@ -35,7 +36,7 @@ from .config import RunConfig
 from .core import (de_broglie_wavelength, flux, fringe_period, fringe_shift,
                    fringe_shift_classical_form, phase_shift)
 from .dual import classical_totals, mixture_mean, outcome_distribution
-from .errors import InterferenceError, UnmeasurableShiftError, ValidationError
+from .errors import InterferenceError, ValidationError
 from .experiment import BOOTSTRAP_DEFAULT, DRAW_ORDER, RNG_ALGORITHM, report_text, run_experiment
 from .pattern import mixture_pattern, pattern_csv, two_slit_pattern, visibility
 
@@ -310,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InterferenceError, UnmeasurableShiftError, ArithmeticError) as exc:
+    except (InterferenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except MemoryError:

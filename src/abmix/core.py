@@ -124,6 +124,12 @@ class ApparatusGeometry:
             )
 
 
+def is_integer(value: object) -> bool:
+    """True for an int or numpy integer, False for a bool or any other type:
+    the type rule of every integer argument (grid sizes, counts, seeds)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid:
     """n uniformly spaced sample positions from x_min to x_max, meters.
@@ -139,6 +145,8 @@ class Grid:
     def __post_init__(self):
         if not 0.0 < self.span < math.inf:
             raise ValidationError(f"need x_max > x_min, got [{self.x_min!r}, {self.x_max!r}]")
+        if not is_integer(self.n):
+            raise ValidationError(f"a grid's point count must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValidationError(f"a grid needs at least 2 points, got {self.n}")
 

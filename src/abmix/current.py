@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, PhysicalConstants
+from .core import Grid, PhysicalConstants, is_integer
 from .dual import BranchAmplitudes
 from .errors import InterferenceError, ValidationError
 from .pattern import csv_table
@@ -212,7 +212,7 @@ def plane_wave_check(
 
 def ensemble_current(n: int, j: CurrentDensity) -> CurrentDensity:
     """Current of a beam of n identically prepared electrons: n * j."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_integer(n) or n < 1:
         raise ValidationError(f"ensemble size must be a positive integer, got {n!r}")
     return CurrentDensity(j.grid, float(n) * j.samples)
 

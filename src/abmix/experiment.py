@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Grid
+from .core import Grid, is_integer
 from .dual import BranchAmplitudes, DualSolenoidConfig, MixtureOutcome, outcome_distribution
 from .errors import ValidationError
 from .pattern import (
@@ -111,10 +111,11 @@ def run_experiment(
     estimates (`_share`); as the module docstring sets out, the report is
     still a pure function of (config, seed).
     """
-    if n_electrons < 1:
-        raise ValidationError(f"need at least one electron, got {n_electrons!r}")
-    if not (0 <= seed < 2**64):
+    if not is_integer(n_electrons) or n_electrons < 1:
+        raise ValidationError(f"need a positive integer number of electrons, got {n_electrons!r}")
+    if not (is_integer(seed) and 0 <= seed < 2**64):
         raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    n_electrons, seed = int(n_electrons), int(seed)   # numpy integers would leak into the report
 
     outcomes = outcome_distribution(config, amplitudes)
     reference = two_slit_pattern(config.constants, config.geometry, 0.0, screen, envelope_width)

@@ -28,7 +28,7 @@ import orjson
 
 from .core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period
 from .dual import NORMALIZATION_TOL
-from .errors import UnmeasurableShiftError, ValidationError
+from .errors import ValidationError
 
 MIN_PERIODS = 4.0        # required screen span in fringe periods
 VISIBILITY_FLOOR = 0.05  # below this the correlation peak is unreliable
@@ -266,22 +266,16 @@ def shift_estimator(reference: IntensityPattern) -> ShiftEstimator:
 
 def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> FringeEstimate:
     """Fringe translation of `pattern` relative to `reference`, by a one-off
-    estimator: UnmeasurableShiftError when the pattern's visibility is at or
-    below VISIBILITY_FLOOR (the physically washed-out regime),
-    ValidationError when its grid, fringe period or envelope width differs
-    from the reference's."""
+    estimator: a nan shift, as `ShiftEstimator.shifts` gives, when the
+    pattern's visibility is at or below VISIBILITY_FLOOR (the physically
+    washed-out regime); ValidationError when its grid, fringe period or
+    envelope width differs from the reference's."""
     estimator = shift_estimator(reference)
     if ((pattern.grid, pattern.period, pattern.envelope_width)
             != (reference.grid, reference.period, reference.envelope_width)):
         raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
     shifts, visibilities = estimator.shifts(pattern.intensity[np.newaxis], pattern.holds_counts)
-    pattern_visibility = float(visibilities[0])
-    if math.isnan(shifts[0]):
-        raise UnmeasurableShiftError(
-            f"pattern visibility {pattern_visibility!r} is at or below {VISIBILITY_FLOOR}: "
-            "the fringes are washed out and the shift is unmeasurable"
-        )
-    return FringeEstimate(shift=float(shifts[0]), visibility=pattern_visibility, uncertainty=0.0)
+    return FringeEstimate(shift=float(shifts[0]), visibility=float(visibilities[0]), uncertainty=0.0)
 
 
 def _cdf(pattern: IntensityPattern) -> np.ndarray:

@@ -1,11 +1,14 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import abmix
 from abmix.core import (
     ApparatusGeometry,
+    Grid,
     PhysicalConstants,
     Solenoid,
     de_broglie_wavelength,
@@ -196,7 +199,21 @@ class TestFringeShift:
 
 
 def test_every_public_name_resolves():
-    assert [name for name in abmix.__all__ if not hasattr(abmix, name)] == []
+    # each top-level name is the very object its defining module holds
+    for name in abmix.__all__:
+        value = getattr(abmix, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+class TestGrid:
+    @pytest.mark.parametrize("n", [4096.0, True, "4096", np.float64(4096.0)],
+                             ids=["float", "bool", "str", "numpy_float"])
+    def test_rejects_a_non_integer_point_count(self, n):
+        with pytest.raises(ValidationError):
+            Grid(-1.0, 1.0, n)
+
+    def test_accepts_a_numpy_integer_point_count(self):
+        assert Grid(-1.0, 1.0, np.int64(4096)).positions.shape == (4096,)
 
 
 def test_fringe_period_is_wavelength_scaled_by_geometry():

@@ -234,7 +234,7 @@ class TestEnsembleCurrent:
         j = CurrentDensity(Grid(0.0, 3.1, 32), samples=np.full(32, 2.5))
         assert np.array_equal(ensemble_current(10, j).samples, np.full(32, 25.0))
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
     def test_rejects_non_positive_counts(self, bad):
         j = CurrentDensity(Grid(0.0, 1.5, 16), samples=np.zeros(16))
         with pytest.raises(ValidationError):
