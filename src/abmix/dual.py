@@ -20,7 +20,6 @@ distinguishes the mixture from the classical sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import (
@@ -34,6 +33,14 @@ from .core import (
 from .errors import ValidationError
 
 NORMALIZATION_TOL = 1e-12
+
+
+def check_weights(p1: float, p2: float) -> None:
+    """The one normalization check: ValidationError unless both weights are
+    non-negative and sum to 1 within NORMALIZATION_TOL (nan and inf fail)."""
+    if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= NORMALIZATION_TOL):
+        raise ValidationError(f"weights ({p1!r}, {p2!r}) violate normalization: both must be "
+                              f"non-negative and sum to 1 within {NORMALIZATION_TOL}")
 
 
 @dataclass(frozen=True)
@@ -50,11 +57,7 @@ class BranchAmplitudes:
     c2: complex
 
     def __post_init__(self):
-        total = abs(self.c1) ** 2 + abs(self.c2) ** 2
-        if not math.isfinite(total) or abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(
-                f"|c1|^2 + |c2|^2 = {total!r} violates normalization (tolerance {NORMALIZATION_TOL})"
-            )
+        check_weights(self.p1, self.p2)
 
     @property
     def p1(self) -> float:
@@ -103,12 +106,6 @@ class MixtureOutcome:
     flux: float          # Phi_k, Wb
     phase: float         # dphi_k = e Phi_k / hbar, rad
     shift: float         # dx_k, m
-
-    def __post_init__(self):
-        if self.branch not in (1, 2):
-            raise ValidationError(f"branch must be 1 or 2, got {self.branch!r}")
-        if not -NORMALIZATION_TOL <= self.probability <= 1.0 + NORMALIZATION_TOL:
-            raise ValidationError(f"probability {self.probability!r} outside [0, 1]")
 
 
 def classical_totals(config: DualSolenoidConfig) -> tuple[float, float]:

@@ -5,7 +5,12 @@ then draws its detection cell from the two-slit pattern synthesized at
 that branch's phase difference: the position uniform q lands in the cell
 i with cdf[i] <= q < cdf[i+1] of the pattern's CDF.  Only per-cell counts
 are kept, never positions.  The generator is numpy's PCG64; per electron
-the branch uniform is consumed first and the position uniform second.
+the branch uniform is consumed first and the position uniform second;
+a branch uniform below p1 = |c1|^2 picks branch 1.  Before the first
+draw, the calling thread builds the pattern of each branch an electron
+can be drawn into: branch 1 if p1 > 0, branch 2 if p2 > 0 or p1 < 1.  So
+a weighted branch whose phase is not finite is a ValidationError
+whichever electrons are drawn.
 Draws run in fixed chunks of DRAW_CHUNK electrons taken in order from the
 same stream, which yields the same uniforms as one draw of all of them,
 so memory is independent of n_electrons.  Derived streams get fixed
@@ -107,21 +112,29 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate n_electrons detections and estimate the shifts back.
 
-    This thread and one worker count the detections and bootstrap the
-    estimates (`_share`); as the module docstring sets out, the report is
-    still a pure function of (config, seed).
+    This thread builds the branch patterns (ValidationError for a weighted
+    branch whose phase is not finite); it and one worker then count the
+    detections and bootstrap the estimates (`_share`); as the module
+    docstring sets out, the report is still a pure function of (config, seed).
     """
     if not is_integer(n_electrons) or n_electrons < 1:
         raise ValidationError(f"need a positive integer number of electrons, got {n_electrons!r}")
     if not (is_integer(seed) and 0 <= seed < 2**64):
         raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    n_electrons, seed = int(n_electrons), int(seed)   # numpy integers would leak into the report
+    if not is_integer(n_bootstrap) or n_bootstrap < 0:
+        raise ValidationError(f"need a non-negative integer number of resamples, got {n_bootstrap!r}")
+    n_electrons, seed, n_bootstrap = int(n_electrons), int(seed), int(n_bootstrap)   # numpy integers would leak
 
     outcomes = outcome_distribution(config, amplitudes)
     reference = two_slit_pattern(config.constants, config.geometry, 0.0, screen, envelope_width)
     estimator = shift_estimator(reference)
+    p1, p2 = (outcome.probability for outcome in outcomes)
+    patterns = [   # branch 2 takes every branch uniform >= p1, so p1 < 1 draws it even at p2 = 0
+        two_slit_pattern(config.constants, config.geometry, outcome.phase, screen, envelope_width)
+        if drawn else None for outcome, drawn in zip(outcomes, (p1 > 0.0, p2 > 0.0 or p1 < 1.0))
+    ]
 
-    counts = _count_detections(config, outcomes, n_electrons, seed, screen, envelope_width)
+    counts = _count_detections(patterns, p1, n_electrons, seed)
     pooled = replace(reference, intensity=counts[0] + counts[1], holds_counts=True)
     rows = np.vstack([counts, pooled.intensity]).astype(float)   # branch 1, branch 2, pooled
     shifts, visibilities = estimator.shifts(rows)
@@ -131,13 +144,10 @@ def run_experiment(
     estimates: list[FringeEstimate | None] = [None, None, None]
     for k, sigma in zip(measured, sigmas):
         estimates[k] = FringeEstimate(float(shifts[k]), float(visibilities[k]), sigma)
-    histograms = [
-        replace(reference, intensity=branch_counts, holds_counts=True) if branch_counts.any() else None
-        for branch_counts in counts
-    ]
     branch_reports = [
-        BranchReport(outcome, int(branch_counts.sum()), estimate, histogram)
-        for outcome, branch_counts, estimate, histogram in zip(outcomes, counts, estimates, histograms)
+        BranchReport(outcome, int(branch_counts.sum()), estimate,
+                     replace(reference, intensity=branch_counts, holds_counts=True) if branch_counts.any() else None)
+        for outcome, branch_counts, estimate in zip(outcomes, counts, estimates)
     ]
     mean_shift, mean_sigma = _weighted_mean_shift(branch_reports, n_electrons)
 
@@ -194,21 +204,17 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
                 if task is None:
                     return
                 work(slot, task)
-        except BaseException:
+        except BaseException as exc:
             stop.set()
-            raise
-
-    def run_worker() -> None:
-        try:
-            run(1)
-        except BaseException as exc:   # raised again below, on this thread
-            worker_errors.append(exc)
+            if slot == 0:
+                raise
+            worker_errors.append(exc)   # raised again below, on this thread
 
     if len(tasks) < 2:
         run(0)
         return
     work(0, next(pending))
-    worker = threading.Thread(target=run_worker, name="abmix-worker")
+    worker = threading.Thread(target=run, args=(1,), name="abmix-worker")
     worker.start()
     try:
         run(0)
@@ -221,41 +227,26 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
 
 
 def _count_detections(
-    config: DualSolenoidConfig,
-    outcomes: tuple[MixtureOutcome, MixtureOutcome],
-    n_electrons: int,
-    seed: int,
-    screen: Grid,
-    envelope_width: float,
+    patterns: list[IntensityPattern | None], p1: float, n_electrons: int, seed: int
 ) -> np.ndarray:
-    """(2, screen.n) int64 detection counts of the two branches, drawn from
-    the (seed, 0) stream DRAW_CHUNK electrons at a time, one task per chunk;
-    each thread adds the chunks it draws into counts of its own."""
+    """(2, n) int64 detection counts of the two branches on the patterns'
+    n cells, drawn from the (seed, 0) stream DRAW_CHUNK electrons at a time,
+    one task per chunk; each thread adds the chunks it draws into counts of
+    its own.  A branch uniform below p1 picks branch 1; a branch no electron
+    is drawn into has the pattern None."""
     stream = _Stream((seed, 0), n_electrons, DRAW_CHUNK)
-    counts = np.zeros((2, 2, screen.n), dtype=np.int64)   # by thread slot, then branch
-    # a branch's pattern is built at its first detection: a branch of weight 0
-    # may carry a phase no pattern can show, such as inf
-    patterns: list[IntensityPattern | None] = [None, None]
-    patterns_lock = threading.Lock()
-
-    def pattern(k: int) -> IntensityPattern:
-        with patterns_lock:
-            if patterns[k] is None:
-                patterns[k] = two_slit_pattern(
-                    config.constants, config.geometry, outcomes[k].phase, screen, envelope_width
-                )
-            return patterns[k]
+    cells = next(pattern.grid.n for pattern in patterns if pattern is not None)
+    counts = np.zeros((2, 2, cells), dtype=np.int64)   # by thread slot, then branch
 
     def count(slot: int, _chunk: int) -> None:
         _, uniforms = stream.take(lambda rng, size: rng.random((size, 2)))
-        in_branch1 = uniforms[:, 0] < outcomes[0].probability
+        in_branch1 = uniforms[:, 0] < p1
         # compress on a contiguous copy splits twice as fast as a boolean index of the column
         position_uniforms = np.ascontiguousarray(uniforms[:, 1])
         del uniforms
-        for k, mask in enumerate((in_branch1, ~in_branch1)):
-            quantiles = np.compress(mask, position_uniforms)
-            if quantiles.size > 0:
-                counts[slot, k] += detection_counts(pattern(k), quantiles)
+        for k, (pattern, mask) in enumerate(zip(patterns, (in_branch1, ~in_branch1))):
+            if pattern is not None:
+                counts[slot, k] += detection_counts(pattern, np.compress(mask, position_uniforms))
 
     _share(range(-(-n_electrons // DRAW_CHUNK)), count)
     return counts[0] + counts[1]

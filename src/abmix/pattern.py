@@ -27,7 +27,7 @@ import numpy as np
 import orjson
 
 from .core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period
-from .dual import NORMALIZATION_TOL
+from .dual import check_weights
 from .errors import ValidationError
 
 MIN_PERIODS = 4.0        # required screen span in fringe periods
@@ -108,10 +108,12 @@ def two_slit_pattern(
 ) -> IntensityPattern:
     """Synthesize the two-slit pattern with phase difference `phase` inserted.
 
-    The screen must span at least four fringe periods, and the Gaussian
-    envelope width must be positive and leave the envelope above 0 on some
-    screen cell.
+    The phase must be finite, the screen must span at least four fringe
+    periods, and the Gaussian envelope width must be positive and leave the
+    envelope above 0 on some screen cell.
     """
+    if not math.isfinite(phase):
+        raise ValidationError(f"phase difference {phase!r} rad is not finite: no pattern can show it")
     period = fringe_period(constants, geometry)
     _check_optics(period, envelope_width)
     if screen.span < MIN_PERIODS * period:
@@ -141,8 +143,7 @@ def mixture_pattern(
     optics = (pattern1.grid, pattern1.period, pattern1.envelope_width)
     if (pattern2.grid, pattern2.period, pattern2.envelope_width) != optics:
         raise ValidationError("mixture requires both patterns to share grid, fringe period and envelope width")
-    if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= NORMALIZATION_TOL):
-        raise ValidationError(f"weights must be non-negative and sum to 1, got ({p1!r}, {p2!r})")
+    check_weights(p1, p2)
     return IntensityPattern(
         pattern1.grid,
         p1 * pattern1.intensity + p2 * pattern2.intensity,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from abmix.cli import main
 from abmix.config import SCHEMA, SCREEN_N_MAX, SECTIONS, WIRE_N_MAX, RunConfig
@@ -68,6 +68,16 @@ def test_too_narrow_envelope_is_one_exit_2_line_for_mixture_csv(tmp_path):
     assert code == 2
     assert len(lines) == 1
     assert lines[0].startswith("error: envelope_width 1e-07 m is too narrow")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["experiment"], ["mixture", "--csv"]], ids=["experiment", "mixture"])
+def test_a_field_whose_phase_overflows_is_one_exit_2_line(tmp_path, command):
+    # B1 = 1e308 T is finite, but branch 1's phase e B1 pi R1^2 / hbar overflows to inf
+    code, lines, out_dir = run_without_warnings(tmp_path, command, {"solenoids": {"B1": 1e308}})
+    assert code == 2
+    assert len(lines) == 1
+    assert lines[0].startswith("error: phase difference inf rad is not finite")
     assert not out_dir.exists()
 
 
@@ -197,6 +207,7 @@ def nest(entries):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.builds(lambda known, unknown: nest(known + unknown),
                  st.lists(KNOWN, max_size=6), st.lists(UNKNOWN, max_size=1)))
+@example(data={"solenoids": {"B1": 1e308}})   # finite, but branch 1's phase overflows to inf
 def test_any_json_object_exits_cleanly_and_all_or_nothing(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         code, _, _ = run(Path(tmp), command, data)

@@ -8,6 +8,7 @@ from abmix.core import ApparatusGeometry, PhysicalConstants, Solenoid, flux, fri
 from abmix.dual import (
     BranchAmplitudes,
     DualSolenoidConfig,
+    check_weights,
     classical_totals,
     mixture_expectations,
     mixture_mean,
@@ -57,6 +58,20 @@ class TestBranchAmplitudes:
         c = math.sqrt(0.5) * (1.0 + 1e-6)
         with pytest.raises(ValidationError):
             BranchAmplitudes(c1=complex(c), c2=complex(c))
+
+
+@pytest.mark.parametrize("p1, p2", [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5 + 9e-13)])
+def test_check_weights_accepts_normalized_pairs(p1, p2):
+    check_weights(p1, p2)
+
+
+@pytest.mark.parametrize(
+    "p1, p2",
+    [(0.6, 0.6), (-0.5, 1.5), (0.5, 0.5 + 2e-12), (math.nan, 1.0), (math.inf, 0.0), (math.inf, -math.inf)],
+)
+def test_check_weights_rejects_unnormalized_negative_and_non_finite_pairs(p1, p2):
+    with pytest.raises(ValidationError, match="normalization"):
+        check_weights(p1, p2)
 
 
 class TestDualSolenoidConfig:

@@ -31,6 +31,12 @@ def antisymmetric_config(delta=1.0):
     )
 
 
+def field_config(field1, field2):
+    """Solenoid pair of the given fields, in T, on the test radius."""
+    return DualSolenoidConfig(Solenoid(field=field1, radius=RADIUS), Solenoid(field=field2, radius=RADIUS),
+                              GEOMETRY, CONSTANTS)
+
+
 def wide_screen(n=4096):
     return Grid(x_min=-8.0 * PERIOD, x_max=8.0 * PERIOD, n=n)
 
@@ -62,9 +68,15 @@ class TestRunExperimentBasics:
 
     def test_numpy_integers_run_as_python_integers(self):
         runs = [run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, n, seed, wide_screen(1024), ENVELOPE,
-                               n_bootstrap=3)
-                for n, seed in [(5000, 3), (np.int64(5000), np.uint64(3))]]
+                               n_bootstrap=resamples)
+                for n, seed, resamples in [(5000, 3, 3), (np.int64(5000), np.uint64(3), np.int64(3))]]
         assert report_text(runs[0]) == report_text(runs[1])
+
+    @pytest.mark.parametrize("n_bootstrap", [2.5, True, -3])
+    def test_rejects_non_integer_and_negative_resample_counts(self, n_bootstrap):
+        with pytest.raises(ValidationError, match="resamples"):
+            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 10, 3, wide_screen(), ENVELOPE,
+                           n_bootstrap=n_bootstrap)
 
     def test_pure_branch_one_gets_every_detection(self):
         pure = BranchAmplitudes(c1=1.0 + 0.0j, c2=0.0j)
@@ -79,6 +91,30 @@ class TestRunExperimentBasics:
         estimate = report.branch1.estimate
         tolerance = wide_screen().dx / 2.0 + 3.0 * estimate.uncertainty
         assert abs(estimate.shift - report.branch1.outcome.shift) <= tolerance
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_a_weighted_branch_without_a_finite_phase_fails_before_any_draw(self, seed):
+        # B1 = 1e308 T gives branch 1 an infinite phase; at p1 = 1e-5 none of
+        # 1000 electrons is likely drawn into it, and the run must still fail
+        light = BranchAmplitudes(c1=complex(math.sqrt(1e-5)), c2=complex(math.sqrt(1.0 - 1e-5)))
+        with pytest.raises(ValidationError, match="not finite"):
+            run_experiment(field_config(1e308, -1.0), light, 1000, seed, wide_screen(1024), ENVELOPE,
+                           n_bootstrap=0)
+
+    @pytest.mark.parametrize(
+        "c1, drawn",
+        [(1.0, False), (math.sqrt(1.0 - 1e-13), True)],
+        ids=["p1_is_1", "p1_rounds_below_1"],
+    )
+    def test_a_branch_of_weight_0_gets_a_pattern_only_if_it_can_be_drawn(self, c1, drawn):
+        # branch 2 takes every branch uniform >= p1: at p2 = 0 it is drawn only when p1 < 1
+        config, amplitudes = field_config(1.0, 1e308), BranchAmplitudes(c1=complex(c1), c2=0j)
+        if drawn:
+            with pytest.raises(ValidationError, match="not finite"):
+                run_experiment(config, amplitudes, 1000, 3, wide_screen(1024), ENVELOPE, n_bootstrap=0)
+        else:
+            report = run_experiment(config, amplitudes, 1000, 3, wide_screen(1024), ENVELOPE, n_bootstrap=0)
+            assert report.branch2.count == 0 and report.branch2.outcome.phase == math.inf
 
     def test_unestimated_branch_with_detections_leaves_the_mean_undefined(self):
         # 8 electrons, seed 5: branch 1 is estimated from 4 detections, the
