@@ -20,6 +20,7 @@ distinguishes the mixture from the classical sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -50,7 +51,7 @@ class BranchAmplitudes:
     Only the moduli enter any physics here, but the amplitudes are kept
     complex so phase invariance is a testable property.  Inputs violating
     |c1|^2 + |c2|^2 = 1 (tolerance 1e-12) are rejected, never silently
-    renormalized.
+    renormalized; a |c_k|^2 beyond the float range is an inf weight.
     """
 
     c1: complex
@@ -61,11 +62,19 @@ class BranchAmplitudes:
 
     @property
     def p1(self) -> float:
-        return abs(self.c1) ** 2
+        return _weight(self.c1)
 
     @property
     def p2(self) -> float:
-        return abs(self.c2) ** 2
+        return _weight(self.c2)
+
+
+def _weight(c: complex) -> float:
+    """|c|^2, or inf where |c| or its square overflows."""
+    try:
+        return abs(c) ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -145,18 +154,8 @@ def outcome_distribution(
 
     Branch 1 is always listed first.
     """
-    outcomes = []
-    for branch, probability, flux_k in (
-        (1, amplitudes.p1, config.flux1),
-        (2, amplitudes.p2, config.flux2),
-    ):
-        outcomes.append(
-            MixtureOutcome(
-                branch=branch,
-                probability=probability,
-                flux=flux_k,
-                phase=phase_shift(config.constants, flux_k),
-                shift=fringe_shift(config.constants, config.geometry, flux_k),
-            )
-        )
-    return outcomes
+    return [
+        MixtureOutcome(branch, probability, flux_k, phase_shift(config.constants, flux_k),
+                       fringe_shift(config.constants, config.geometry, flux_k))
+        for branch, probability, flux_k in ((1, amplitudes.p1, config.flux1), (2, amplitudes.p2, config.flux2))
+    ]

@@ -41,7 +41,8 @@ histograms.  One shift estimator, bound to the phase-0 reference
 pattern, estimates the three count rows as one block.  Its `shifts` is
 the one home of the floor rule: it returns nan as the shift of a row it
 does not measure, count row or bootstrap resample, and a count row is
-bootstrapped only when its shift is not nan.
+bootstrapped only when its shift is not nan; an unmeasured row's estimate
+has a nan shift and 1-sigma beside the visibility it was judged by.
 """
 
 from __future__ import annotations
@@ -76,18 +77,15 @@ RNG_ALGORITHM = f"numpy.random.PCG64 via default_rng, numpy {np.__version__}"
 
 DRAW_ORDER = "per electron: branch uniform, then position uniform"
 
-# how report_text renders a missing estimate
-_UNESTIMATED = FringeEstimate(shift=math.nan, visibility=math.nan, uncertainty=math.nan)
-
 
 @dataclass(frozen=True)
 class BranchReport:
-    """Per-branch tally and shift estimate (None when it could not be made)."""
+    """Per-branch tally and shift estimate (a nan shift when not measured)."""
 
     outcome: MixtureOutcome   # branch, |c_k|^2 and the closed-form phase and shift
     count: int
-    estimate: FringeEstimate | None
-    histogram: IntensityPattern | None
+    estimate: FringeEstimate
+    histogram: IntensityPattern | None   # None when the branch has no detections
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,7 @@ class ExperimentReport:
     branch1: BranchReport
     branch2: BranchReport
     pooled_histogram: IntensityPattern   # branch1 + branch2 histograms
-    pooled_estimate: FringeEstimate | None   # None when unmeasurable
-    pooled_visibility: float
+    pooled_estimate: FringeEstimate   # a nan shift when unmeasurable
     mean_shift: float              # sum of count/n * branch shift estimate, m
     mean_shift_sigma: float        # propagated 1-sigma on mean_shift, m
 
@@ -135,18 +132,15 @@ def run_experiment(
     ]
 
     counts = _count_detections(patterns, p1, n_electrons, seed)
-    pooled = replace(reference, intensity=counts[0] + counts[1], holds_counts=True)
+    pooled = replace(reference, intensity=counts[0] + counts[1])
     rows = np.vstack([counts, pooled.intensity]).astype(float)   # branch 1, branch 2, pooled
-    shifts, visibilities = estimator.shifts(rows)
-    measured = np.flatnonzero(~np.isnan(shifts)).tolist()   # an empty row has contrast 0: nan
+    shifts, visibilities = estimator.shifts(rows)   # an empty row has contrast 0: nan
     entropies = [(seed, 1, outcome.branch) for outcome in outcomes] + [(seed, 1, 0)]
-    sigmas = _bootstrap_sigma(rows[measured], estimator, [entropies[k] for k in measured], n_bootstrap)
-    estimates: list[FringeEstimate | None] = [None, None, None]
-    for k, sigma in zip(measured, sigmas):
-        estimates[k] = FringeEstimate(float(shifts[k]), float(visibilities[k]), sigma)
+    sigmas = _bootstrap_sigma(rows, shifts, estimator, entropies, n_bootstrap)
+    estimates = [FringeEstimate(float(s), float(v), sigma) for s, v, sigma in zip(shifts, visibilities, sigmas)]
     branch_reports = [
         BranchReport(outcome, int(branch_counts.sum()), estimate,
-                     replace(reference, intensity=branch_counts, holds_counts=True) if branch_counts.any() else None)
+                     replace(reference, intensity=branch_counts) if branch_counts.any() else None)
         for outcome, branch_counts, estimate in zip(outcomes, counts, estimates)
     ]
     mean_shift, mean_sigma = _weighted_mean_shift(branch_reports, n_electrons)
@@ -156,7 +150,6 @@ def run_experiment(
         branch2=branch_reports[1],
         pooled_histogram=pooled,
         pooled_estimate=estimates[2],
-        pooled_visibility=float(visibilities[2]),
         mean_shift=mean_shift,
         mean_shift_sigma=mean_sigma,
     )
@@ -254,15 +247,16 @@ def _count_detections(
 
 def _bootstrap_sigma(
     rows: np.ndarray,
+    shifts: np.ndarray,
     estimator: ShiftEstimator,
     entropies: list[tuple[int, ...]],
     n_bootstrap: int,
 ) -> list[float]:
     """Std dev of the shift estimate over n_bootstrap multinomial resamples
-    of each row of detection counts, each of as many detections as the row
-    holds.  A resample is kept, as a point estimate is, when the estimator
-    measures it (its shift is not nan); with fewer than 2 kept the std dev
-    is nan.
+    of each measured row of detection counts (its point shift in `shifts` is
+    not nan), each of as many detections as the row holds; nan for a row not
+    measured.  A resample is kept, as a point estimate is, when its shift is
+    not nan; with fewer than 2 kept the std dev is nan.
 
     Row i is resampled from the stream of entropies[i],
     BOOTSTRAP_BLOCK_CELLS // nfft (at least 1) resamples at a time.  The
@@ -272,9 +266,9 @@ def _bootstrap_sigma(
     """
     block = max(1, BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
     resampled = {}   # row index -> (stream, detections, cell probabilities)
-    for i, (row, entropy) in enumerate(zip(rows, entropies)):
+    for i, (row, shift, entropy) in enumerate(zip(rows, shifts, entropies)):
         n_samples = int(row.sum())
-        if n_bootstrap >= 2 and n_samples >= 2:
+        if not math.isnan(shift) and n_bootstrap >= 2 and n_samples >= 2:
             resampled[i] = (_Stream(entropy, n_bootstrap, block), n_samples, row / row.sum())
     kept = {}   # (row index, block start) -> the block's kept shifts
 
@@ -303,15 +297,13 @@ def _weighted_mean_shift(reports: list[BranchReport], n: int) -> tuple[float, fl
     The 1-sigma combines the per-branch bootstrap uncertainties with the
     binomial uncertainty of the branch frequencies (delta method).  A
     branch without detections has weight 0; a branch with detections but
-    no estimate leaves the mean undefined, so both values are nan.  A
-    branch with detections but no finite bootstrap 1-sigma leaves the
-    1-sigma undefined (nan).
+    a nan shift (and so a nan 1-sigma) leaves both values nan.  A branch
+    with detections but no finite bootstrap 1-sigma leaves the 1-sigma
+    undefined (nan).
     """
-    if any(r.count > 0 and r.estimate is None for r in reports):
-        return float("nan"), float("nan")
     fractions = [r.count / n for r in reports]
-    shifts = [r.estimate.shift if r.estimate is not None else 0.0 for r in reports]
-    sigmas = [r.estimate.uncertainty if r.estimate is not None else 0.0 for r in reports]
+    shifts = [r.estimate.shift if r.count > 0 else 0.0 for r in reports]
+    sigmas = [r.estimate.uncertainty if r.count > 0 else 0.0 for r in reports]
     mean = sum(f * s for f, s in zip(fractions, shifts))
     if not all(math.isfinite(sigma) for sigma in sigmas):
         return mean, float("nan")
@@ -324,10 +316,12 @@ def report_text(report: ExperimentReport) -> str:
     """Flat key = value rendering of the results, fixed key order.
 
     Keys: per-branch counts, closed-form predictions and estimates, pooled
-    statistics and the frequency-weighted mean.  Unavailable estimates
-    render as nan.  The configuration is not part of the report: report.txt
-    opens with the `config.*` block that the command line writes from the
-    resolved configuration.
+    statistics and the frequency-weighted mean.  An unmeasured row (a nan
+    shift) renders its shift, its 1-sigma and, for a branch, its visibility
+    as nan; `pooled.visibility` is always the block's contrast.  The
+    configuration is not part of the report: report.txt opens with the
+    `config.*` block that the command line writes from the resolved
+    configuration.
     """
     lines = []
     for r in (report.branch1, report.branch2):
@@ -336,15 +330,15 @@ def report_text(report: ExperimentReport) -> str:
         lines.append(f"{prefix}.probability = {r.outcome.probability!r}")
         lines.append(f"{prefix}.predicted_phase_rad = {r.outcome.phase!r}")
         lines.append(f"{prefix}.predicted_shift_m = {r.outcome.shift!r}")
-        estimate = r.estimate if r.estimate is not None else _UNESTIMATED
-        lines.append(f"{prefix}.estimated_shift_m = {estimate.shift!r}")
-        lines.append(f"{prefix}.estimated_shift_sigma_m = {estimate.uncertainty!r}")
-        lines.append(f"{prefix}.visibility = {estimate.visibility!r}")
-    pooled = report.pooled_estimate if report.pooled_estimate is not None else _UNESTIMATED
+        shift, sigma, visibility = r.estimate.shift, r.estimate.uncertainty, r.estimate.visibility
+        lines.append(f"{prefix}.estimated_shift_m = {shift!r}")
+        lines.append(f"{prefix}.estimated_shift_sigma_m = {sigma!r}")
+        lines.append(f"{prefix}.visibility = {math.nan if math.isnan(shift) else visibility!r}")
+    pooled = report.pooled_estimate
     lines.append(f"pooled.shift_m = {pooled.shift!r}")
     lines.append(f"pooled.shift_sigma_m = {pooled.uncertainty!r}")
-    lines.append(f"pooled.visibility = {report.pooled_visibility!r}")
-    lines.append(f"pooled.measurable = {str(report.pooled_estimate is not None).lower()}")
+    lines.append(f"pooled.visibility = {pooled.visibility!r}")
+    lines.append(f"pooled.measurable = {str(not math.isnan(pooled.shift)).lower()}")
     lines.append(f"mean_shift_m = {report.mean_shift!r}")
     lines.append(f"mean_shift_sigma_m = {report.mean_shift_sigma!r}")
     return "\n".join(lines) + "\n"

@@ -40,16 +40,13 @@ class IntensityPattern:
     """Sampled non-negative screen intensity, usable as an unnormalized density.
 
     `period` and `envelope_width` are the fringe period and the Gaussian
-    envelope width the estimator needs to undo the envelope; `holds_counts`
-    marks a histogram of detections, whose extremes `visibility` reads
-    after merging cells.
+    envelope width the estimator needs to undo the envelope.
     """
 
     grid: Grid
     intensity: np.ndarray
     period: float            # m
     envelope_width: float    # m
-    holds_counts: bool = False
 
     def __post_init__(self):
         _check_optics(self.period, self.envelope_width)
@@ -96,7 +93,7 @@ def _check_optics(period: float, envelope_width: float) -> None:
 class FringeEstimate:
     shift: float         # m
     visibility: float    # in [0, 1]
-    uncertainty: float   # m; 0 for noise-free synthesized patterns
+    uncertainty: float   # m; 0 for noise-free synthesized patterns, nan for a row not measured
 
 
 def two_slit_pattern(
@@ -181,10 +178,10 @@ def _contrast_rule(optics: IntensityPattern, envelope: np.ndarray,
 
 def visibility(pattern: IntensityPattern) -> float:
     """(I_max - I_min)/(I_max + I_min) of the envelope-normalized pattern
-    over the central two fringe periods, a detection histogram
-    (`holds_counts`) read after merging every 16 adjacent cells."""
+    over the central two fringe periods, read cell by cell as a synthesized
+    pattern (`ShiftEstimator.shifts` judges detection counts)."""
     envelope = _envelope(pattern.grid.positions, pattern.envelope_width)
-    return float(_contrast_rule(pattern, envelope, pattern.holds_counts)(pattern.intensity[np.newaxis])[0])
+    return float(_contrast_rule(pattern, envelope, False)(pattern.intensity[np.newaxis])[0])
 
 
 def _fringe_parts(block: np.ndarray, envelope: np.ndarray) -> np.ndarray:
@@ -257,7 +254,7 @@ def shift_estimator(reference: IntensityPattern) -> ShiftEstimator:
     reference_spectrum = np.conj(np.fft.rfft(reference_part, nfft))
     envelope.flags.writeable = reference_spectrum.flags.writeable = False
     estimator = ShiftEstimator(reference, envelope, contrast, nfft, reference_spectrum)
-    shifts, visibilities = estimator.shifts(reference.intensity[np.newaxis], reference.holds_counts)
+    shifts, visibilities = estimator.shifts(reference.intensity[np.newaxis], holds_counts=False)
     if math.isnan(shifts[0]):
         raise ValidationError(
             f"reference visibility {float(visibilities[0])!r} is at or below {VISIBILITY_FLOOR}"
@@ -266,16 +263,16 @@ def shift_estimator(reference: IntensityPattern) -> ShiftEstimator:
 
 
 def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> FringeEstimate:
-    """Fringe translation of `pattern` relative to `reference`, by a one-off
-    estimator: a nan shift, as `ShiftEstimator.shifts` gives, when the
-    pattern's visibility is at or below VISIBILITY_FLOOR (the physically
-    washed-out regime); ValidationError when its grid, fringe period or
-    envelope width differs from the reference's."""
+    """Fringe translation of the synthesized `pattern` relative to `reference`,
+    by a one-off estimator: a nan shift, as `ShiftEstimator.shifts` gives, when
+    its visibility is at or below VISIBILITY_FLOOR (the physically washed-out
+    regime); ValidationError when its grid, fringe period or envelope width
+    differs from the reference's."""
     estimator = shift_estimator(reference)
     if ((pattern.grid, pattern.period, pattern.envelope_width)
             != (reference.grid, reference.period, reference.envelope_width)):
         raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
-    shifts, visibilities = estimator.shifts(pattern.intensity[np.newaxis], pattern.holds_counts)
+    shifts, visibilities = estimator.shifts(pattern.intensity[np.newaxis], holds_counts=False)
     return FringeEstimate(shift=float(shifts[0]), visibility=float(visibilities[0]), uncertainty=0.0)
 
 
@@ -321,9 +318,7 @@ def histogram_pattern(samples: np.ndarray, reference: IntensityPattern) -> Inten
     grid = reference.grid
     edges = np.concatenate([grid.positions - 0.5 * grid.dx, [grid.x_max + 0.5 * grid.dx]])
     counts, _ = np.histogram(np.asarray(samples, dtype=float), bins=edges)
-    return IntensityPattern(
-        grid, counts.astype(float), reference.period, reference.envelope_width, holds_counts=True
-    )
+    return IntensityPattern(grid, counts.astype(float), reference.period, reference.envelope_width)
 
 
 def _repr_texts(values: np.ndarray) -> list[str]:

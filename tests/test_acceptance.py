@@ -231,9 +231,9 @@ def test_criterion_9_classical_vs_mixture_discriminator():
         and abs(abs(report.branch2.estimate.shift) - epsilon)
         <= SCREEN.dx / 2.0 + 3.0 * report.branch2.estimate.uncertainty
     )
-    visibility_ok = abs(report.pooled_visibility - abs(math.cos(delta))) <= 0.05
+    visibility_ok = abs(report.pooled_estimate.visibility - abs(math.cos(delta))) <= 0.05
     _verdict(9, "same magnitude parameters: classical case pins shift 0 at full visibility, "
                 f"mixture shows bimodal +-{epsilon:.2e} m with pooled visibility "
-                f"{report.pooled_visibility:.3f} ~ |cos {delta}| = {abs(math.cos(delta)):.3f}",
+                f"{report.pooled_estimate.visibility:.3f} ~ |cos {delta}| = {abs(math.cos(delta)):.3f}",
              classical_ok and bimodal_ok and visibility_ok,
              time.perf_counter() - start, 30.0)

@@ -349,6 +349,17 @@ class TestValidationReporting:
         assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("amplitudes", [{"c1": [1e200, 0.0]}, {"c2": [0.0, 1e200]}], ids=["c1", "c2"])
+    def test_an_amplitude_whose_weight_overflows_is_one_exit_2_line(self, tmp_path, capsys, amplitudes):
+        config = write_config(tmp_path, amplitudes={"c1": [ROOT_HALF, 0.0], "c2": [ROOT_HALF, 0.0], **amplitudes})
+        out_dir = tmp_path / "run"
+        assert main(["experiment", "--config", config, "--out", str(out_dir)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("invalid config: amplitudes: weights (")
+        assert "inf" in lines[0] and "violate normalization" in lines[0]
+        assert not out_dir.exists()
+
     def test_unknown_keys_are_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"geomtry": {}}), encoding="utf-8")

@@ -46,7 +46,7 @@ def test_orjson_writes_the_notation_the_writer_rewrites():
 class TestBytesMatchNaiveRepr:
     def test_pattern_csv(self, grid):
         counts = np.array(AWKWARD * 2)
-        pattern = IntensityPattern(grid, counts, 1.0, 1.0, holds_counts=True)
+        pattern = IntensityPattern(grid, counts, 1.0, 1.0)
         text = pattern_csv(pattern, "count")
         assert text == naive_table("x_m,count", grid.positions, counts)
         assert [line.split(",")[1] for line in text.splitlines()[1:9]] == AWKWARD_TEXT

@@ -59,6 +59,21 @@ class TestBranchAmplitudes:
         with pytest.raises(ValidationError):
             BranchAmplitudes(c1=complex(c), c2=complex(c))
 
+    @pytest.mark.parametrize(
+        "c1", [1e200 + 0j, 1e200j, complex(1e308, 1e308)], ids=["square", "imaginary", "modulus"]
+    )
+    def test_a_weight_beyond_the_float_range_fails_the_normalization_check(self, c1):
+        # |c1|^2 (or |c1| itself) overflows: an inf weight, not an OverflowError
+        with pytest.raises(ValidationError, match=r"weights \(inf, 0\.0\) violate normalization"):
+            BranchAmplitudes(c1=c1, c2=0j)
+
+    def test_a_finite_weight_is_the_square_of_the_modulus(self):
+        # abs(c) ** 2, not abs(c) * abs(c): the two differ in the last bit here
+        c1 = 0.37796883434360806
+        assert abs(c1) ** 2 != abs(c1) * abs(c1)
+        amplitudes = BranchAmplitudes(c1=complex(c1), c2=complex(math.sqrt(1.0 - c1**2)))
+        assert amplitudes.p1 == abs(c1) ** 2
+
 
 @pytest.mark.parametrize("p1, p2", [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5 + 9e-13)])
 def test_check_weights_accepts_normalized_pairs(p1, p2):

@@ -85,7 +85,7 @@ class TestRunExperimentBasics:
         )
         assert report.branch1.count == 20_000
         assert report.branch2.count == 0
-        assert report.branch2.estimate is None
+        assert math.isnan(report.branch2.estimate.shift)
         assert report.branch2.histogram is None
         assert np.array_equal(report.pooled_histogram.intensity, report.branch1.histogram.intensity)
         estimate = report.branch1.estimate
@@ -121,8 +121,8 @@ class TestRunExperimentBasics:
         # 4 of branch 2 are too few; counting them as a 0 m shift would give
         # half the branch-1 estimate
         report = run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 8, 5, wide_screen(), ENVELOPE)
-        assert report.branch2.count > 0 and report.branch2.estimate is None
-        assert report.branch1.estimate is not None
+        assert report.branch2.count > 0 and math.isnan(report.branch2.estimate.shift)
+        assert not math.isnan(report.branch1.estimate.shift)
         assert math.isnan(report.mean_shift) and math.isnan(report.mean_shift_sigma)
         assert "mean_shift_m = nan" in report_text(report)
 
@@ -151,30 +151,29 @@ class TestPointEstimates:
     )
     def test_block_estimates_equal_one_pattern_estimates(self, delta, amplitudes, measured):
         # run_experiment estimates the three count rows as one block; each row
-        # must match estimate_shift of its own histogram, and be None exactly
-        # where estimate_shift's shift is nan or, for an empty row, there is no histogram
+        # must equal, bit for bit, a one-row block of its own histogram, and
+        # have a nan shift exactly where that block does or, for an empty row,
+        # there is no histogram
         screen = wide_screen()
         # at 1e6 detections the pooled contrast of delta = pi/2 is shot noise, about 0.02
         report = run_experiment(antisymmetric_config(delta), amplitudes, 1_000_000, 11, screen, ENVELOPE,
                                 n_bootstrap=0)
-        reference = pattern.two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, screen, ENVELOPE)
+        estimator = pattern.shift_estimator(pattern.two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, screen, ENVELOPE))
         rows = [
             (report.branch1.estimate, report.branch1.histogram),
             (report.branch2.estimate, report.branch2.histogram),
             (report.pooled_estimate, report.pooled_histogram),
         ]
         for (estimate, histogram), expected in zip(rows, measured, strict=True):
-            assert (estimate is not None) == expected
-            if histogram is None:   # an empty row
+            assert (not math.isnan(estimate.shift)) == expected
+            assert math.isnan(estimate.uncertainty)
+            if histogram is None:   # an empty row has contrast 0
+                assert estimate.visibility == 0.0
                 continue
-            one = pattern.estimate_shift(histogram, reference)
-            if estimate is None:
-                assert math.isnan(one.shift)
-            else:
-                assert (estimate.shift, estimate.visibility) == (one.shift, one.visibility)
-                assert math.isnan(estimate.uncertainty)
-        # the pooled visibility is the block's own, and equals a fresh one of the pooled histogram
-        assert report.pooled_visibility == pattern.visibility(report.pooled_histogram)
+            # the visibility is the block's own, and equals a fresh one of the row's histogram
+            shifts, visibilities = estimator.shifts(histogram.intensity[np.newaxis])
+            assert np.array_equal(shifts, [estimate.shift], equal_nan=True)
+            assert estimate.visibility == visibilities[0]
 
 
 class TestDeterminism:
@@ -395,11 +394,11 @@ class TestTwoPointStatistics:
             antisymmetric_config(delta=math.pi / 2.0), EQUAL_WEIGHTS, 400_000, 4242,
             wide_screen(), ENVELOPE, n_bootstrap=10,
         )
-        assert report.pooled_estimate is None
-        assert report.pooled_visibility < 0.05
+        assert math.isnan(report.pooled_estimate.shift)
+        assert report.pooled_estimate.visibility < 0.05
         # the branch-separated view still resolves full-magnitude shifts
-        assert report.branch1.estimate is not None
-        assert report.branch2.estimate is not None
+        assert not math.isnan(report.branch1.estimate.shift)
+        assert not math.isnan(report.branch2.estimate.shift)
 
 
 def phasor(weights, phases):
@@ -491,10 +490,32 @@ class TestDiscriminator:
             estimate = branch.estimate
             assert abs(estimate.shift) > 5.0 * estimate.uncertainty
         assert report.branch1.estimate.shift * report.branch2.estimate.shift < 0.0
-        assert report.pooled_visibility == pytest.approx(abs(math.cos(delta)), abs=0.05)
+        assert report.pooled_estimate.visibility == pytest.approx(abs(math.cos(delta)), abs=0.05)
 
 
 class TestReportText:
+    def test_a_branch_with_detections_but_no_estimate_prints_nan(self):
+        # 8 electrons, seed 5: branch 2's 4 detections have a contrast at or
+        # below the floor; its estimate keeps that contrast, the report prints nan
+        report = run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 8, 5, wide_screen(), ENVELOPE)
+        assert report.branch2.count > 0
+        assert math.isfinite(report.branch2.estimate.visibility)
+        assert report.branch2.estimate.visibility <= pattern.VISIBILITY_FLOOR
+        lines = report_text(report).splitlines()
+        for key in ("estimated_shift_m", "estimated_shift_sigma_m", "visibility"):
+            assert f"branch2.{key} = nan" in lines
+
+    def test_a_washed_out_pool_prints_its_visibility_and_is_not_measurable(self):
+        screen = wide_screen()
+        report = run_experiment(antisymmetric_config(math.pi / 2.0), EQUAL_WEIGHTS, 1_000_000, 11, screen, ENVELOPE,
+                                n_bootstrap=0)
+        estimator = pattern.shift_estimator(pattern.two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, screen, ENVELOPE))
+        _, visibilities = estimator.shifts(report.pooled_histogram.intensity[np.newaxis])
+        lines = report_text(report).splitlines()
+        assert "pooled.shift_m = nan" in lines and "pooled.measurable = false" in lines
+        assert f"pooled.visibility = {float(visibilities[0])!r}" in lines
+        assert report.pooled_estimate.visibility == visibilities[0]
+
     def test_flat_key_value_layout(self):
         report = run_experiment(
             antisymmetric_config(), EQUAL_WEIGHTS, 2000, 5, wide_screen(1024), ENVELOPE,

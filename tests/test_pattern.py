@@ -10,7 +10,6 @@ from abmix.errors import ValidationError
 from abmix.pattern import (
     HISTOGRAM_REBIN,
     VISIBILITY_FLOOR,
-    FringeEstimate,
     IntensityPattern,
     detection_counts,
     estimate_shift,
@@ -193,13 +192,15 @@ class TestEstimateShift:
         assert abs(estimate.shift - 3.0 * dx) <= dx / 10.0
 
     def test_estimate_carries_the_visibility_of_visibility(self):
-        # one contrast rule, bit for bit, also for counts on 4090 cells, which
-        # the 16-cell merging of a histogram leaves 10 cells over
+        # one contrast rule, bit for bit, on 4090 cells; counts, which the
+        # 16-cell merging of a histogram leaves 10 cells over, are judged by
+        # the estimator's block, which must equal the per-row formula
         reference = pattern_at(0.0, n=4090)
-        counts = detection_counts(pattern_at(0.6, n=4090), np.random.default_rng(5).random(50_000))
-        histogram = replace(reference, intensity=counts, holds_counts=True)
-        for pattern in (pattern_at(0.6, n=4090), histogram):
-            assert estimate_shift(pattern, reference).visibility == visibility(pattern)
+        synthesized = pattern_at(0.6, n=4090)
+        assert estimate_shift(synthesized, reference).visibility == visibility(synthesized)
+        counts = detection_counts(synthesized, np.random.default_rng(5).random(50_000))
+        _, visibilities = shift_estimator(reference).shifts(counts[np.newaxis].astype(float))
+        assert visibilities[0] == scalar_visibility(reference, counts, holds_counts=True)
 
     def test_washed_out_mixture_is_unmeasurable(self):
         # the equal-weight quarter-turn mixture has visibility |cos(pi/2)| ~ 0
@@ -276,18 +277,14 @@ class TestShiftEstimatorBlocks:
         shifts, visibilities = estimator.shifts(block)
         assert visibilities[-1] <= VISIBILITY_FLOOR < visibilities[:-1].min()
         for row, shift, row_visibility in zip(block, shifts, visibilities):
-            histogram = replace(reference, intensity=row, holds_counts=True)
-            assert row_visibility == visibility(histogram)
+            assert row_visibility == scalar_visibility(reference, row, holds_counts=True)
             one_shift, one_visibility = estimator.shifts(row[np.newaxis])   # a 1-row block
             assert one_visibility[0] == row_visibility
             assert np.array_equal(one_shift, [shift], equal_nan=True)
             if row_visibility > VISIBILITY_FLOOR:
-                assert shift == scalar_shift(estimator, histogram.intensity)
-                assert estimate_shift(histogram, reference) == FringeEstimate(shift, row_visibility, 0.0)
+                assert shift == scalar_shift(estimator, row)
             else:
                 assert math.isnan(shift)
-                one = estimate_shift(histogram, reference)
-                assert math.isnan(one.shift) and one.visibility == row_visibility
 
     @pytest.mark.parametrize("n", [4096, 4090])
     def test_block_contrast_equals_the_per_row_formula_bit_for_bit(self, n):
@@ -319,6 +316,10 @@ class TestShiftEstimatorBlocks:
         assert np.array_equal(np.isnan(shifts), visibilities <= VISIBILITY_FLOOR)
         for row, shift in zip(block[visibilities > VISIBILITY_FLOOR], shifts[visibilities > VISIBILITY_FLOOR]):
             assert shift == scalar_shift(estimator, row)
+        for row, shift, row_visibility in zip(block, shifts, visibilities):   # estimate_shift: one synthesized row
+            one = estimate_shift(replace(reference, intensity=row), reference)
+            assert np.array_equal([one.shift, one.visibility, one.uncertainty], [shift, row_visibility, 0.0],
+                                  equal_nan=True)
 
     def test_numpy_transforms_a_block_of_rows_as_it_does_each_row(self):
         # ShiftEstimator.shifts takes one rfft and one irfft of a whole block;
@@ -423,7 +424,6 @@ class TestHistogramPattern:
         assert histogram.intensity[0] == 2.0
         assert histogram.intensity[7] == 1.0
         assert histogram.intensity[15] == 1.0
-        assert histogram.holds_counts
         assert (histogram.grid, histogram.period, histogram.envelope_width) == (reference.grid, 2.0, 3.0)
 
     def test_csv_round_trip(self):
