@@ -7,10 +7,8 @@ i with cdf[i] <= q < cdf[i+1] of the pattern's CDF.  Only per-cell counts
 are kept, never positions.  The generator is numpy's PCG64; per electron
 the branch uniform is consumed first and the position uniform second;
 a branch uniform below p1 = |c1|^2 picks branch 1.  Before the first
-draw, the calling thread builds the pattern of each branch an electron
-can be drawn into: branch 1 if p1 > 0, branch 2 if p2 > 0 or p1 < 1.  So
-a weighted branch whose phase is not finite is a ValidationError
-whichever electrons are drawn.
+draw, the calling thread builds both branch patterns, so a branch whose
+phase is not finite is a ValidationError whatever its weight.
 Draws run in fixed chunks of DRAW_CHUNK electrons taken in order from the
 same stream, which yields the same uniforms as one draw of all of them,
 so memory is independent of n_electrons.  Derived streams get fixed
@@ -109,10 +107,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate n_electrons detections and estimate the shifts back.
 
-    This thread builds the branch patterns (ValidationError for a weighted
-    branch whose phase is not finite); it and one worker then count the
-    detections and bootstrap the estimates (`_share`); as the module
-    docstring sets out, the report is still a pure function of (config, seed).
+    This thread builds both branch patterns (ValidationError for a branch
+    whose phase is not finite, whatever its weight); it and one worker then
+    count the detections and bootstrap the estimates (`_share`); as the
+    module docstring sets out, the report is still a pure function of
+    (config, seed).
     """
     if not is_integer(n_electrons) or n_electrons < 1:
         raise ValidationError(f"need a positive integer number of electrons, got {n_electrons!r}")
@@ -125,13 +124,12 @@ def run_experiment(
     outcomes = outcome_distribution(config, amplitudes)
     reference = two_slit_pattern(config.constants, config.geometry, 0.0, screen, envelope_width)
     estimator = shift_estimator(reference)
-    p1, p2 = (outcome.probability for outcome in outcomes)
-    patterns = [   # branch 2 takes every branch uniform >= p1, so p1 < 1 draws it even at p2 = 0
+    patterns = [
         two_slit_pattern(config.constants, config.geometry, outcome.phase, screen, envelope_width)
-        if drawn else None for outcome, drawn in zip(outcomes, (p1 > 0.0, p2 > 0.0 or p1 < 1.0))
+        for outcome in outcomes
     ]
 
-    counts = _count_detections(patterns, p1, n_electrons, seed)
+    counts = _count_detections(patterns, outcomes[0].probability, n_electrons, seed)
     pooled = replace(reference, intensity=counts[0] + counts[1])
     rows = np.vstack([counts, pooled.intensity]).astype(float)   # branch 1, branch 2, pooled
     shifts, visibilities = estimator.shifts(rows)   # an empty row has contrast 0: nan
@@ -220,15 +218,14 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
 
 
 def _count_detections(
-    patterns: list[IntensityPattern | None], p1: float, n_electrons: int, seed: int
+    patterns: list[IntensityPattern], p1: float, n_electrons: int, seed: int
 ) -> np.ndarray:
     """(2, n) int64 detection counts of the two branches on the patterns'
     n cells, drawn from the (seed, 0) stream DRAW_CHUNK electrons at a time,
     one task per chunk; each thread adds the chunks it draws into counts of
-    its own.  A branch uniform below p1 picks branch 1; a branch no electron
-    is drawn into has the pattern None."""
+    its own.  A branch uniform below p1 picks branch 1."""
     stream = _Stream((seed, 0), n_electrons, DRAW_CHUNK)
-    cells = next(pattern.grid.n for pattern in patterns if pattern is not None)
+    cells = patterns[0].grid.n
     counts = np.zeros((2, 2, cells), dtype=np.int64)   # by thread slot, then branch
 
     def count(slot: int, _chunk: int) -> None:
@@ -238,8 +235,7 @@ def _count_detections(
         position_uniforms = np.ascontiguousarray(uniforms[:, 1])
         del uniforms
         for k, (pattern, mask) in enumerate(zip(patterns, (in_branch1, ~in_branch1))):
-            if pattern is not None:
-                counts[slot, k] += detection_counts(pattern, np.compress(mask, position_uniforms))
+            counts[slot, k] += detection_counts(pattern, np.compress(mask, position_uniforms))
 
     _share(range(-(-n_electrons // DRAW_CHUNK)), count)
     return counts[0] + counts[1]

@@ -7,11 +7,13 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from abmix import experiment
 from abmix.cli import main
 from abmix.config import SCHEMA, SCREEN_N_MAX, SECTIONS, WIRE_N_MAX, RunConfig
 
@@ -71,13 +73,23 @@ def test_too_narrow_envelope_is_one_exit_2_line_for_mixture_csv(tmp_path):
     assert not out_dir.exists()
 
 
+# B1 = 1e308 T is finite, but branch 1's phase e B1 pi R1^2 / hbar overflows to inf;
+# a branch of weight 0 still has its pattern built, so it fails the same way
+OVERFLOWING_FIELDS = {
+    "weighted": {"solenoids": {"B1": 1e308}},
+    "branch1_weight_0": {"amplitudes": {"c1": [0.0, 0.0], "c2": [1.0, 0.0]}, "solenoids": {"B1": 1e308}},
+    "branch2_weight_0": {"amplitudes": {"c1": [1.0, 0.0], "c2": [0.0, 0.0]}, "solenoids": {"B2": 1e308}},
+    "branch2_weight_0_p1_below_1": {"amplitudes": {"c1": [math.sqrt(1.0 - 1e-13), 0.0], "c2": [0.0, 0.0]},
+                                    "solenoids": {"B2": 1e308}},
+}
+
+
+@pytest.mark.parametrize("data", OVERFLOWING_FIELDS.values(), ids=OVERFLOWING_FIELDS.keys())
 @pytest.mark.parametrize("command", [["experiment"], ["mixture", "--csv"]], ids=["experiment", "mixture"])
-def test_a_field_whose_phase_overflows_is_one_exit_2_line(tmp_path, command):
-    # B1 = 1e308 T is finite, but branch 1's phase e B1 pi R1^2 / hbar overflows to inf
-    code, lines, out_dir = run_without_warnings(tmp_path, command, {"solenoids": {"B1": 1e308}})
+def test_a_field_whose_phase_overflows_is_one_exit_2_line(tmp_path, command, data):
+    code, lines, out_dir = run_without_warnings(tmp_path, command, data)
     assert code == 2
-    assert len(lines) == 1
-    assert lines[0].startswith("error: phase difference inf rad is not finite")
+    assert lines == ["error: phase difference inf rad is not finite: no pattern can show it"]
     assert not out_dir.exists()
 
 
@@ -214,3 +226,76 @@ def test_any_json_object_exits_cleanly_and_all_or_nothing(command, data):
         assert code in (0, 2, 3, 4)
         left = sorted(path.name for path in Path(tmp).iterdir())
         assert left == (["config.json", "out"] if code == 0 else ["config.json"])
+
+
+PERIOD = DEFAULTS["screen.x_max"] / 8.0   # the default screen spans 16 fringe periods
+
+
+@st.composite
+def experiment_configs(draw):
+    """`abmix experiment` configs on small screens (140 to 520 cells over about
+    4 to 16 periods), pure, weight-0 and mixed amplitudes, fields up to 1e308,
+    envelope widths from 1/100 to 30 times the default and 1 to 3e4 electrons."""
+    n = draw(st.integers(140, 520))
+    periods = draw(st.floats(3.95, n / 32.0 + 0.3))   # 4 periods at least, 32 cells a period at most
+    center = draw(st.floats(-1.0, 1.0)) * PERIOD
+    field = st.one_of(st.floats(-0.01, 0.01), st.floats(-1e308, 1e308), st.sampled_from([0.0, 1e308, -1e308]))
+    amplitudes = st.one_of(
+        st.sampled_from([
+            {"c1": [1.0, 0.0], "c2": [0.0, 0.0]},
+            {"c1": [0.0, 0.0], "c2": [1.0, 0.0]},
+            {"c1": [math.sqrt(1.0 - 1e-13), 0.0], "c2": [0.0, 0.0]},   # p1 rounds below 1
+        ]),
+        st.floats(0.0, math.pi / 2.0).map(lambda t: {"c1": [math.cos(t), 0.0], "c2": [0.0, math.sin(t)]}),
+    )
+    return {
+        "screen": {"n": n, "x_min": center - periods * PERIOD / 2.0, "x_max": center + periods * PERIOD / 2.0},
+        "solenoids": {"B1": draw(field), "B2": draw(field)},
+        "amplitudes": draw(amplitudes),
+        "envelope_width": DEFAULTS["envelope_width"] * 10.0 ** draw(st.floats(-2.0, 1.5)),
+        "n_electrons": draw(st.integers(1, 30_000)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+
+
+def report_values(out_dir):
+    lines = (out_dir / "report.txt").read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
+
+
+def files_in(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def histogram_counts(path):
+    return np.loadtxt(path, delimiter=",", comments=("#", "x_m,"), usecols=1)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(experiment_configs())
+@example(data=OVERFLOWING_FIELDS["branch1_weight_0"])
+@example(data=OVERFLOWING_FIELDS["branch2_weight_0"])
+def test_any_experiment_exits_cleanly_and_keeps_its_invariants(data):
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as rerun_tmp:
+        code, lines, out_dir = run_without_warnings(Path(tmp), ["experiment"], data)
+        assert code in (0, 2, 3, 4)
+        left = sorted(path.name for path in Path(tmp).iterdir())   # hidden temporaries included
+        assert left == (["config.json", "out"] if code == 0 else ["config.json"])
+        if code != 0:
+            assert len(lines) == 1 and lines[0].startswith(("invalid config: ", "error: "))
+            return
+        assert lines == []
+        report = report_values(out_dir)
+        assert all(math.isfinite(float(report[f"branch{k}.predicted_phase_rad"])) for k in (1, 2))
+        counts = [int(report[f"branch{k}.count"]) for k in (1, 2)]
+        assert sum(counts) == data["n_electrons"]
+        branch_files = [out_dir / f"histogram_branch{k}.csv" for k in (1, 2)]
+        assert [path.exists() for path in branch_files] == [count > 0 for count in counts]
+        pooled = histogram_counts(out_dir / "histogram_pooled.csv")
+        assert np.array_equal(pooled, sum(histogram_counts(path) for path in branch_files if path.exists()))
+        assert report["pooled.measurable"] == str(report["pooled.shift_m"] != "nan").lower()
+        # a rerun in smaller draw chunks takes the same uniforms, so it writes the same bytes
+        with mock.patch.object(experiment, "DRAW_CHUNK", 4096):
+            rerun_code, _, rerun_dir = run_without_warnings(Path(rerun_tmp), ["experiment"], data)
+        assert rerun_code == 0
+        assert files_in(rerun_dir) == files_in(out_dir)
