@@ -23,8 +23,7 @@ of dphi and dx simply track the sign of Phi.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +60,6 @@ class PhysicalConstants:
                 f"h must equal 2*pi*hbar to 1 ulp: h={self.h!r}, 2*pi*hbar={2.0 * math.pi * self.hbar!r}"
             )
 
-    def with_planck_scaled(self, factor: float) -> "PhysicalConstants":
-        """Return a copy with hbar (and h = 2*pi*hbar) scaled by `factor`."""
-        scaled = factor * self.hbar
-        return replace(self, hbar=scaled, h=2.0 * math.pi * scaled)
-
 
 @dataclass(frozen=True)
 class Solenoid:
@@ -87,8 +81,11 @@ class Solenoid:
 
     @property
     def area(self) -> float:
-        """Base area S = pi R^2, m^2."""
-        return math.pi * self.radius**2
+        """Base area S = pi R^2, m^2, or inf where R^2 overflows."""
+        try:
+            return math.pi * self.radius**2
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -104,24 +101,6 @@ class ApparatusGeometry:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-
-    def check_solenoid(self, solenoid: Solenoid) -> None:
-        """Enforce that the slits clear the solenoid base.
-
-        The model requires the electron paths to pass around the solenoid,
-        never through it: d <= 2R is rejected, d < 10R only warned about.
-        """
-        if self.slit_separation <= 2.0 * solenoid.radius:
-            raise ValidationError(
-                f"slit separation d={self.slit_separation!r} must exceed twice the "
-                f"solenoid radius (2R={2.0 * solenoid.radius!r})"
-            )
-        if self.slit_separation < 10.0 * solenoid.radius:
-            warnings.warn(
-                f"slit separation d={self.slit_separation!r} is below 10R="
-                f"{10.0 * solenoid.radius!r}; the around-the-solenoid model is marginal",
-                stacklevel=2,
-            )
 
 
 def is_integer(value: object) -> bool:
@@ -164,8 +143,9 @@ class Grid:
 
 
 def de_broglie_wavelength(constants: PhysicalConstants, geometry: ApparatusGeometry) -> float:
-    """lambda = h / (m v), meters."""
-    return constants.h / (constants.m * geometry.speed)
+    """lambda = h / (m v), meters, or inf where m v underflows to 0."""
+    momentum = constants.m * geometry.speed
+    return constants.h / momentum if momentum > 0.0 else math.inf
 
 
 def flux(solenoid: Solenoid) -> float:

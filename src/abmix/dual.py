@@ -21,14 +21,18 @@ distinguishes the mixture from the classical sum.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from .core import (
     ApparatusGeometry,
     PhysicalConstants,
     Solenoid,
+    de_broglie_wavelength,
     flux,
+    fringe_period,
     fringe_shift,
+    fringe_shift_classical_form,
     phase_shift,
 )
 from .errors import ValidationError
@@ -79,8 +83,10 @@ def _weight(c: complex) -> float:
 
 @dataclass(frozen=True)
 class DualSolenoidConfig:
-    """Two solenoids behind the diaphragm, close enough that the electron
-    passes around the pair, never between them: d > 2 (R1 + R2)."""
+    """Two solenoids behind the diaphragm, and the one home of the apparatus
+    rules: the electron passes around the pair, never between them,
+    d > 2 (R1 + R2) (below d = 10 R_k a warning says the model is marginal),
+    and every closed form a command prints from the apparatus is finite."""
 
     solenoid1: Solenoid
     solenoid2: Solenoid
@@ -88,14 +94,28 @@ class DualSolenoidConfig:
     constants: PhysicalConstants
 
     def __post_init__(self):
-        self.geometry.check_solenoid(self.solenoid1)
-        self.geometry.check_solenoid(self.solenoid2)
-        clearance = 2.0 * (self.solenoid1.radius + self.solenoid2.radius)
-        if self.geometry.slit_separation <= clearance:
-            raise ValidationError(
-                f"slit separation d={self.geometry.slit_separation!r} must exceed "
-                f"2(R1+R2)={clearance!r} so the electron passes around both solenoids"
-            )
+        c, g, radii = self.constants, self.geometry, (self.solenoid1.radius, self.solenoid2.radius)
+        if g.slit_separation < 10.0 * max(radii):
+            warnings.warn(f"slit separation d={g.slit_separation!r} is below 10R={10.0 * max(radii)!r}; "
+                          "the around-the-solenoid model is marginal", stacklevel=3)
+        if g.slit_separation <= (clearance := 2.0 * (radii[0] + radii[1])):
+            raise ValidationError(f"slit separation d={g.slit_separation!r} must exceed 2(R1+R2)="
+                                  f"{clearance!r} so the electron passes around both solenoids")
+        closed_forms = {"de Broglie wavelength lambda [m]": de_broglie_wavelength(c, g),
+                        "fringe period [m]": fringe_period(c, g)}
+        for k, phi in ((1, self.flux1), (2, self.flux2)):
+            closed_forms |= {f"branch {k} flux Phi_{k} [Wb]": phi,
+                             f"branch {k} phase difference dphi_{k} [rad]": phase_shift(c, phi),
+                             f"branch {k} fringe shift dx_{k} [m]": fringe_shift(c, g, phi),
+                             f"branch {k} fringe shift dx_{k}, classical form [m]":
+                                 fringe_shift_classical_form(c, g, phi)}
+        total_phase, total_shift = classical_totals(self)
+        closed_forms |= {"classical total flux Phi [Wb]": self.flux1 + self.flux2,
+                         "classical total phase difference dphi [rad]": total_phase,
+                         "classical total fringe shift dx [m]": total_shift}
+        for quantity, value in closed_forms.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"{quantity} = {value!r} is not finite")
 
     @property
     def flux1(self) -> float:
@@ -118,23 +138,22 @@ class MixtureOutcome:
 
 
 def classical_totals(config: DualSolenoidConfig) -> tuple[float, float]:
-    """Classical case: (dphi, dx) are the plain sums of per-solenoid terms.
-
-    Returns (dphi_1 + dphi_2, dx_1 + dx_2).  For an antisymmetric pair the
-    per-solenoid terms are exact floating-point negations, so both sums
-    are bitwise zero.
-    """
-    dphi1 = phase_shift(config.constants, config.flux1)
-    dphi2 = phase_shift(config.constants, config.flux2)
-    dx1 = fringe_shift(config.constants, config.geometry, config.flux1)
-    dx2 = fringe_shift(config.constants, config.geometry, config.flux2)
-    return dphi1 + dphi2, dx1 + dx2
+    """Classical case: (dphi_1 + dphi_2, dx_1 + dx_2), the plain sums of the
+    per-solenoid terms.  For an antisymmetric pair the terms are exact
+    floating-point negations, so both sums are bitwise zero."""
+    c, g = config.constants, config.geometry
+    return (phase_shift(c, config.flux1) + phase_shift(c, config.flux2),
+            fringe_shift(c, g, config.flux1) + fringe_shift(c, g, config.flux2))
 
 
 def mixture_mean(amplitudes: BranchAmplitudes, value1: float, value2: float) -> float:
-    """Mixture mean |c1|^2 value1 + |c2|^2 value2 of a per-branch quantity,
-    such as the field B_k or the flux Phi_k."""
-    return amplitudes.p1 * value1 + amplitudes.p2 * value2
+    """Mixture mean |c1|^2 value1 + |c2|^2 value2 of a per-branch quantity, such as the
+    field B_k or the flux Phi_k; ValidationError if weights summing to 1 within
+    tolerance carry it past the float range."""
+    if not math.isfinite(mean := amplitudes.p1 * value1 + amplitudes.p2 * value2):
+        raise ValidationError(f"mixture mean {mean!r} of ({value1!r}, {value2!r}) with weights "
+                              f"({amplitudes.p1!r}, {amplitudes.p2!r}) is not finite")
+    return mean
 
 
 def mixture_expectations(

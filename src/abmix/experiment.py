@@ -7,8 +7,7 @@ i with cdf[i] <= q < cdf[i+1] of the pattern's CDF.  Only per-cell counts
 are kept, never positions.  The generator is numpy's PCG64; per electron
 the branch uniform is consumed first and the position uniform second;
 a branch uniform below p1 = |c1|^2 picks branch 1.  Before the first
-draw, the calling thread builds both branch patterns, so a branch whose
-phase is not finite is a ValidationError whatever its weight.
+draw, the calling thread builds both branch patterns, whatever the weights.
 Draws run in fixed chunks of DRAW_CHUNK electrons taken in order from the
 same stream, which yields the same uniforms as one draw of all of them,
 so memory is independent of n_electrons.  Derived streams get fixed
@@ -107,11 +106,10 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate n_electrons detections and estimate the shifts back.
 
-    This thread builds both branch patterns (ValidationError for a branch
-    whose phase is not finite, whatever its weight); it and one worker then
-    count the detections and bootstrap the estimates (`_share`); as the
-    module docstring sets out, the report is still a pure function of
-    (config, seed).
+    This thread builds both branch patterns, from the finite closed forms
+    `config` guarantees; it and one worker then count the detections and
+    bootstrap the estimates (`_share`); as the module docstring sets out,
+    the report is still a pure function of (config, seed).
     """
     if not is_integer(n_electrons) or n_electrons < 1:
         raise ValidationError(f"need a positive integer number of electrons, got {n_electrons!r}")

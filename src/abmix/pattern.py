@@ -105,12 +105,10 @@ def two_slit_pattern(
 ) -> IntensityPattern:
     """Synthesize the two-slit pattern with phase difference `phase` inserted.
 
-    The phase must be finite, the screen must span at least four fringe
-    periods, and the Gaussian envelope width must be positive and leave the
-    envelope above 0 on some screen cell.
+    The screen must span at least four fringe periods, and the Gaussian
+    envelope width must be positive and leave the envelope above 0 on some
+    screen cell.  A phase that is not finite fails as its nan intensities do.
     """
-    if not math.isfinite(phase):
-        raise ValidationError(f"phase difference {phase!r} rad is not finite: no pattern can show it")
     period = fringe_period(constants, geometry)
     _check_optics(period, envelope_width)
     if screen.span < MIN_PERIODS * period:
@@ -123,7 +121,8 @@ def two_slit_pattern(
     if not np.any(envelope > 0.0):
         raise ValidationError(f"envelope_width {envelope_width!r} m is too narrow: the envelope "
                               "underflows to 0 on every screen cell")
-    intensity = (1.0 + np.cos(2.0 * math.pi * x / period + phase)) * envelope
+    with np.errstate(invalid="ignore"):   # the cos of an infinite phase is nan, which IntensityPattern rejects
+        intensity = (1.0 + np.cos(2.0 * math.pi * x / period + phase)) * envelope
     return IntensityPattern(screen, intensity, period, envelope_width)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,13 +19,22 @@ from abmix.cli import main
 from abmix.config import SCHEMA, SCREEN_N_MAX, SECTIONS, WIRE_N_MAX, RunConfig
 
 
-def run(tmp_path, command, data):
-    """Run one command on `data` in process; returns (exit code, stderr lines, out dir)."""
+# finite closed forms, since R^2 underflows and each flux is 0, but the weights sum
+# to 1 + 2.2e-16, within tolerance, and the mixture mean field overflows
+OVERFLOWING_MEAN = {
+    "solenoids": {"B1": 1.7976931348623157e308, "B2": 1.7976931348623157e308, "R1": 1e-300, "R2": 1e-300},
+    "amplitudes": {"c1": [0.7071067811865476, 0.0], "c2": [0.7071067811865476, 0.0]},
+}
+
+
+def run(tmp_path, command, data, stdout=None):
+    """Run one command on `data` in process, its stdout into `stdout` if given;
+    returns (exit code, stderr lines, out dir)."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data), encoding="utf-8")
     out_dir = tmp_path / "out"
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(stdout or io.StringIO()), contextlib.redirect_stderr(err):
         code = main([*command, "--config", str(config), "--out", str(out_dir)])
     return code, err.getvalue().splitlines(), out_dir
 
@@ -74,22 +84,44 @@ def test_too_narrow_envelope_is_one_exit_2_line_for_mixture_csv(tmp_path):
 
 
 # B1 = 1e308 T is finite, but branch 1's phase e B1 pi R1^2 / hbar overflows to inf;
-# a branch of weight 0 still has its pattern built, so it fails the same way
+# the apparatus is refused whatever the branch's weight
 OVERFLOWING_FIELDS = {
     "weighted": {"solenoids": {"B1": 1e308}},
+    "antisymmetric": {"solenoids": {"B1": 1e308, "B2": -1e308}},   # the classical totals would be nan
     "branch1_weight_0": {"amplitudes": {"c1": [0.0, 0.0], "c2": [1.0, 0.0]}, "solenoids": {"B1": 1e308}},
     "branch2_weight_0": {"amplitudes": {"c1": [1.0, 0.0], "c2": [0.0, 0.0]}, "solenoids": {"B2": 1e308}},
     "branch2_weight_0_p1_below_1": {"amplitudes": {"c1": [math.sqrt(1.0 - 1e-13), 0.0], "c2": [0.0, 0.0]},
                                     "solenoids": {"B2": 1e308}},
 }
+COMMANDS = {"phase": ["phase"], "classical": ["classical"], "mixture": ["mixture", "--csv"],
+            "experiment": ["experiment"], "current": ["current"]}
 
 
 @pytest.mark.parametrize("data", OVERFLOWING_FIELDS.values(), ids=OVERFLOWING_FIELDS.keys())
-@pytest.mark.parametrize("command", [["experiment"], ["mixture", "--csv"]], ids=["experiment", "mixture"])
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
 def test_a_field_whose_phase_overflows_is_one_exit_2_line(tmp_path, command, data):
+    k = 1 if "B1" in data["solenoids"] else 2
     code, lines, out_dir = run_without_warnings(tmp_path, command, data)
     assert code == 2
-    assert lines == ["error: phase difference inf rad is not finite: no pattern can show it"]
+    assert lines == [f"invalid config: apparatus: branch {k} phase difference dphi_{k} [rad] = inf is not finite"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+def test_a_screen_distance_whose_shift_overflows_is_one_exit_2_line(tmp_path, command):
+    # L / d overflows: the phase is 1 rad, the fringe period finite, the shift -inf
+    code, lines, out_dir = run_without_warnings(tmp_path, command, {"geometry": {"L": 1e308}})
+    assert code == 2
+    assert lines == ["invalid config: apparatus: branch 1 fringe shift dx_1 [m] = -inf is not finite"]
+    assert not out_dir.exists()
+
+
+def test_a_mixture_mean_that_overflows_is_one_exit_2_line(tmp_path):
+    # every closed form is finite (R^2 underflows, so each flux is 0), but the
+    # weights sum to 1 + 2.2e-16 and the mean field overflows
+    code, lines, out_dir = run_without_warnings(tmp_path, ["mixture", "--csv"], OVERFLOWING_MEAN)
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: mixture mean inf of (1.7976931348623157e+308, ")
     assert not out_dir.exists()
 
 
@@ -228,6 +260,48 @@ def test_any_json_object_exits_cleanly_and_all_or_nothing(command, data):
         assert left == (["config.json", "out"] if code == 0 else ["config.json"])
 
 
+# the documented report.txt lines that read nan when a row is not measured
+NAN_REPORT_LINE = re.compile(r"(branch[12]\.(estimated_shift_m|estimated_shift_sigma_m|visibility)"
+                             r"|pooled\.shift_m|pooled\.shift_sigma_m|mean_shift_m|mean_shift_sigma_m) = nan")
+
+
+def numbers_that_are_not_finite(text):
+    """The tokens of `text`, split at blanks and commas, that read as a number
+    but not a finite one, outside comment lines and NAN_REPORT_LINE lines."""
+    lines = [line for line in text.splitlines() if not (line.startswith("#") or NAN_REPORT_LINE.fullmatch(line))]
+    tokens = [token for line in lines for token in re.split(r"[\s,]+", line)]
+    return [token for token in tokens if re.fullmatch(r"[-+]?(nan|inf)", token, re.IGNORECASE)]
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.builds(lambda known, unknown: nest(known + unknown),
+                 st.lists(KNOWN, max_size=6), st.lists(UNKNOWN, max_size=1)))
+@example(data={"solenoids": {"B1": 1e308}})
+@example(data={"solenoids": {"B1": 1e308, "B2": -1e308}})
+@example(data={"geometry": {"L": 1e308}})
+@example(data=OVERFLOWING_MEAN)
+def test_every_command_prints_finite_numbers_or_refuses_alike(data):
+    data = {**data, "n_electrons": 64}   # a small experiment
+    refusals = {}
+    for name, command in COMMANDS.items():
+        stdout = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, lines, out_dir = run(Path(tmp), command, data, stdout)
+            written = [path.read_text(encoding="utf-8") for path in out_dir.glob("*")]
+        # the one warning a command may give is the documented marginal clearance d < 10 R
+        assert [str(w.message) for w in caught if "model is marginal" not in str(w.message)] == [], name
+        assert code in (0, 2, 3, 4), name
+        assert not any("Traceback" in line for line in lines), name
+        if code == 0:   # stdout and every file written
+            assert numbers_that_are_not_finite("\n".join([stdout.getvalue(), *written])) == [], name
+        if lines and lines[0].startswith("invalid config: "):
+            refusals[name] = lines
+    # validation does not depend on the command: all refuse alike, or none does
+    assert len(refusals) in (0, len(COMMANDS))
+    assert len({tuple(lines) for lines in refusals.values()}) <= 1
+
+
 PERIOD = DEFAULTS["screen.x_max"] / 8.0   # the default screen spans 16 fringe periods
 
 
@@ -282,7 +356,12 @@ def test_any_experiment_exits_cleanly_and_keeps_its_invariants(data):
         left = sorted(path.name for path in Path(tmp).iterdir())   # hidden temporaries included
         assert left == (["config.json", "out"] if code == 0 else ["config.json"])
         if code != 0:
-            assert len(lines) == 1 and lines[0].startswith(("invalid config: ", "error: "))
+            # validate lists every violation, each once; a later failure is one line
+            if lines[0].startswith("invalid config: "):
+                assert all(line.startswith("invalid config: ") for line in lines)
+                assert len(set(lines)) == len(lines)
+            else:
+                assert len(lines) == 1 and lines[0].startswith("error: ")
             return
         assert lines == []
         report = report_values(out_dir)

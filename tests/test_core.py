@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ def synthetic_constants(e=1.0, m=1.0, hbar=1.0):
     return PhysicalConstants(e=e, m=m, hbar=hbar, h=2.0 * math.pi * hbar)
 
 
+def planck_scaled(constants, factor):
+    """`constants` with hbar, and h = 2*pi*hbar, scaled by `factor`."""
+    scaled = factor * constants.hbar
+    return replace(constants, hbar=scaled, h=2.0 * math.pi * scaled)
+
+
 class TestPhysicalConstants:
     def test_defaults_satisfy_planck_pair_identity(self):
         assert abs(CONSTANTS.h - 2.0 * math.pi * CONSTANTS.hbar) <= math.ulp(CONSTANTS.h)
@@ -58,11 +65,6 @@ class TestPhysicalConstants:
     def test_rejects_inconsistent_planck_pair(self):
         with pytest.raises(ValidationError):
             PhysicalConstants(h=CONSTANTS.h * 1.001)
-
-    @pytest.mark.parametrize("factor", [0.1, 1.0, 10.0])
-    def test_with_planck_scaled_stays_consistent(self, factor):
-        scaled = CONSTANTS.with_planck_scaled(factor)
-        assert scaled.hbar == pytest.approx(factor * CONSTANTS.hbar, rel=1e-15)
 
 
 class TestGeometryAndSolenoid:
@@ -82,20 +84,17 @@ class TestGeometryAndSolenoid:
     def test_solenoid_area(self):
         assert Solenoid(field=0.0, radius=2.0).area == pytest.approx(4.0 * math.pi, rel=1e-15)
 
-    def test_clearance_rejects_slits_through_solenoid(self):
-        with pytest.raises(ValidationError):
-            GEOMETRY.check_solenoid(Solenoid(field=1.0, radius=5.1e-6))
-
-    def test_clearance_warns_when_marginal(self):
-        with pytest.warns(UserWarning):
-            GEOMETRY.check_solenoid(Solenoid(field=1.0, radius=2e-6))
-
-    def test_clearance_silent_when_comfortable(self, recwarn):
-        GEOMETRY.check_solenoid(Solenoid(field=1.0, radius=2.5e-7))
-        assert not recwarn.list
+    def test_an_area_beyond_the_float_range_is_inf(self):
+        # R^2 overflows: an inf area, not an OverflowError
+        assert Solenoid(field=0.0, radius=1e200).area == math.inf
 
 
 class TestDeBroglieWavelength:
+    def test_a_momentum_that_underflows_gives_an_infinite_wavelength(self):
+        # m v underflows to 0: an inf wavelength, not a ZeroDivisionError
+        geometry = ApparatusGeometry(screen_distance=1.0, slit_separation=1.0, speed=1e-200)
+        assert de_broglie_wavelength(synthetic_constants(m=1e-200), geometry) == math.inf
+
     def test_unit_momentum_to_h_ratio(self):
         # m v = h in synthetic units
         constants = synthetic_constants()
@@ -189,12 +188,12 @@ class TestFringeShift:
     @pytest.mark.parametrize("factor", [0.1, 1.0, 10.0])
     def test_hbar_independence_within_8_ulp(self, factor):
         base = fringe_shift(CONSTANTS, GEOMETRY, 2e-15)
-        scaled = fringe_shift(CONSTANTS.with_planck_scaled(factor), GEOMETRY, 2e-15)
+        scaled = fringe_shift(planck_scaled(CONSTANTS, factor), GEOMETRY, 2e-15)
         assert abs(scaled - base) <= 8.0 * math.ulp(abs(base))
 
     def test_classical_form_ignores_planck_scale(self):
         base = fringe_shift_classical_form(CONSTANTS, GEOMETRY, 2e-15)
-        scaled = fringe_shift_classical_form(CONSTANTS.with_planck_scaled(10.0), GEOMETRY, 2e-15)
+        scaled = fringe_shift_classical_form(planck_scaled(CONSTANTS, 10.0), GEOMETRY, 2e-15)
         assert scaled == base  # hbar never enters this form
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,11 +90,66 @@ def test_check_weights_rejects_unnormalized_negative_and_non_finite_pairs(p1, p2
         check_weights(p1, p2)
 
 
+def synthetic_constants(e=1.0, m=1.0, hbar=1.0):
+    return PhysicalConstants(e=e, m=m, hbar=hbar, h=2.0 * math.pi * hbar)
+
+
+UNIT_AREA_RADIUS = 1.0 / math.sqrt(math.pi)   # pi R^2 = 1 m^2: the flux is the field
+
+# apparatus -> the first closed form that is not finite; every other closed
+# form listed before it is finite
+NON_FINITE_CLOSED_FORMS = {
+    # m v underflows to 0
+    "lambda": ((1.0, 1.0, 2.5e-7), ApparatusGeometry(1.0, 1e-5, 1e-300), synthetic_constants(m=1e-300),
+               "de Broglie wavelength lambda [m] = inf"),
+    "period": ((0.0, 0.0, 1.0), ApparatusGeometry(1e308, 10.0, 1.0), synthetic_constants(),
+               "fringe period [m] = inf"),
+    "flux": ((1e308, 0.0, 1.0), ApparatusGeometry(1.0, 10.0, 1e6), CONSTANTS, "branch 1 flux Phi_1 [Wb] = inf"),
+    # R^2 overflows
+    "area": ((0.0, 1.0, 1e200), ApparatusGeometry(1.0, 1e201, 1e6), CONSTANTS, "branch 1 flux Phi_1 [Wb] = nan"),
+    "phase": ((1.0, -1e308, 2.5e-7), GEOMETRY, CONSTANTS, "branch 2 phase difference dphi_2 [rad] = -inf"),
+    "shift": ((1.0, -1.0, 2.5e-7), ApparatusGeometry(1e308, 1e-5, 1e6), CONSTANTS,
+              "branch 1 fringe shift dx_1 [m] = -inf"),
+    # Phi / v overflows; the hbar form goes through lambda = h / (m v) instead
+    "classical_form": ((5e22, 0.0, 2.5e-7), ApparatusGeometry(1.0, 1e-5, 1e-300), synthetic_constants(e=1e-300),
+                       "branch 1 fringe shift dx_1, classical form [m] = -inf"),
+    "total_flux": ((1e308, 1e308, UNIT_AREA_RADIUS), ApparatusGeometry(1.0, 10.0, 1e6),
+                   synthetic_constants(e=1e-300), "classical total flux Phi [Wb] = inf"),
+    "total_phase": ((1e300, 1e300, UNIT_AREA_RADIUS), ApparatusGeometry(10.0, 10.0, 1.0),
+                    synthetic_constants(hbar=1e-8), "classical total phase difference dphi [rad] = inf"),
+    "total_shift": ((10.0, 10.0, UNIT_AREA_RADIUS), ApparatusGeometry(1e308, 10.0, 1.0),
+                    synthetic_constants(hbar=0.1), "classical total fringe shift dx [m] = -inf"),
+    # each branch phase overflows, and inf - inf would be a nan total
+    "antisymmetric": ((1e308, -1e308, 2.5e-7), GEOMETRY, CONSTANTS, "branch 1 phase difference dphi_1 [rad] = inf"),
+}
+
+
 class TestDualSolenoidConfig:
     def test_rejects_solenoids_wider_than_slits(self):
         # each solenoid alone is only marginal (warning), the pair is fatal
         with pytest.warns(UserWarning), pytest.raises(ValidationError):
             config_with_fields(1e-3, -1e-3, radius=2.6e-6)  # 2(R1+R2) > d
+
+    def test_clearance_rejects_slits_through_a_solenoid(self):
+        # d <= 2 R1 alone: the pair rule 2(R1 + R2) covers it
+        with pytest.warns(UserWarning), pytest.raises(ValidationError, match=r"must exceed 2\(R1\+R2\)"):
+            DualSolenoidConfig(Solenoid(1.0, 5.1e-6), Solenoid(1.0, 2.5e-7), GEOMETRY, CONSTANTS)
+
+    def test_clearance_warns_when_marginal(self):
+        with pytest.warns(UserWarning, match="marginal"):
+            DualSolenoidConfig(Solenoid(1.0, 2e-6), Solenoid(1.0, 2.5e-7), GEOMETRY, CONSTANTS)
+
+    def test_clearance_silent_when_comfortable(self, recwarn):
+        antisymmetric_config()
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("fields, geometry, constants, quantity", NON_FINITE_CLOSED_FORMS.values(),
+                             ids=NON_FINITE_CLOSED_FORMS.keys())
+    def test_a_closed_form_that_is_not_finite_is_named(self, fields, geometry, constants, quantity):
+        b1, b2, radius = fields
+        with pytest.raises(ValidationError) as error:
+            DualSolenoidConfig(Solenoid(b1, radius), Solenoid(b2, radius), geometry, constants)
+        assert str(error.value) == f"{quantity} is not finite"
 
     def test_flux_accessors_match_core(self):
         config = antisymmetric_config()
@@ -151,6 +207,12 @@ class TestMixtureMeans:
 
     def test_equal_weights_antisymmetric_fields_vanish(self):
         assert mixture_mean(EQUAL_WEIGHTS, 2e-3, -2e-3) == 0.0
+
+    def test_a_mean_beyond_the_float_range_is_refused(self):
+        # |c|^2 rounds to 0.5000000000000001: the weights sum to 1 within tolerance
+        c = complex(0.7071067811865476)
+        with pytest.raises(ValidationError, match="mixture mean inf .* is not finite"):
+            mixture_mean(BranchAmplitudes(c1=c, c2=c), sys.float_info.max, sys.float_info.max)
 
     def test_quarter_three_quarter_weights(self):
         amps = BranchAmplitudes(c1=0.5 + 0.0j, c2=complex(math.sqrt(0.75)))

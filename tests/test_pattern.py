@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,14 @@ class TestTwoSlitPattern:
     def test_rejects_bad_envelope(self):
         with pytest.raises(ValidationError):
             pattern_at(0.0, envelope=0.0)
+
+    @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+    def test_a_phase_that_is_not_finite_gives_intensities_that_are_rejected(self, phase):
+        # the cos of such a phase is nan, and no RuntimeWarning escapes on the way
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValidationError, match="finite"):
+            warnings.simplefilter("always")
+            pattern_at(phase)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestMixturePattern:
