@@ -190,10 +190,7 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
         ("mixture mean phase dphi [rad]", mixture_mean(amplitudes, o1.phase, o2.phase)),
         ("mixture mean shift dx [m]", mixture_mean(amplitudes, o1.shift, o2.shift)),
     ]
-    screen, width = cfg.objects["screen"], cfg["envelope_width"]
-    branch_patterns = [
-        two_slit_pattern(config.constants, config.geometry, o.phase, screen, width) for o in outcomes
-    ]
+    branch_patterns = [two_slit_pattern(cfg.objects["screen"], o.phase) for o in outcomes]
     mixed = mixture_pattern(o1.probability, branch_patterns[0], o2.probability, branch_patterns[1])
     mixed_visibility = visibility(mixed)
     rows.append(("mixture pattern visibility", mixed_visibility))
@@ -212,13 +209,14 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
 
 
 def cmd_experiment(cfg: RunConfig) -> int:
+    optics = cfg.objects["screen"]
     report = run_experiment(
         config=cfg.objects["apparatus"],
         amplitudes=cfg.objects["amplitudes"],
         n_electrons=cfg["n_electrons"],
         seed=cfg["seed"],
-        screen=cfg.objects["screen"],
-        envelope_width=cfg["envelope_width"],
+        screen=optics.grid,
+        envelope_width=optics.envelope_width,
     )
     text = _report_config(cfg) + report_text(report)
     files = {"report.txt": text, "histogram_pooled.csv": pattern_csv(report.pooled_histogram, "count")}
@@ -301,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _load_config(args)
-    if cfg is None:
-        return EXIT_VALIDATION
     commands = {"phase": cmd_phase, "classical": cmd_classical, "experiment": cmd_experiment,
                 "current": cmd_current, "mixture": lambda cfg: cmd_mixture(cfg, args.csv)}
     try:
+        cfg = _load_config(args)   # validation builds the screen's arrays, which can exhaust memory
+        if cfg is None:
+            return EXIT_VALIDATION
         return commands[args.command](cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

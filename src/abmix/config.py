@@ -13,12 +13,14 @@ and numeric strings are never numbers; amplitudes are [re, im] lists of two
 numbers; wavepackets.kind is "gaussian" or "plane"; out_dir is a string
 with no NUL character (no path can hold one).
 Unknown keys are rejected at any depth, and a partial section is merged key
-by key with the defaults.  The screen must resolve the fringes with at
-least 2 * HISTOGRAM_REBIN = 32 cells per fringe period, so the rebinned
-histograms of an experiment still see them.
+by key with the defaults.
 
 `validate` builds each domain object once and lists every violation once:
-it skips an object whose inputs already failed.
+it skips an object whose inputs already failed.  The screen is a
+`pattern.ScreenOptics`, the one home of the screen's rules; it is built
+after the apparatus, from the apparatus's fringe period, so an apparatus
+that failed skips it and no cause is listed twice.  Every command
+validates the same objects, so a bad screen fails every command alike.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from typing import Any
 import numpy as np
 
 from .core import (ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, ApparatusGeometry, Grid, PhysicalConstants,
-                   Solenoid, fringe_period)
+                   Solenoid, base_area, fringe_period)
 from .current import MIN_SAMPLES
 from .dual import BranchAmplitudes, DualSolenoidConfig
 from .errors import ValidationError
-from .pattern import HISTOGRAM_REBIN
+from .pattern import ScreenOptics
 
 # -- type rules: (expected, test); test returns the typed value or None
 
@@ -88,8 +90,9 @@ def _periods(count: float):
 
 
 def _unit_field(radius: str, sign: float):
-    """Default field whose branch phase difference is exactly `sign` rad."""
-    return lambda v: sign * ((v["constants.hbar"] / v["constants.e"]) / (math.pi * v[radius] ** 2))
+    """Default field whose branch phase difference is exactly `sign` rad: 0
+    where the base area overflows to inf, which leaves the flux nan."""
+    return lambda v: sign * ((v["constants.hbar"] / v["constants.e"]) / base_area(v[radius]))
 
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -148,18 +151,6 @@ SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
 SECTIONS = {key.split(".")[0] for key in SCHEMA if "." in key}
 
 
-def _screen(v, built) -> Grid:
-    screen = Grid(v["screen.x_min"], v["screen.x_max"], v["screen.n"])
-    period = fringe_period(built["constants"], built["geometry"])
-    if screen.dx * 2 * HISTOGRAM_REBIN > period:
-        raise ValidationError(
-            f"{screen.n} cells over {screen.span!r} m do not resolve the fringe period {period!r} m: "
-            f"each period needs at least {2 * HISTOGRAM_REBIN} cells, so raise screen.n or narrow "
-            "[screen.x_min, screen.x_max]"
-        )
-    return screen
-
-
 # the domain objects, in build order: name -> builder(values, objects built so far)
 _BUILDERS = (
     ("constants", lambda v, built: _constants(v)),
@@ -168,10 +159,14 @@ _BUILDERS = (
     ("solenoid2", lambda v, built: Solenoid(field=v["solenoids.B2"], radius=v["solenoids.R2"])),
     ("amplitudes", lambda v, built: BranchAmplitudes(
         c1=complex(*v["amplitudes.c1"]), c2=complex(*v["amplitudes.c2"]))),
-    ("screen", _screen),
-    ("envelope_width", lambda v, built: v["envelope_width"]),   # reports an underivable default
     ("apparatus", lambda v, built: DualSolenoidConfig(
         built["solenoid1"], built["solenoid2"], built["geometry"], built["constants"])),
+    # the apparatus is read before any screen key: if it failed, the screen,
+    # which needs its fringe period, is skipped rather than listing its cause again
+    ("screen", lambda v, built: ScreenOptics(
+        period=fringe_period(built["apparatus"].constants, built["apparatus"].geometry),
+        grid=Grid(v["screen.x_min"], v["screen.x_max"], v["screen.n"]),
+        envelope_width=v["envelope_width"])),
     ("wavepackets", lambda v, built: Grid(      # the wire grid of the `current` command
         v["wavepackets.eta_min"], v["wavepackets.eta_max"], v["wavepackets.n"])),
 )

@@ -81,11 +81,15 @@ class Solenoid:
 
     @property
     def area(self) -> float:
-        """Base area S = pi R^2, m^2, or inf where R^2 overflows."""
-        try:
-            return math.pi * self.radius**2
-        except OverflowError:
-            return math.inf
+        return base_area(self.radius)
+
+
+def base_area(radius: float) -> float:
+    """Base area S = pi R^2 of a solenoid of radius R, m^2, or inf where R^2 overflows."""
+    try:
+        return math.pi * radius**2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,9 @@ class Grid:
 
     @property
     def positions(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        positions = np.arange(self.n, dtype=float)   # x_min + dx * i, built in one array
+        positions *= self.dx
+        return np.add(positions, self.x_min, out=positions)
 
 
 def de_broglie_wavelength(constants: PhysicalConstants, geometry: ApparatusGeometry) -> float:

@@ -51,12 +51,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Grid, is_integer
+from .core import Grid, fringe_period, is_integer
 from .dual import BranchAmplitudes, DualSolenoidConfig, MixtureOutcome, outcome_distribution
 from .errors import ValidationError
 from .pattern import (
     FringeEstimate,
     IntensityPattern,
+    ScreenOptics,
     ShiftEstimator,
     detection_counts,
     shift_estimator,
@@ -106,10 +107,12 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate n_electrons detections and estimate the shifts back.
 
-    This thread builds both branch patterns, from the finite closed forms
-    `config` guarantees; it and one worker then count the detections and
-    bootstrap the estimates (`_share`); as the module docstring sets out,
-    the report is still a pure function of (config, seed).
+    This thread builds the screen's `ScreenOptics` from `screen`, the fringe
+    period of `config` and `envelope_width`, and both branch patterns, from
+    the finite closed forms `config` guarantees; it and one worker then
+    count the detections and bootstrap the estimates (`_share`); as the
+    module docstring sets out, the report is still a pure function of
+    (config, seed).
     """
     if not is_integer(n_electrons) or n_electrons < 1:
         raise ValidationError(f"need a positive integer number of electrons, got {n_electrons!r}")
@@ -120,12 +123,10 @@ def run_experiment(
     n_electrons, seed, n_bootstrap = int(n_electrons), int(seed), int(n_bootstrap)   # numpy integers would leak
 
     outcomes = outcome_distribution(config, amplitudes)
-    reference = two_slit_pattern(config.constants, config.geometry, 0.0, screen, envelope_width)
+    optics = ScreenOptics(screen, fringe_period(config.constants, config.geometry), envelope_width)
+    reference = two_slit_pattern(optics, 0.0)
     estimator = shift_estimator(reference)
-    patterns = [
-        two_slit_pattern(config.constants, config.geometry, outcome.phase, screen, envelope_width)
-        for outcome in outcomes
-    ]
+    patterns = [two_slit_pattern(optics, outcome.phase) for outcome in outcomes]
 
     counts = _count_detections(patterns, outcomes[0].probability, n_electrons, seed)
     pooled = replace(reference, intensity=counts[0] + counts[1])
@@ -223,7 +224,7 @@ def _count_detections(
     one task per chunk; each thread adds the chunks it draws into counts of
     its own.  A branch uniform below p1 picks branch 1."""
     stream = _Stream((seed, 0), n_electrons, DRAW_CHUNK)
-    cells = patterns[0].grid.n
+    cells = patterns[0].n
     counts = np.zeros((2, 2, cells), dtype=np.int64)   # by thread slot, then branch
 
     def count(slot: int, _chunk: int) -> None:

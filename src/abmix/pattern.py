@@ -10,6 +10,9 @@ width.  The sign of the phase insertion is calibrated so the fringe
 maximum nearest the axis sits at the closed-form translation dx
 (tests pin this calibration).
 
+Every pattern lies on a `ScreenOptics` (grid, P, w), the one home of the
+screen's rules, which computes the envelope and the central cells once.
+
 A statistical mixture of two branches is realized on the screen as the
 incoherent, intensity-level weighted sum of the branch patterns; the
 wire-electron branches are orthogonal, so no cross term survives.
@@ -20,13 +23,12 @@ fringe contrast by |cos delta| while the envelope is unchanged.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
 
-from .core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period
+from .core import Grid
 from .dual import check_weights
 from .errors import ValidationError
 
@@ -36,28 +38,88 @@ HISTOGRAM_REBIN = 16     # cell merging for counts histograms
 
 
 @dataclass(frozen=True)
-class IntensityPattern:
-    """Sampled non-negative screen intensity, usable as an unnormalized density.
-
-    `period` and `envelope_width` are the fringe period and the Gaussian
-    envelope width the estimator needs to undo the envelope.
-    """
+class ScreenOptics:
+    """The detection screen's grid, fringe period P and envelope width w, and
+    the one home of the screen's rules: P and w finite and positive, 2 w^2
+    neither overflowing nor underflowing to 0; a span of MIN_PERIODS periods
+    of 2 * HISTOGRAM_REBIN cells each at least; and, read cell by cell and
+    merged HISTOGRAM_REBIN at a time, some cell within one period of x = 0,
+    where contrast is read, with the envelope above 0 on each such cell.
+    Two optics are equal when their grid, P and w are."""
 
     grid: Grid
-    intensity: np.ndarray
     period: float            # m
     envelope_width: float    # m
+    envelope: np.ndarray = field(init=False, repr=False, compare=False)   # G(x) on each cell, read-only
+    # by rebin, 1 or HISTOGRAM_REBIN: the mask of the merged cells within one
+    # period of x = 0, and the merged envelope on them, both read-only
+    central: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_optics(self.period, self.envelope_width)
+        grid, period, width = self.grid, self.period, self.envelope_width
+        for name, value in (("period", period), ("envelope_width", width)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+        try:
+            two_width_sq = 2.0 * width**2
+        except OverflowError:
+            raise ValidationError(f"envelope_width {width!r} m is too large: its square overflows") from None
+        if two_width_sq == 0.0:
+            raise ValidationError(f"envelope_width {width!r} m is too narrow: its square underflows to 0")
+        if grid.span < MIN_PERIODS * period:
+            raise ValidationError(f"screen span {grid.span!r} m is narrower than {MIN_PERIODS} fringe "
+                                  f"periods ({MIN_PERIODS * period!r} m)")
+        if grid.dx * 2 * HISTOGRAM_REBIN > period:
+            raise ValidationError(
+                f"{grid.n} cells over {grid.span!r} m do not resolve the fringe period {period!r} m: "
+                f"each period needs at least {2 * HISTOGRAM_REBIN} cells, so raise screen.n or narrow "
+                "[screen.x_min, screen.x_max]"
+            )
+        x = grid.positions   # becomes the envelope: with the masks, about 9 bytes a cell
+        masks = {}
+        for rebin in (1, HISTOGRAM_REBIN):
+            keep = (grid.n // rebin) * rebin
+            centers = x if rebin == 1 else x[:keep].reshape(-1, rebin).mean(axis=1)   # mean positions
+            masks[rebin] = (-period <= centers) & (centers <= period)   # |centre| <= P, with no float temporary
+            if not masks[rebin].any():
+                raise ValidationError(f"the screen has no cell within one fringe period ({period!r} m) of x = 0")
+        envelope = _envelope(x, width)
+        central = {}
+        for rebin, mask in masks.items():
+            central_envelope = envelope[:len(mask) * rebin].reshape(-1, rebin)[mask].sum(axis=1)
+            if not np.all(central_envelope > 0.0):
+                raise ValidationError(f"envelope_width {width!r} m is too narrow: the envelope underflows "
+                                      f"to 0 within one fringe period ({period!r} m) of x = 0")
+            mask.flags.writeable = central_envelope.flags.writeable = False
+            central[rebin] = (mask, central_envelope)
+        envelope.flags.writeable = False
+        object.__setattr__(self, "envelope", envelope)
+        object.__setattr__(self, "central", central)
+
+
+def _envelope(x: np.ndarray, width: float) -> np.ndarray:
+    """exp(-x^2 / 2w^2), computed in place: `x` is overwritten and returned."""
+    with np.errstate(over="ignore"):   # x^2 / 2w^2 beyond the float range is inf, and exp(-inf) = 0
+        np.square(x, out=x)
+        np.divide(x, -2.0 * width**2, out=x)
+        return np.exp(x, out=x)
+
+
+@dataclass(frozen=True)
+class IntensityPattern:
+    """Sampled non-negative intensity on the cells of `optics`'s grid, usable
+    as an unnormalized density."""
+
+    optics: ScreenOptics
+    intensity: np.ndarray
+
+    def __post_init__(self):
         intensity = np.asarray(self.intensity, dtype=float)
         intensity.flags.writeable = False
         object.__setattr__(self, "intensity", intensity)
-        if intensity.shape != (self.grid.n,) or self.grid.n < 16:
-            raise ValidationError(
-                f"intensity must be 1-D with one value per cell of a grid of >= 16 cells, "
-                f"got shape {intensity.shape} on {self.grid.n} cells"
-            )
+        if intensity.shape != (self.n,):
+            raise ValidationError(f"intensity must be 1-D with one value per screen cell, "
+                                  f"got shape {intensity.shape} on {self.n} cells")
         if np.any(~np.isfinite(intensity)) or np.any(intensity < 0.0):
             raise ValidationError("intensities must be finite and non-negative")
         if not self.total > 0.0:
@@ -65,28 +127,12 @@ class IntensityPattern:
 
     @property
     def n(self) -> int:
-        return self.grid.n
+        return self.optics.grid.n
 
     @property
     def total(self) -> float:
         """Unnormalized mass sum I dx."""
-        return float(np.sum(self.intensity) * self.grid.dx)
-
-
-def _check_optics(period: float, envelope_width: float) -> None:
-    """A pattern's fringe period and envelope width must be finite and
-    positive, and the envelope's 2 w^2 neither overflow nor underflow to 0."""
-    for name, value in (("period", period), ("envelope_width", envelope_width)):
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-    try:
-        two_width_sq = 2.0 * envelope_width**2
-    except OverflowError:
-        raise ValidationError(f"envelope_width {envelope_width!r} m is too large: "
-                              "its square overflows") from None
-    if two_width_sq == 0.0:
-        raise ValidationError(f"envelope_width {envelope_width!r} m is too narrow: "
-                              "its square underflows to 0")
+        return float(np.sum(self.intensity) * self.optics.grid.dx)
 
 
 @dataclass(frozen=True)
@@ -96,91 +142,42 @@ class FringeEstimate:
     uncertainty: float   # m; 0 for noise-free synthesized patterns, nan for a row not measured
 
 
-def two_slit_pattern(
-    constants: PhysicalConstants,
-    geometry: ApparatusGeometry,
-    phase: float,
-    screen: Grid,
-    envelope_width: float,
-) -> IntensityPattern:
-    """Synthesize the two-slit pattern with phase difference `phase` inserted.
-
-    The screen must span at least four fringe periods, and the Gaussian
-    envelope width must be positive and leave the envelope above 0 on some
-    screen cell.  A phase that is not finite fails as its nan intensities do.
-    """
-    period = fringe_period(constants, geometry)
-    _check_optics(period, envelope_width)
-    if screen.span < MIN_PERIODS * period:
-        raise ValidationError(
-            f"screen span {screen.span!r} m is narrower than {MIN_PERIODS} fringe "
-            f"periods ({MIN_PERIODS * period!r} m)"
-        )
-    x = screen.positions
-    envelope = _envelope(x, envelope_width)
-    if not np.any(envelope > 0.0):
-        raise ValidationError(f"envelope_width {envelope_width!r} m is too narrow: the envelope "
-                              "underflows to 0 on every screen cell")
+def two_slit_pattern(optics: ScreenOptics, phase: float) -> IntensityPattern:
+    """Synthesize the two-slit pattern on `optics` with phase difference
+    `phase` inserted.  A phase that is not finite fails as its nan
+    intensities do."""
     with np.errstate(invalid="ignore"):   # the cos of an infinite phase is nan, which IntensityPattern rejects
-        intensity = (1.0 + np.cos(2.0 * math.pi * x / period + phase)) * envelope
-    return IntensityPattern(screen, intensity, period, envelope_width)
+        intensity = (1.0 + np.cos(2.0 * math.pi * optics.grid.positions / optics.period + phase)) * optics.envelope
+    return IntensityPattern(optics, intensity)
 
 
-def _envelope(x: np.ndarray, width: float) -> np.ndarray:
-    with np.errstate(over="ignore"):   # x^2 / 2w^2 beyond the float range is inf, and exp(-inf) = 0
-        return np.exp(-(x**2) / (2.0 * width**2))
-
-
-def mixture_pattern(
-    p1: float, pattern1: IntensityPattern, p2: float, pattern2: IntensityPattern
-) -> IntensityPattern:
-    """Incoherent weighted sum p1 I1 + p2 I2 of two patterns on the same grid
-    with the same fringe period and envelope width."""
-    optics = (pattern1.grid, pattern1.period, pattern1.envelope_width)
-    if (pattern2.grid, pattern2.period, pattern2.envelope_width) != optics:
+def mixture_pattern(p1: float, pattern1: IntensityPattern, p2: float, pattern2: IntensityPattern) -> IntensityPattern:
+    """Incoherent weighted sum p1 I1 + p2 I2 of two patterns on the same optics."""
+    if pattern2.optics != pattern1.optics:
         raise ValidationError("mixture requires both patterns to share grid, fringe period and envelope width")
     check_weights(p1, p2)
-    return IntensityPattern(
-        pattern1.grid,
-        p1 * pattern1.intensity + p2 * pattern2.intensity,
-        pattern1.period,
-        pattern1.envelope_width,
-    )
+    return IntensityPattern(pattern1.optics, p1 * pattern1.intensity + p2 * pattern2.intensity)
 
 
-def _contrast_rule(optics: IntensityPattern, envelope: np.ndarray,
-                   counts: bool) -> Callable[[np.ndarray], np.ndarray]:
+def _contrast(optics: ScreenOptics, block: np.ndarray, counts: bool) -> np.ndarray:
     """Visibility of each row of a (k, n) block on `optics`'s grid: (max - min)/(max + min),
     or 0 if that is 0/0, of intensity/envelope over the cells within one fringe period
     of x = 0, with counts merged HISTOGRAM_REBIN cells at a time first (one at a time is
-    the identity).  ValidationError if no cell is that central or the merged
-    envelope underflows to 0 on one of them."""
+    the identity)."""
     rebin = HISTOGRAM_REBIN if counts else 1
-    keep = (optics.n // rebin) * rebin
-    period = optics.period
-    central = np.abs(optics.grid.positions[:keep].reshape(-1, rebin).mean(axis=1)) <= period
-    if not np.any(central):
-        raise ValidationError(f"the screen has no cell within one fringe period ({period!r} m) of x = 0")
-    central_envelope = envelope[:keep].reshape(-1, rebin).sum(axis=1)[central]
-    if not np.all(central_envelope > 0.0):
-        raise ValidationError(f"envelope_width {optics.envelope_width!r} m is too narrow: the envelope "
-                              f"underflows to 0 within one fringe period ({period!r} m) of x = 0")
-
-    def contrast(block: np.ndarray) -> np.ndarray:
-        merged = block[:, :keep].reshape(len(block), -1, rebin).sum(axis=2)
-        profile = merged[:, central] / central_envelope
-        hi, lo = profile.max(axis=1), profile.min(axis=1)
-        return np.divide(hi - lo, hi + lo, out=np.zeros(len(block)), where=hi + lo > 0.0)
-
-    return contrast
+    central, central_envelope = optics.central[rebin]
+    keep = len(central) * rebin
+    merged = block[:, :keep].reshape(len(block), -1, rebin).sum(axis=2)
+    profile = merged[:, central] / central_envelope
+    hi, lo = profile.max(axis=1), profile.min(axis=1)
+    return np.divide(hi - lo, hi + lo, out=np.zeros(len(block)), where=hi + lo > 0.0)
 
 
 def visibility(pattern: IntensityPattern) -> float:
     """(I_max - I_min)/(I_max + I_min) of the envelope-normalized pattern
     over the central two fringe periods, read cell by cell as a synthesized
     pattern (`ShiftEstimator.shifts` judges detection counts)."""
-    envelope = _envelope(pattern.grid.positions, pattern.envelope_width)
-    return float(_contrast_rule(pattern, envelope, False)(pattern.intensity[np.newaxis])[0])
+    return float(_contrast(pattern.optics, pattern.intensity[np.newaxis], False)[0])
 
 
 def _fringe_parts(block: np.ndarray, envelope: np.ndarray) -> np.ndarray:
@@ -206,13 +203,12 @@ class ShiftEstimator:
     interpolation around the peak and clipped to half the grid span.
     Shifts are resolved within half a fringe period; beyond that the
     nearest-period alias wins because the envelope weights it higher.
-    Every pattern is judged by the reference's envelope and contrast rules.
-    Nothing here is written after construction, so threads may share it.
+    Every pattern is judged by the envelope and contrast rule of the
+    reference's optics.  Nothing here is written after construction, so
+    threads may share it.
     """
 
     reference: IntensityPattern
-    envelope: np.ndarray          # G(x) of the reference, read-only
-    contrast: dict[bool, Callable[[np.ndarray], np.ndarray]]   # block contrast rule by holds_counts
     nfft: int                     # smallest power of 2 >= 2n - 1: no circular wrap
     reference_spectrum: np.ndarray   # conj(rfft) of the reference's fringe part, read-only
 
@@ -222,11 +218,12 @@ class ShiftEstimator:
         `holds_counts` is false, through one rfft and one irfft of the whole
         block.  Rows are not validated.  A row at or below VISIBILITY_FLOOR
         is not measured: its shift is nan, which is how every caller tells."""
-        visibilities = self.contrast[holds_counts](block)
-        n, dx = self.reference.grid.n, self.reference.grid.dx
+        optics = self.reference.optics
+        visibilities = _contrast(optics, block, holds_counts)
+        n, dx = optics.grid.n, optics.grid.dx
         # temporaries are reused or freed as soon as they are spent: on the
         # worker thread they are all the resident memory the thread adds
-        spectra = np.fft.rfft(_fringe_parts(block, self.envelope), self.nfft, axis=-1)
+        spectra = np.fft.rfft(_fringe_parts(block, optics.envelope), self.nfft, axis=-1)
         spectra *= self.reference_spectrum
         c = np.fft.irfft(spectra, self.nfft, axis=-1)
         del spectra
@@ -246,13 +243,11 @@ class ShiftEstimator:
 def shift_estimator(reference: IntensityPattern) -> ShiftEstimator:
     """The ShiftEstimator bound to `reference`; ValidationError if the
     reference itself is not measured."""
-    envelope = _envelope(reference.grid.positions, reference.envelope_width)
-    contrast = {counts: _contrast_rule(reference, envelope, counts) for counts in (False, True)}
-    nfft = 1 << (2 * reference.grid.n - 2).bit_length()
-    reference_part = _fringe_parts(reference.intensity[np.newaxis], envelope)[0]
+    nfft = 1 << (2 * reference.n - 2).bit_length()
+    reference_part = _fringe_parts(reference.intensity[np.newaxis], reference.optics.envelope)[0]
     reference_spectrum = np.conj(np.fft.rfft(reference_part, nfft))
-    envelope.flags.writeable = reference_spectrum.flags.writeable = False
-    estimator = ShiftEstimator(reference, envelope, contrast, nfft, reference_spectrum)
+    reference_spectrum.flags.writeable = False
+    estimator = ShiftEstimator(reference, nfft, reference_spectrum)
     shifts, visibilities = estimator.shifts(reference.intensity[np.newaxis], holds_counts=False)
     if math.isnan(shifts[0]):
         raise ValidationError(
@@ -265,11 +260,9 @@ def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> Fr
     """Fringe translation of the synthesized `pattern` relative to `reference`,
     by a one-off estimator: a nan shift, as `ShiftEstimator.shifts` gives, when
     its visibility is at or below VISIBILITY_FLOOR (the physically washed-out
-    regime); ValidationError when its grid, fringe period or envelope width
-    differs from the reference's."""
+    regime); ValidationError when its optics differ from the reference's."""
     estimator = shift_estimator(reference)
-    if ((pattern.grid, pattern.period, pattern.envelope_width)
-            != (reference.grid, reference.period, reference.envelope_width)):
+    if pattern.optics != reference.optics:
         raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
     shifts, visibilities = estimator.shifts(pattern.intensity[np.newaxis], holds_counts=False)
     return FringeEstimate(shift=float(shifts[0]), visibility=float(visibilities[0]), uncertainty=0.0)
@@ -295,8 +288,9 @@ def inverse_cdf_positions(pattern: IntensityPattern, quantiles: np.ndarray) -> n
     cells = np.clip(np.searchsorted(cdf, quantiles, side="right") - 1, 0, pattern.n - 1)
     width = np.maximum(cdf[cells + 1] - cdf[cells], np.finfo(float).tiny)
     fraction = np.clip((quantiles - cdf[cells]) / width, 0.0, 1.0)
-    left_edges = pattern.grid.x_min - 0.5 * pattern.grid.dx + pattern.grid.dx * cells
-    return left_edges + fraction * pattern.grid.dx
+    grid = pattern.optics.grid
+    left_edges = grid.x_min - 0.5 * grid.dx + grid.dx * cells
+    return left_edges + fraction * grid.dx
 
 
 def detection_counts(pattern: IntensityPattern, quantiles: np.ndarray) -> np.ndarray:
@@ -313,11 +307,11 @@ def detection_counts(pattern: IntensityPattern, quantiles: np.ndarray) -> np.nda
 
 def histogram_pattern(samples: np.ndarray, reference: IntensityPattern) -> IntensityPattern:
     """Bin detection positions onto the cells of `reference`'s grid, as a
-    counts pattern with the reference's fringe period and envelope width."""
-    grid = reference.grid
+    counts pattern on the reference's optics."""
+    grid = reference.optics.grid
     edges = np.concatenate([grid.positions - 0.5 * grid.dx, [grid.x_max + 0.5 * grid.dx]])
     counts, _ = np.histogram(np.asarray(samples, dtype=float), bins=edges)
-    return IntensityPattern(grid, counts.astype(float), reference.period, reference.envelope_width)
+    return IntensityPattern(reference.optics, counts.astype(float))
 
 
 def _repr_texts(values: np.ndarray) -> list[str]:
@@ -384,4 +378,4 @@ def csv_table(header: str, grid: Grid, *columns: np.ndarray) -> str:
 
 def pattern_csv(pattern: IntensityPattern, value_column: str = "intensity") -> str:
     """CSV text for a pattern: header row, columns x_m and `value_column`."""
-    return csv_table(f"x_m,{value_column}", pattern.grid, pattern.intensity)
+    return csv_table(f"x_m,{value_column}", pattern.optics.grid, pattern.intensity)

@@ -23,7 +23,7 @@ from abmix.core import (
 from abmix.current import current_density, gaussian_packet, mixture_current_check, plane_wave
 from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals, outcome_distribution
 from abmix.experiment import report_text, run_experiment
-from abmix.pattern import estimate_shift, mixture_pattern, two_slit_pattern, visibility
+from abmix.pattern import ScreenOptics, estimate_shift, mixture_pattern, two_slit_pattern, visibility
 
 CONSTANTS = PhysicalConstants()
 GEOMETRY = ApparatusGeometry(screen_distance=1.0, slit_separation=1e-5, speed=1e6)
@@ -148,10 +148,10 @@ def test_criterion_5_current_decomposition_and_convergence():
 
 def test_criterion_6_estimator_recovery():
     start = time.perf_counter()
-    reference = two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, SCREEN, ENVELOPE)
+    reference = two_slit_pattern(ScreenOptics(SCREEN, PERIOD, ENVELOPE), 0.0)
     worst = 0.0
     for phase in (0.1, 0.5, 1.0, 2.0):
-        pattern = two_slit_pattern(CONSTANTS, GEOMETRY, phase, SCREEN, ENVELOPE)
+        pattern = two_slit_pattern(ScreenOptics(SCREEN, PERIOD, ENVELOPE), phase)
         expected = fringe_shift(CONSTANTS, GEOMETRY, phase * CONSTANTS.hbar / CONSTANTS.e)
         worst = max(worst, abs(estimate_shift(pattern, reference).shift - expected))
     _verdict(6, f"synthesized shifts recovered within dx/2 = {SCREEN.dx / 2.0:.2e} m "
@@ -163,8 +163,8 @@ def test_criterion_7_mixture_visibility_law():
     start = time.perf_counter()
     worst = 0.0
     for delta in np.linspace(0.0, math.pi, 20):
-        one = two_slit_pattern(CONSTANTS, GEOMETRY, +delta, SCREEN, ENVELOPE)
-        two = two_slit_pattern(CONSTANTS, GEOMETRY, -delta, SCREEN, ENVELOPE)
+        one = two_slit_pattern(ScreenOptics(SCREEN, PERIOD, ENVELOPE), +delta)
+        two = two_slit_pattern(ScreenOptics(SCREEN, PERIOD, ENVELOPE), -delta)
         mixed = mixture_pattern(0.5, one, 0.5, two)
         worst = max(worst, abs(visibility(mixed) - abs(math.cos(delta))))
     _verdict(7, f"equal-weight +-delta mixtures have visibility |cos delta| within 1e-3 "
@@ -214,7 +214,7 @@ def test_criterion_9_classical_vs_mixture_discriminator():
         constants=CONSTANTS,
     )
     classical_dphi, classical_dx = classical_totals(classical)
-    classical_pattern = two_slit_pattern(CONSTANTS, GEOMETRY, classical_dphi, SCREEN, ENVELOPE)
+    classical_pattern = two_slit_pattern(ScreenOptics(SCREEN, PERIOD, ENVELOPE), classical_dphi)
     classical_ok = (
         classical_dphi == 0.0 and classical_dx == 0.0
         and visibility(classical_pattern) > 0.999

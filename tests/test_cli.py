@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -329,24 +330,34 @@ class TestValidationReporting:
         assert "amplitudes" in err
         assert "n_electrons" in err
 
-    @pytest.mark.parametrize("command", [["mixture", "--csv"], ["experiment"]], ids=["mixture", "experiment"])
+    @pytest.mark.parametrize(
+        "command", [["phase"], ["classical"], ["mixture", "--csv"], ["experiment"], ["current"]],
+        ids=["phase", "classical", "mixture", "experiment", "current"],
+    )
     @pytest.mark.parametrize(
         "width, message",
         [
-            (1e300, "envelope_width 1e+300 m is too large"),    # its square overflows
-            (1e-200, "envelope_width 1e-200 m is too narrow"),  # its square underflows to 0
-            (1e-300, "envelope_width 1e-300 m is too narrow"),
-            (1e-160, "envelope_width 1e-160 m is too narrow"),  # x^2 / 2w^2 overflows
-            (1e-100, "envelope_width 1e-100 m is too narrow"),  # exp underflows on every cell
+            (1e300, "envelope_width 1e+300 m is too large: its square overflows"),
+            (1e-200, "envelope_width 1e-200 m is too narrow: its square underflows to 0"),
+            (1e-300, "envelope_width 1e-300 m is too narrow: its square underflows to 0"),
+            # x^2 / 2w^2 overflows, and exp underflows on every cell
+            (1e-160, "envelope_width 1e-160 m is too narrow: the envelope underflows to 0 within one fringe"),
+            (1e-100, "envelope_width 1e-100 m is too narrow: the envelope underflows to 0 within one fringe"),
+            # the envelope is above 0 on the cells nearest the axis, not on all within one period
+            (1e-7, "envelope_width 1e-07 m is too narrow: the envelope underflows to 0 within one fringe"),
         ],
-        ids=["huge", "square_underflows", "square_underflows_further", "quotient_overflows", "exp_underflows"],
+        ids=["huge", "square_underflows", "square_underflows_further", "quotient_overflows", "exp_underflows",
+             "narrower_than_the_central_fringes"],
     )
     def test_unusable_envelope_width_is_one_exit_2_line(self, tmp_path, capsys, command, width, message):
         config = write_config(tmp_path, envelope_width=width)
         out_dir = tmp_path / "run"
-        assert main([*command, "--config", config, "--out", str(out_dir)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command, "--config", config, "--out", str(out_dir)]) == 2
+        assert [str(w.message) for w in caught] == []
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+        assert len(lines) == 1 and lines[0].startswith(f"invalid config: screen: {message}")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("amplitudes", [{"c1": [1e200, 0.0]}, {"c2": [0.0, 1e200]}], ids=["c1", "c2"])

@@ -75,14 +75,6 @@ def test_malformed_input_is_one_exit_2_line(tmp_path, data, names):
     assert not out_dir.exists()
 
 
-def test_too_narrow_envelope_is_one_exit_2_line_for_mixture_csv(tmp_path):
-    code, lines, out_dir = run_without_warnings(tmp_path, ["mixture", "--csv"], {"envelope_width": 1e-7})
-    assert code == 2
-    assert len(lines) == 1
-    assert lines[0].startswith("error: envelope_width 1e-07 m is too narrow")
-    assert not out_dir.exists()
-
-
 # B1 = 1e308 T is finite, but branch 1's phase e B1 pi R1^2 / hbar overflows to inf;
 # the apparatus is refused whatever the branch's weight
 OVERFLOWING_FIELDS = {
@@ -95,6 +87,49 @@ OVERFLOWING_FIELDS = {
 }
 COMMANDS = {"phase": ["phase"], "classical": ["classical"], "mixture": ["mixture", "--csv"],
             "experiment": ["experiment"], "current": ["current"]}
+
+# each breaks one rule of the screen, which every command's validation judges
+BAD_SCREENS = {
+    "narrower_than_4_periods": {"screen": {"x_min": -1e-4, "x_max": 1e-4}},
+    "envelope_narrower_than_the_central_fringes": {"envelope_width": 1e-7},
+    "envelope_quotient_overflows": {"envelope_width": 1e-160},
+    "envelope_square_overflows": {"envelope_width": 1e200},
+    "envelope_square_underflows": {"envelope_width": 1e-300},
+    "no_cell_near_the_axis": {"screen": {"x_min": 1e-3, "x_max": 2e-3, "n": 40960}},
+}
+
+
+@pytest.mark.parametrize("data", BAD_SCREENS.values(), ids=BAD_SCREENS.keys())
+def test_a_screen_that_breaks_a_rule_is_one_exit_2_line_from_every_command(tmp_path, data):
+    refusals = set()
+    for command in COMMANDS.values():
+        code, lines, out_dir = run_without_warnings(tmp_path, command, data)
+        assert code == 2, command
+        assert len(lines) == 1 and lines[0].startswith("invalid config: screen: "), command
+        assert not out_dir.exists(), command
+        refusals.add(lines[0])
+    assert len(refusals) == 1
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+def test_a_wavelength_that_is_not_finite_is_listed_once(tmp_path, command):
+    # m v underflows to 0, so lambda is inf; the screen, whose default bounds
+    # and fringe period follow from lambda, is skipped rather than listed too
+    data = {"constants": {"m": 1e-300}, "geometry": {"v": 1e-300}}
+    code, lines, out_dir = run_without_warnings(tmp_path, command, data)
+    assert code == 2
+    assert lines == ["invalid config: apparatus: de Broglie wavelength lambda [m] = inf is not finite"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+def test_a_radius_whose_area_overflows_is_one_exit_2_line(tmp_path, command):
+    # pi R1^2 overflows to inf, so the default field that gives 1 rad is 0 and the flux 0 * inf is nan
+    data = {"solenoids": {"R1": 1e200}, "geometry": {"d": 1e300}}
+    code, lines, out_dir = run_without_warnings(tmp_path, command, data)
+    assert code == 2
+    assert lines == ["invalid config: apparatus: branch 1 flux Phi_1 [Wb] = nan is not finite"]
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("data", OVERFLOWING_FIELDS.values(), ids=OVERFLOWING_FIELDS.keys())
@@ -153,12 +188,13 @@ def test_grids_past_addressable_bytes_are_one_exit_2_line(tmp_path, command, dat
 
 @pytest.mark.parametrize(
     "command, data",
-    [(["mixture"], {"screen": {"n": SCREEN_N_MAX}}), (["experiment"], {"screen": {"n": SCREEN_N_MAX}}),
+    [*((command, {"screen": {"n": SCREEN_N_MAX}}) for command in COMMANDS.values()),
      (["current"], {"wavepackets": {"n": WIRE_N_MAX}})],
-    ids=["mixture", "experiment", "current"],
+    ids=[*COMMANDS.keys(), "current_wire"],
 )
 def test_grids_at_the_bound_stay_out_of_memory_failures(tmp_path, command, data):
-    # addressable, but far beyond any machine's memory: the allocation fails
+    # addressable, but far beyond any machine's memory: the allocation fails,
+    # for a screen already when validation builds its envelope
     code, lines, out_dir = run(tmp_path, command, data)
     assert code == 3
     assert lines == ["error: out of memory: reduce screen.n or wavepackets.n"]
@@ -192,7 +228,7 @@ def test_partial_sections_merge_with_derived_defaults():
     cfg = RunConfig({"screen": {"n": 8192}, "solenoids": {"R1": 5e-7}, "constants": {"hbar": 1e-34}})
     assert cfg.validate() == []
     assert cfg["screen.n"] == 8192
-    assert cfg["screen.x_max"] == 8.0 * cfg.objects["screen"].span / 16.0
+    assert cfg["screen.x_max"] == 8.0 * cfg.objects["screen"].grid.span / 16.0
     assert cfg["constants.h"] == 2.0 * math.pi * 1e-34
     assert cfg["solenoids.R2"] == default["solenoids.R2"]
     # the defaulted fields still give a branch phase of exactly +-1 rad
@@ -280,6 +316,12 @@ def numbers_that_are_not_finite(text):
 @example(data={"solenoids": {"B1": 1e308, "B2": -1e308}})
 @example(data={"geometry": {"L": 1e308}})
 @example(data=OVERFLOWING_MEAN)
+@example(data=BAD_SCREENS["narrower_than_4_periods"])
+@example(data=BAD_SCREENS["envelope_narrower_than_the_central_fringes"])
+@example(data=BAD_SCREENS["envelope_quotient_overflows"])
+@example(data=BAD_SCREENS["envelope_square_overflows"])
+@example(data=BAD_SCREENS["envelope_square_underflows"])
+@example(data=BAD_SCREENS["no_cell_near_the_axis"])
 def test_every_command_prints_finite_numbers_or_refuses_alike(data):
     data = {**data, "n_electrons": 64}   # a small experiment
     refusals = {}

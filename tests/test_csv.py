@@ -14,7 +14,7 @@ from abmix.cli import main
 from abmix.config import RunConfig
 from abmix.core import Grid
 from abmix.current import CurrentDensity, GridWavefunction, current_table, wavefunction_table
-from abmix.pattern import IntensityPattern, csv_table, pattern_csv
+from abmix.pattern import IntensityPattern, ScreenOptics, csv_table, pattern_csv
 
 # values whose repr switches notation, is subnormal, signed zero or integral
 AWKWARD = [-0.0, 5e-324, 1e-05, 0.0001, 9999999999999998.0, 1e16, 1e22, 12.0]
@@ -44,10 +44,10 @@ def test_orjson_writes_the_notation_the_writer_rewrites():
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["integral", "small", "large", "subnormal"])
 class TestBytesMatchNaiveRepr:
-    def test_pattern_csv(self, grid):
+    def test_pattern_table(self, grid):
+        # pattern_csv's table; no screen fits on these grids, so it is written by csv_table
         counts = np.array(AWKWARD * 2)
-        pattern = IntensityPattern(grid, counts, 1.0, 1.0)
-        text = pattern_csv(pattern, "count")
+        text = csv_table("x_m,count", grid, counts)
         assert text == naive_table("x_m,count", grid.positions, counts)
         assert [line.split(",")[1] for line in text.splitlines()[1:9]] == AWKWARD_TEXT
 
@@ -67,12 +67,19 @@ class TestBytesMatchNaiveRepr:
         assert [line.split(",")[1] for line in text.splitlines()[9:]] == AWKWARD_TEXT
 
 
+def test_pattern_csv_is_the_table_of_the_pattern_grid():
+    grid = Grid(0.0, 1.0, 160)
+    counts = np.array(AWKWARD * 20)
+    pattern = IntensityPattern(ScreenOptics(grid, 32 * grid.dx, 1.0), counts)
+    assert pattern_csv(pattern, "count") == naive_table("x_m,count", grid.positions, counts)
+
+
 @pytest.mark.parametrize(
     "args, grid, tables",
     [
-        (["mixture", "--csv"], "screen", 3),
-        (["current"], "wavepackets", 5),
-        (["experiment", "--seed", "5"], "screen", 3),
+        (["mixture", "--csv"], lambda objects: objects["screen"].grid, 3),
+        (["current"], lambda objects: objects["wavepackets"], 5),
+        (["experiment", "--seed", "5"], lambda objects: objects["screen"].grid, 3),
     ],
     ids=["mixture", "current", "experiment"],
 )
@@ -82,7 +89,7 @@ def test_each_table_starts_with_the_repr_of_each_position(tmp_path, capsys, args
     capsys.readouterr()
     cfg = RunConfig()
     assert cfg.validate() == []
-    positions = [repr(x) for x in cfg.objects[grid].positions.tolist()]
+    positions = [repr(x) for x in grid(cfg.objects).positions.tolist()]
     written = [path for path in out_dir.glob("*.csv") if path.name != "mixture_summary.csv"]
     assert len(written) == tables
     for path in written:

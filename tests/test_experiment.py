@@ -142,7 +142,8 @@ class TestPointEstimates:
         # at 1e6 detections the pooled contrast of delta = pi/2 is shot noise, about 0.02
         report = run_experiment(antisymmetric_config(delta), amplitudes, 1_000_000, 11, screen, ENVELOPE,
                                 n_bootstrap=0)
-        estimator = pattern.shift_estimator(pattern.two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, screen, ENVELOPE))
+        reference = pattern.two_slit_pattern(pattern.ScreenOptics(screen, PERIOD, ENVELOPE), 0.0)
+        estimator = pattern.shift_estimator(reference)
         rows = [
             (report.branch1.estimate, report.branch1.histogram),
             (report.branch2.estimate, report.branch2.histogram),
@@ -295,9 +296,8 @@ class TestSharedSchedule:
         schedule.delay["bootstrap", delayed] = 0.002
         config, amplitudes, n_electrons, seed, screen, width, n_bootstrap = self.ARGS
         report = run_experiment(*self.ARGS)
-        estimator = pattern.shift_estimator(
-            pattern.two_slit_pattern(config.constants, config.geometry, 0.0, screen, width)
-        )
+        optics = pattern.ScreenOptics(screen, fringe_period(config.constants, config.geometry), width)
+        estimator = pattern.shift_estimator(pattern.two_slit_pattern(optics, 0.0))
         block = max(1, experiment.BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
         histograms = (report.branch1.histogram, report.branch2.histogram, report.pooled_histogram)
         for histogram, stream, shifts in zip(histograms, (1, 2, 0), reported, strict=True):
@@ -406,11 +406,12 @@ class TestPooledPhasorLaw:
     )
     def test_mixture_pattern_is_the_phasor_fringe(self, p1, phases):
         screen = wide_screen()
-        branches = [pattern.two_slit_pattern(CONSTANTS, GEOMETRY, phi, screen, ENVELOPE) for phi in phases]
+        optics = pattern.ScreenOptics(screen, PERIOD, ENVELOPE)
+        branches = [pattern.two_slit_pattern(optics, phi) for phi in phases]
         mixed = pattern.mixture_pattern(p1, branches[0], 1.0 - p1, branches[1])
         z = phasor((p1, 1.0 - p1), phases)
         assert abs(pattern.visibility(mixed) - abs(z)) <= 1e-3
-        reference = pattern.two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, screen, ENVELOPE)
+        reference = pattern.two_slit_pattern(optics, 0.0)
         estimate = pattern.estimate_shift(mixed, reference)
         # arg z = pi (p1 = 0.5, delta = 2) is half a period either way: compare modulo the period
         offset = (estimate.shift - shift_at(math.atan2(z.imag, z.real)) + PERIOD / 2.0) % PERIOD - PERIOD / 2.0
@@ -493,7 +494,8 @@ class TestReportText:
         screen = wide_screen()
         report = run_experiment(antisymmetric_config(math.pi / 2.0), EQUAL_WEIGHTS, 1_000_000, 11, screen, ENVELOPE,
                                 n_bootstrap=0)
-        estimator = pattern.shift_estimator(pattern.two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, screen, ENVELOPE))
+        reference = pattern.two_slit_pattern(pattern.ScreenOptics(screen, PERIOD, ENVELOPE), 0.0)
+        estimator = pattern.shift_estimator(reference)
         _, visibilities = estimator.shifts(report.pooled_histogram.intensity[np.newaxis])
         lines = report_text(report).splitlines()
         assert "pooled.shift_m = nan" in lines and "pooled.measurable = false" in lines

@@ -12,6 +12,7 @@ from abmix.pattern import (
     HISTOGRAM_REBIN,
     VISIBILITY_FLOOR,
     IntensityPattern,
+    ScreenOptics,
     detection_counts,
     estimate_shift,
     histogram_pattern,
@@ -35,7 +36,14 @@ def screen(n=4096, periods=16.0):
 
 
 def pattern_at(phase, n=4096, periods=16.0, envelope=ENVELOPE):
-    return two_slit_pattern(CONSTANTS, GEOMETRY, phase, screen(n, periods), envelope)
+    return two_slit_pattern(ScreenOptics(screen(n, periods), PERIOD, envelope), phase)
+
+
+def flat(grid):
+    """Optics on `grid`, which starts at x = 0, with a fringe period of 32
+    cells, the fewest the screen rules allow, and an envelope flat to within
+    rounding: for patterns whose shape the test sets itself."""
+    return ScreenOptics(grid, 2 * HISTOGRAM_REBIN * grid.dx, 1e12)
 
 
 def flux_for_phase(phase):
@@ -48,11 +56,15 @@ class TestScreenGrid:
             Grid(x_min=1.0, x_max=-1.0, n=64)
 
     def test_rejects_tiny_grids(self):
-        # a Grid needs 2 points for its step; a screen pattern needs 16 cells
+        # a Grid needs 2 points for its step; a screen needs 4 periods of 32
+        # cells, 129 cells at least
         with pytest.raises(ValidationError):
             Grid(x_min=0.0, x_max=1.0, n=1)
-        with pytest.raises(ValidationError):
-            IntensityPattern(Grid(x_min=0.0, x_max=1.0, n=8), np.ones(8), 1.0, 1.0)
+        with pytest.raises(ValidationError, match="do not resolve"):
+            ScreenOptics(Grid(x_min=0.0, x_max=1.0, n=8), 0.25, 1.0)
+        with pytest.raises(ValidationError, match="do not resolve"):
+            ScreenOptics(Grid(x_min=0.0, x_max=1.0, n=128), 0.25, 1.0)
+        assert ScreenOptics(Grid(x_min=0.0, x_max=1.0, n=129), 0.25, 1.0).grid.n == 129
 
     def test_spacing(self):
         grid = Grid(x_min=0.0, x_max=1.0, n=101)
@@ -62,21 +74,21 @@ class TestScreenGrid:
 class TestIntensityPattern:
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValidationError):
-            IntensityPattern(Grid(0.0, 3.1, 32), np.linspace(-1, 1, 32), 1.0, 1.0)
+            IntensityPattern(flat(Grid(0.0, 12.9, 130)), np.linspace(-1, 1, 130))
 
     def test_rejects_zero_mass(self):
         with pytest.raises(ValidationError):
-            IntensityPattern(Grid(0.0, 3.1, 32), np.zeros(32), 1.0, 1.0)
+            IntensityPattern(flat(Grid(0.0, 12.9, 130)), np.zeros(130))
 
     def test_total_mass(self):
-        pattern = IntensityPattern(Grid(0.0, 15.5, 32), np.ones(32), 1.0, 1.0)
+        pattern = IntensityPattern(flat(Grid(0.0, 15.9, 160)), np.ones(160))
         assert pattern.total == pytest.approx(16.0, rel=1e-12)
 
 
 class TestTwoSlitPattern:
     def test_zero_phase_peaks_on_axis(self):
         pattern = pattern_at(0.0, n=4097)  # odd grid so x = 0 is sampled
-        assert pattern.grid.positions[int(np.argmax(pattern.intensity))] == pytest.approx(0.0, abs=1e-18)
+        assert pattern.optics.grid.positions[int(np.argmax(pattern.intensity))] == pytest.approx(0.0, abs=1e-18)
 
     def test_full_turn_is_indistinguishable_from_zero(self):
         base = pattern_at(0.0)
@@ -87,16 +99,16 @@ class TestTwoSlitPattern:
         pattern = pattern_at(math.pi / 2.0)
         expected = fringe_shift(CONSTANTS, GEOMETRY, flux_for_phase(math.pi / 2.0))
         assert expected == pytest.approx(-PERIOD / 4.0, rel=1e-12)
-        peak_x = pattern.grid.positions[int(np.argmax(pattern.intensity))]
-        assert abs(peak_x - expected) <= pattern.grid.dx
+        peak_x = pattern.optics.grid.positions[int(np.argmax(pattern.intensity))]
+        assert abs(peak_x - expected) <= pattern.optics.grid.dx
 
     @pytest.mark.parametrize("phase", [0.4, 1.0, -1.3])
     def test_peak_calibrated_against_closed_form_shift(self, phase):
         # the sign of the phase insertion must reproduce the closed form
         pattern = pattern_at(phase)
         expected = fringe_shift(CONSTANTS, GEOMETRY, flux_for_phase(phase))
-        peak_x = pattern.grid.positions[int(np.argmax(pattern.intensity))]
-        assert abs(peak_x - expected) <= pattern.grid.dx
+        peak_x = pattern.optics.grid.positions[int(np.argmax(pattern.intensity))]
+        assert abs(peak_x - expected) <= pattern.optics.grid.dx
 
     def test_rejects_narrow_screen(self):
         with pytest.raises(ValidationError, match="narrower"):
@@ -172,31 +184,31 @@ class TestEstimateShift:
     def test_self_correlation_is_zero(self):
         pattern = pattern_at(0.0)
         estimate = estimate_shift(pattern, pattern)
-        assert abs(estimate.shift) <= pattern.grid.dx / 10.0
+        assert abs(estimate.shift) <= pattern.optics.grid.dx / 10.0
 
     def test_one_radian_shift_recovered(self):
         reference = pattern_at(0.0)
         pattern = pattern_at(1.0)
         expected = fringe_shift(CONSTANTS, GEOMETRY, flux_for_phase(1.0))
         estimate = estimate_shift(pattern, reference)
-        assert abs(estimate.shift - expected) <= pattern.grid.dx / 2.0
+        assert abs(estimate.shift - expected) <= pattern.optics.grid.dx / 2.0
 
     @pytest.mark.parametrize("phase", [0.1, 0.5, 1.0, 2.0])
     def test_estimator_consistency_sweep(self, phase):
         reference = pattern_at(0.0)
         estimate = estimate_shift(pattern_at(phase), reference)
         expected = fringe_shift(CONSTANTS, GEOMETRY, flux_for_phase(phase))
-        assert abs(estimate.shift - expected) <= reference.grid.dx / 2.0
+        assert abs(estimate.shift - expected) <= reference.optics.grid.dx / 2.0
 
     def test_three_cell_circular_shift_with_flat_envelope(self):
         n = 1024
         dx = 0.25
         grid = Grid(0.0, dx * (n - 1), n)
-        cycles = 64
+        cycles = 32   # 32 cells a period, the finest fringes the screen rules allow
         base = 1.0 + np.cos(2.0 * math.pi * cycles * np.arange(n) / n)
-        optics = {"period": n * dx / cycles, "envelope_width": 1e12}
-        reference = IntensityPattern(grid, base, **optics)
-        shifted = IntensityPattern(grid, np.roll(base, 3), **optics)
+        optics = ScreenOptics(grid, n * dx / cycles, 1e12)
+        reference = IntensityPattern(optics, base)
+        shifted = IntensityPattern(optics, np.roll(base, 3))
         estimate = estimate_shift(shifted, reference)
         assert abs(estimate.shift - 3.0 * dx) <= dx / 10.0
 
@@ -229,7 +241,7 @@ class TestEstimateShift:
         [
             lambda: pattern_at(0.0, n=2048),
             lambda: pattern_at(0.0, envelope=2.0 * ENVELOPE),
-            lambda: replace(pattern_at(0.0), period=1.5 * PERIOD),
+            lambda: two_slit_pattern(ScreenOptics(screen(), 1.5 * PERIOD, ENVELOPE), 0.0),
         ],
         ids=["grid", "envelope_width", "period"],
     )
@@ -242,8 +254,8 @@ def scalar_shift(estimator, intensity):
     """One pattern's shift by scalar arithmetic on 1-D transforms, as the
     estimator computed it before it took blocks: the reference that
     ShiftEstimator.shifts must equal bit for bit."""
-    envelope, nfft = estimator.envelope, estimator.nfft
-    n, dx = estimator.reference.grid.n, estimator.reference.grid.dx
+    envelope, nfft = estimator.reference.optics.envelope, estimator.nfft
+    n, dx = estimator.reference.n, estimator.reference.optics.grid.dx
     coefficient = float(np.dot(intensity, envelope) / np.dot(envelope, envelope))
     spectrum = np.fft.rfft(intensity - coefficient * envelope, nfft)
     c = np.fft.irfft(spectrum * estimator.reference_spectrum, nfft)
@@ -258,12 +270,13 @@ def scalar_shift(estimator, intensity):
     return float(np.clip((peak - (n - 1) + offset) * dx, -half_span, half_span))
 
 
-def scalar_visibility(optics, intensity, holds_counts):
-    """One intensity row's visibility on `optics`'s grid by the per-row
-    formula the contrast rule used before it took blocks: the reference that
-    the block contrast must equal bit for bit."""
+def scalar_visibility(reference, intensity, holds_counts):
+    """One intensity row's visibility on the reference's optics by the
+    per-row formula the contrast rule used before it took blocks: the
+    reference that the block contrast must equal bit for bit."""
+    optics = reference.optics
     rebin = HISTOGRAM_REBIN if holds_counts else 1
-    keep = (optics.n // rebin) * rebin
+    keep = (optics.grid.n // rebin) * rebin
     x = optics.grid.positions
     envelope = np.exp(-(x**2) / (2.0 * optics.envelope_width**2))
     central = np.abs(x[:keep].reshape(-1, rebin).mean(axis=1)) <= optics.period
@@ -343,16 +356,16 @@ class TestShiftEstimatorBlocks:
 
 class TestSampleDetections:
     def test_delta_like_pattern_confines_samples(self):
-        intensity = np.zeros(64)
+        intensity = np.zeros(160)
         intensity[17] = 5.0
-        pattern = IntensityPattern(Grid(0.0, 31.5, 64), intensity, 1.0, 1.0)
+        pattern = IntensityPattern(flat(Grid(0.0, 79.5, 160)), intensity)
         samples = inverse_cdf_positions(pattern, np.random.default_rng(7).random(500))
         center = 0.0 + 0.5 * 17
         assert np.all(np.abs(samples - center) <= 0.25 + 1e-12)
 
     def test_uniform_pattern_moments(self):
         n = 100_000
-        pattern = IntensityPattern(Grid(0.0, 1.0, 256), np.ones(256), 1.0, 1.0)
+        pattern = IntensityPattern(flat(Grid(0.0, 1.0, 256)), np.ones(256))
         samples = inverse_cdf_positions(pattern, np.random.default_rng(11).random(n))
         # uniform on ~[0, 1]: mean 1/2, sd 1/sqrt(12)
         tolerance = 3.0 * (1.0 / math.sqrt(12.0)) / math.sqrt(n)
@@ -365,19 +378,20 @@ class TestSampleDetections:
         assert np.array_equal(first, second)
 
     def test_quantile_endpoints_map_to_screen_edges(self):
-        pattern = IntensityPattern(Grid(0.0, 7.5, 16), np.ones(16), 1.0, 1.0)
+        pattern = IntensityPattern(flat(Grid(0.0, 79.5, 160)), np.ones(160))
         positions = inverse_cdf_positions(pattern, np.array([0.0, 1.0 - 1e-16]))
         assert positions[0] == pytest.approx(-0.25, abs=1e-12)
-        assert positions[1] == pytest.approx(7.75, abs=1e-9)
+        assert positions[1] == pytest.approx(79.75, abs=1e-9)
 
     def test_histogram_chi_square_against_the_pattern(self):
         # goodness of fit at significance 0.01, coarse bins with >= 5 expected
         pattern = pattern_at(1.0)
         n = 100_000
         samples = inverse_cdf_positions(pattern, np.random.default_rng(77).random(n))
+        grid = pattern.optics.grid
         merge = 64
         edges = np.concatenate(
-            [pattern.grid.positions - 0.5 * pattern.grid.dx, [pattern.grid.positions[-1] + 0.5 * pattern.grid.dx]]
+            [grid.positions - 0.5 * grid.dx, [grid.positions[-1] + 0.5 * grid.dx]]
         )[::merge]
         counts, _ = np.histogram(samples, bins=edges)
         cell_probability = pattern.intensity / pattern.intensity.sum()
@@ -401,19 +415,19 @@ class TestDetectionCounts:
         assert np.array_equal(counts, expected)
 
     def test_quantile_on_a_cell_edge_lands_in_that_cell(self):
-        pattern = IntensityPattern(Grid(0.0, 15.0, 16), np.arange(1.0, 17.0), 1.0, 1.0)
+        pattern = IntensityPattern(flat(Grid(0.0, 159.0, 160)), np.arange(1.0, 161.0))
         cumulative = np.concatenate([[0.0], np.cumsum(pattern.intensity)])
         cdf = cumulative / cumulative[-1]
-        for cell in (0, 5, 15):
+        for cell in (0, 5, 159):
             counts = detection_counts(pattern, np.array([cdf[cell]]))
             assert np.flatnonzero(counts).tolist() == [cell]
             sampled = inverse_cdf_positions(pattern, np.array([cdf[cell]]))
             assert np.flatnonzero(histogram_pattern(sampled, pattern).intensity).tolist() == [cell]
 
     def test_zero_weight_cells_get_nothing_and_every_quantile_is_counted(self):
-        intensity = np.zeros(64)
+        intensity = np.zeros(160)
         intensity[[5, 17, 18, 40, 58]] = [1.0, 5.0, 0.5, 2.0, 3.0]   # zero-weight cells at both ends
-        pattern = IntensityPattern(Grid(0.0, 31.5, 64), intensity, 1.0, 1.0)
+        pattern = IntensityPattern(flat(Grid(0.0, 79.5, 160)), intensity)
         quantiles = np.concatenate([np.random.default_rng(3).random(5000), [0.0, 1.0 - 2**-53]])
         counts = detection_counts(pattern, quantiles)
         assert np.all(counts[intensity == 0.0] == 0)
@@ -421,28 +435,29 @@ class TestDetectionCounts:
         assert counts.sum() == len(quantiles)
 
     def test_no_quantiles_give_no_counts(self):
-        counts = detection_counts(pattern_at(0.0, n=64, periods=6.0), np.array([]))
-        assert counts.shape == (64,) and not counts.any()
+        counts = detection_counts(pattern_at(0.0, n=200, periods=6.0), np.array([]))
+        assert counts.shape == (200,) and not counts.any()
 
 
 class TestHistogramPattern:
     def test_counts_land_in_the_right_cells(self):
-        reference = IntensityPattern(Grid(x_min=0.0, x_max=15.0, n=16), np.ones(16), 2.0, 3.0)
-        samples = np.array([0.1, 0.2, 7.4, 14.9])
+        optics = ScreenOptics(Grid(x_min=0.0, x_max=159.0, n=160), 32.0, 3.0)
+        reference = IntensityPattern(optics, np.ones(160))
+        samples = np.array([0.1, 0.2, 7.4, 158.9])
         histogram = histogram_pattern(samples, reference)
         assert histogram.intensity[0] == 2.0
         assert histogram.intensity[7] == 1.0
-        assert histogram.intensity[15] == 1.0
-        assert (histogram.grid, histogram.period, histogram.envelope_width) == (reference.grid, 2.0, 3.0)
+        assert histogram.intensity[159] == 1.0
+        assert histogram.optics is optics
 
     def test_csv_round_trip(self):
-        pattern = pattern_at(0.3, n=64, periods=6.0)
+        pattern = pattern_at(0.3, n=200, periods=6.0)
         text = pattern_csv(pattern)
         lines = text.splitlines()
         assert lines[0] == "x_m,intensity"
-        assert len(lines) == 65
+        assert len(lines) == 201
         x, value = (float(part) for part in lines[1].split(","))
-        assert x == pytest.approx(pattern.grid.x_min)
+        assert x == pytest.approx(pattern.optics.grid.x_min)
         assert value == pytest.approx(pattern.intensity[0])
 
 
@@ -450,25 +465,31 @@ def test_two_slit_pattern_mass_positive():
     assert pattern_at(0.0).total > 0.0
 
 
-def test_pattern_requires_a_positive_period_and_envelope_width():
+def test_screen_optics_require_a_positive_period_and_envelope_width():
     with pytest.raises(ValidationError, match="period"):
-        IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 0.0, 1.0)
+        ScreenOptics(Grid(0.0, 3.1, 32), 0.0, 1.0)
     with pytest.raises(ValidationError, match="envelope_width"):
-        IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 1.0, float("nan"))
+        ScreenOptics(Grid(0.0, 3.1, 32), 1.0, float("nan"))
     with pytest.raises(ValidationError, match="envelope_width 1e\\+300 m is too large"):
-        IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 1.0, 1e300)
+        ScreenOptics(Grid(0.0, 3.1, 32), 1.0, 1e300)
     with pytest.raises(ValidationError, match="envelope_width 1e-200 m is too narrow"):
-        IntensityPattern(Grid(0.0, 3.1, 32), np.ones(32), 1.0, 1e-200)
+        ScreenOptics(Grid(0.0, 3.1, 32), 1.0, 1e-200)
 
 
-def test_visibility_needs_the_central_fringes_on_the_screen():
+def test_screen_optics_need_the_central_fringes_on_the_screen():
     offset = Grid(x_min=2.0 * PERIOD, x_max=8.0 * PERIOD, n=1024)
-    pattern = two_slit_pattern(CONSTANTS, GEOMETRY, 0.0, offset, ENVELOPE)
     with pytest.raises(ValidationError, match="within one fringe period"):
-        visibility(pattern)
+        ScreenOptics(offset, PERIOD, ENVELOPE)
+    # the first cell is within one period of x = 0, but the centre of the
+    # first 16 cells, merged as a histogram's are, is not
+    dx = 6.0 * PERIOD / 1023
+    edge = Grid(x_min=PERIOD - 2.0 * dx, x_max=PERIOD - 2.0 * dx + 6.0 * PERIOD, n=1024)
+    assert abs(edge.x_min) <= PERIOD
+    with pytest.raises(ValidationError, match="within one fringe period"):
+        ScreenOptics(edge, PERIOD, ENVELOPE)
 
 
 def test_pattern_carries_its_period_and_phase_shift_round_trips():
     pattern = pattern_at(0.8)
-    assert pattern.period == pytest.approx(PERIOD, rel=1e-15)
+    assert pattern.optics.period == pytest.approx(PERIOD, rel=1e-15)
     assert phase_shift(CONSTANTS, flux_for_phase(0.8)) == pytest.approx(0.8, rel=1e-12)

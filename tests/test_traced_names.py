@@ -10,7 +10,7 @@ from pathlib import Path
 from abmix.config import RunConfig
 from abmix.experiment import run_experiment
 from abmix.core import Grid
-from abmix.pattern import IntensityPattern, inverse_cdf_positions
+from abmix.pattern import IntensityPattern, ScreenOptics, inverse_cdf_positions
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,5 +39,5 @@ def test_counted_arguments_keep_their_positions():
 
 def test_pattern_rows_reads_an_attribute_the_pattern_has():
     # pattern_csv's work count is the pattern's `n`, read by _pattern_rows
-    pattern = IntensityPattern(Grid(0.0, 1.0, 32), [1.0] * 32, 1.0, 1.0)
-    assert load_tracing()._pattern_rows((pattern,), {}) == pattern.grid.n == pattern.n
+    pattern = IntensityPattern(ScreenOptics(Grid(0.0, 1.0, 129), 0.25, 1.0), [1.0] * 129)
+    assert load_tracing()._pattern_rows((pattern,), {}) == pattern.optics.grid.n == pattern.n
