@@ -15,6 +15,7 @@ other public name is imported from its own module.
 from .core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period
 from .dual import BranchAmplitudes, DualSolenoidConfig, outcome_distribution
 from .experiment import run_experiment
+from .pattern import ScreenOptics
 
 __version__ = "0.1.0"
 
@@ -24,6 +25,7 @@ __all__ = [
     "DualSolenoidConfig",
     "Grid",
     "PhysicalConstants",
+    "ScreenOptics",
     "Solenoid",
     "fringe_period",
     "outcome_distribution",

@@ -191,9 +191,8 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
         ("mixture mean shift dx [m]", mixture_mean(amplitudes, o1.shift, o2.shift)),
     ]
     branch_patterns = [two_slit_pattern(cfg.objects["screen"], o.phase) for o in outcomes]
-    mixed = mixture_pattern(o1.probability, branch_patterns[0], o2.probability, branch_patterns[1])
-    mixed_visibility = visibility(mixed)
-    rows.append(("mixture pattern visibility", mixed_visibility))
+    mixed = mixture_pattern(amplitudes, *branch_patterns)
+    rows.append(("mixture pattern visibility", visibility(mixed)))
     _print_table("quantum mixture", rows)
     if write_csv:
         summary = ["quantity,value"]
@@ -209,14 +208,12 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
 
 
 def cmd_experiment(cfg: RunConfig) -> int:
-    optics = cfg.objects["screen"]
     report = run_experiment(
         config=cfg.objects["apparatus"],
         amplitudes=cfg.objects["amplitudes"],
         n_electrons=cfg["n_electrons"],
         seed=cfg["seed"],
-        screen=optics.grid,
-        envelope_width=optics.envelope_width,
+        optics=cfg.objects["screen"],
     )
     text = _report_config(cfg) + report_text(report)
     files = {"report.txt": text, "histogram_pooled.csv": pattern_csv(report.pooled_histogram, "count")}
@@ -241,13 +238,10 @@ def cmd_current(cfg: RunConfig) -> int:
         print(f"wrote current_plane.csv to {cfg['out_dir']}/")
         return EXIT_OK
 
-    amplitudes = cfg.objects["amplitudes"]
     width = cfg["wavepackets.width"]
     psi1 = cur.gaussian_packet(grid, cfg["wavepackets.center1"], width, cfg["wavepackets.k1"])
     psi2 = cur.gaussian_packet(grid, cfg["wavepackets.center2"], width, cfg["wavepackets.k2"])
-    j_total, j_mixture, deviation, bound = cur.mixture_current_check(
-        amplitudes.c1, psi1, amplitudes.c2, psi2, constants
-    )
+    j_total, j_mixture, deviation, bound = cur.mixture_current_check(cfg.objects["amplitudes"], psi1, psi2, constants)
     j_ensemble = cur.ensemble_current(cfg["wavepackets.n_ensemble"], j_total)
     tolerance = np.format_float_scientific(cur.DECOMPOSITION_TOL, trim="-", exp_digits=1)
     print(f"two gaussian packets, |overlap| = {abs(cur.overlap(psi1, psi2))!r}")

@@ -39,20 +39,16 @@ DECOMPOSITION_TOL = 1e-9     # on |j_total - j_mixture|, relative to max|j_k|
 REALITY_TOL = 1e-12          # relative imaginary residue allowed in j
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 @dataclass(frozen=True)
 class GridWavefunction:
     """Complex wavefunction sampled on a grid of the wire coordinate."""
 
     grid: Grid
-    samples: np.ndarray    # finite complex amplitudes, one per grid point, >= 8
+    samples: np.ndarray    # finite complex amplitudes, one per grid point, >= 8; a read-only copy
 
     def __post_init__(self):
-        samples = _readonly(np.asarray(self.samples, dtype=complex))
+        samples = np.array(self.samples, dtype=complex)   # a copy: the caller's array stays writeable
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if samples.shape != (self.grid.n,) or self.grid.n < MIN_SAMPLES:
             raise ValidationError(
@@ -72,10 +68,12 @@ class CurrentDensity:
     """Real 1-D electric current samples on the same grid as its source."""
 
     grid: Grid
-    samples: np.ndarray   # amperes
+    samples: np.ndarray   # amperes; a read-only copy
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _readonly(np.asarray(self.samples, dtype=float)))
+        samples = np.array(self.samples, dtype=float)   # a copy: the caller's array stays writeable
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
 
 def _require_shared_grid(psi1: GridWavefunction, psi2: GridWavefunction) -> None:
@@ -112,21 +110,17 @@ def non_interfering(psi1: GridWavefunction, psi2: GridWavefunction) -> bool:
     )
 
 
-def superpose(
-    c1: complex, psi1: GridWavefunction, c2: complex, psi2: GridWavefunction
-) -> GridWavefunction:
+def superpose(amplitudes: BranchAmplitudes, psi1: GridWavefunction, psi2: GridWavefunction) -> GridWavefunction:
     """Form c1 psi1 + c2 psi2 on the shared grid.
 
-    Both inputs must be individually normalized and (c1, c2) must satisfy
-    |c1|^2 + |c2|^2 = 1.  The result's norm is 1 exactly when the branches
-    do not overlap, and is not for e.g. psi1 == psi2.
+    Both inputs must be individually normalized.  The result's norm is 1
+    exactly when the branches do not overlap, and is not for e.g. psi1 == psi2.
     """
     _require_shared_grid(psi1, psi2)
-    BranchAmplitudes(c1, c2)   # rejects (c1, c2) off |c1|^2 + |c2|^2 = 1
     for k, psi in ((1, psi1), (2, psi2)):
         if abs(psi.norm_squared - 1.0) > NORM_TOL:
             raise ValidationError(f"branch {k} wavefunction is not normalized: {psi.norm_squared!r}")
-    return GridWavefunction(psi1.grid, c1 * psi1.samples + c2 * psi2.samples)
+    return GridWavefunction(psi1.grid, amplitudes.c1 * psi1.samples + amplitudes.c2 * psi2.samples)
 
 
 def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> CurrentDensity:
@@ -161,7 +155,7 @@ def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> Curr
 
 
 def mixture_current_check(
-    c1: complex, psi1: GridWavefunction, c2: complex, psi2: GridWavefunction, constants: PhysicalConstants
+    amplitudes: BranchAmplitudes, psi1: GridWavefunction, psi2: GridWavefunction, constants: PhysicalConstants
 ) -> tuple[CurrentDensity, CurrentDensity, float, float]:
     """Compare the superposition current with its mixture decomposition.
 
@@ -178,10 +172,10 @@ def mixture_current_check(
             f"{NON_INTERFERENCE_TOL}, measured |overlap|={abs(overlap(psi1, psi2))!r}, "
             f"max|psi1*psi2|={pointwise_product_max(psi1, psi2)!r}"
         )
-    j_total = current_density(superpose(c1, psi1, c2, psi2), constants)
+    j_total = current_density(superpose(amplitudes, psi1, psi2), constants)
     j1 = current_density(psi1, constants)
     j2 = current_density(psi2, constants)
-    mixture = abs(c1) ** 2 * j1.samples + abs(c2) ** 2 * j2.samples
+    mixture = amplitudes.p1 * j1.samples + amplitudes.p2 * j2.samples
     j_mixture = CurrentDensity(psi1.grid, mixture)
     deviation = float(np.max(np.abs(j_total.samples - j_mixture.samples)))
     bound = DECOMPOSITION_TOL * max(float(np.max(np.abs(j.samples))) for j in (j1, j2))
@@ -211,10 +205,20 @@ def plane_wave_check(
 
 
 def ensemble_current(n: int, j: CurrentDensity) -> CurrentDensity:
-    """Current of a beam of n identically prepared electrons: n * j."""
+    """Current of a beam of n identically prepared electrons: n * j;
+    ArithmeticError when a sample of it is not finite."""
     if not is_integer(n) or n < 1:
         raise ValidationError(f"ensemble size must be a positive integer, got {n!r}")
-    return CurrentDensity(j.grid, float(n) * j.samples)
+    try:
+        scale = float(n)
+    except OverflowError:   # n is beyond the float range
+        scale = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite current is refused below
+        samples = scale * j.samples
+    if not np.all(np.isfinite(samples)):
+        raise ArithmeticError("ensemble current is not finite: the ensemble size times the current of one "
+                              f"electron (largest |j| = {float(np.max(np.abs(j.samples)))!r} A) overflows")
+    return CurrentDensity(j.grid, samples)
 
 
 def gaussian_packet(grid: Grid, center: float, width: float, wavenumber: float) -> GridWavefunction:

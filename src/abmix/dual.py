@@ -40,29 +40,24 @@ from .errors import ValidationError
 NORMALIZATION_TOL = 1e-12
 
 
-def check_weights(p1: float, p2: float) -> None:
-    """The one normalization check: ValidationError unless both weights are
-    non-negative and sum to 1 within NORMALIZATION_TOL (nan and inf fail)."""
-    if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= NORMALIZATION_TOL):
-        raise ValidationError(f"weights ({p1!r}, {p2!r}) violate normalization: both must be "
-                              f"non-negative and sum to 1 within {NORMALIZATION_TOL}")
-
-
 @dataclass(frozen=True)
 class BranchAmplitudes:
     """Complex amplitudes (c1, c2) of the wire-electron superposition.
 
     Only the moduli enter any physics here, but the amplitudes are kept
-    complex so phase invariance is a testable property.  Inputs violating
-    |c1|^2 + |c2|^2 = 1 (tolerance 1e-12) are rejected, never silently
-    renormalized; a |c_k|^2 beyond the float range is an inf weight.
+    complex so phase invariance is a testable property.  This is the one
+    normalization check: weights |c1|^2 + |c2|^2 off 1 by more than
+    NORMALIZATION_TOL are rejected, never silently renormalized; a nan
+    weight fails, and so does a |c_k|^2 beyond the float range, an inf weight.
     """
 
     c1: complex
     c2: complex
 
     def __post_init__(self):
-        check_weights(self.p1, self.p2)
+        if not abs(self.p1 + self.p2 - 1.0) <= NORMALIZATION_TOL:
+            raise ValidationError(f"weights ({self.p1!r}, {self.p2!r}) violate normalization: both must be "
+                                  f"non-negative and sum to 1 within {NORMALIZATION_TOL}")
 
     @property
     def p1(self) -> float:

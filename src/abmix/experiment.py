@@ -51,18 +51,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Grid, fringe_period, is_integer
+from .core import fringe_period, is_integer
 from .dual import BranchAmplitudes, DualSolenoidConfig, MixtureOutcome, outcome_distribution
 from .errors import ValidationError
-from .pattern import (
-    FringeEstimate,
-    IntensityPattern,
-    ScreenOptics,
-    ShiftEstimator,
-    detection_counts,
-    shift_estimator,
-    two_slit_pattern,
-)
+from .pattern import (FringeEstimate, IntensityPattern, ScreenOptics, ShiftEstimator, detection_counts,
+                      shift_estimator, two_slit_pattern)
 
 BOOTSTRAP_DEFAULT = 200
 
@@ -101,18 +94,17 @@ def run_experiment(
     amplitudes: BranchAmplitudes,
     n_electrons: int,
     seed: int,
-    screen: Grid,
-    envelope_width: float,
+    optics: ScreenOptics,
     n_bootstrap: int = BOOTSTRAP_DEFAULT,
 ) -> ExperimentReport:
-    """Simulate n_electrons detections and estimate the shifts back.
+    """Simulate n_electrons detections on the screen `optics`, built for the
+    fringe period of `config` (else ValidationError before any draw), and
+    estimate the shifts back.
 
-    This thread builds the screen's `ScreenOptics` from `screen`, the fringe
-    period of `config` and `envelope_width`, and both branch patterns, from
-    the finite closed forms `config` guarantees; it and one worker then
-    count the detections and bootstrap the estimates (`_share`); as the
-    module docstring sets out, the report is still a pure function of
-    (config, seed).
+    This thread builds both branch patterns, from the finite closed forms
+    `config` guarantees; it and one worker then count the detections and
+    bootstrap the estimates (`_share`); the report is still a pure function
+    of (config, seed), as the module docstring sets out.
     """
     if not is_integer(n_electrons) or n_electrons < 1:
         raise ValidationError(f"need a positive integer number of electrons, got {n_electrons!r}")
@@ -120,10 +112,11 @@ def run_experiment(
         raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     if not is_integer(n_bootstrap) or n_bootstrap < 0:
         raise ValidationError(f"need a non-negative integer number of resamples, got {n_bootstrap!r}")
+    if optics.period != (period := fringe_period(config.constants, config.geometry)):
+        raise ValidationError(f"the screen's fringe period {optics.period!r} m is not the apparatus's {period!r} m")
     n_electrons, seed, n_bootstrap = int(n_electrons), int(seed), int(n_bootstrap)   # numpy integers would leak
 
     outcomes = outcome_distribution(config, amplitudes)
-    optics = ScreenOptics(screen, fringe_period(config.constants, config.geometry), envelope_width)
     reference = two_slit_pattern(optics, 0.0)
     estimator = shift_estimator(reference)
     patterns = [two_slit_pattern(optics, outcome.phase) for outcome in outcomes]

@@ -29,7 +29,7 @@ import numpy as np
 import orjson
 
 from .core import Grid
-from .dual import check_weights
+from .dual import BranchAmplitudes
 from .errors import ValidationError
 
 MIN_PERIODS = 4.0        # required screen span in fringe periods
@@ -108,13 +108,13 @@ def _envelope(x: np.ndarray, width: float) -> np.ndarray:
 @dataclass(frozen=True)
 class IntensityPattern:
     """Sampled non-negative intensity on the cells of `optics`'s grid, usable
-    as an unnormalized density."""
+    as an unnormalized density; it holds a read-only copy of `intensity`."""
 
     optics: ScreenOptics
     intensity: np.ndarray
 
     def __post_init__(self):
-        intensity = np.asarray(self.intensity, dtype=float)
+        intensity = np.array(self.intensity, dtype=float)
         intensity.flags.writeable = False
         object.__setattr__(self, "intensity", intensity)
         if intensity.shape != (self.n,):
@@ -151,12 +151,12 @@ def two_slit_pattern(optics: ScreenOptics, phase: float) -> IntensityPattern:
     return IntensityPattern(optics, intensity)
 
 
-def mixture_pattern(p1: float, pattern1: IntensityPattern, p2: float, pattern2: IntensityPattern) -> IntensityPattern:
-    """Incoherent weighted sum p1 I1 + p2 I2 of two patterns on the same optics."""
+def mixture_pattern(amplitudes: BranchAmplitudes, pattern1: IntensityPattern,
+                    pattern2: IntensityPattern) -> IntensityPattern:
+    """Incoherent weighted sum |c1|^2 I1 + |c2|^2 I2 of two patterns on the same optics."""
     if pattern2.optics != pattern1.optics:
         raise ValidationError("mixture requires both patterns to share grid, fringe period and envelope width")
-    check_weights(p1, p2)
-    return IntensityPattern(pattern1.optics, p1 * pattern1.intensity + p2 * pattern2.intensity)
+    return IntensityPattern(pattern1.optics, amplitudes.p1 * pattern1.intensity + amplitudes.p2 * pattern2.intensity)
 
 
 def _contrast(optics: ScreenOptics, block: np.ndarray, counts: bool) -> np.ndarray:

@@ -124,7 +124,7 @@ def test_criterion_5_current_decomposition_and_convergence():
     wire = Grid(-half, half, 4096)
     psi1 = gaussian_packet(wire, -separation / 2.0, width, +1.5)
     psi2 = gaussian_packet(wire, +separation / 2.0, width, -1.5)
-    _, _, deviation, _ = mixture_current_check(ROOT_HALF, psi1, ROOT_HALF, psi2, CONSTANTS)
+    _, _, deviation, _ = mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
     scale = max(
         float(np.max(np.abs(current_density(psi1, CONSTANTS).samples))),
         float(np.max(np.abs(current_density(psi2, CONSTANTS).samples))),
@@ -165,7 +165,7 @@ def test_criterion_7_mixture_visibility_law():
     for delta in np.linspace(0.0, math.pi, 20):
         one = two_slit_pattern(ScreenOptics(SCREEN, PERIOD, ENVELOPE), +delta)
         two = two_slit_pattern(ScreenOptics(SCREEN, PERIOD, ENVELOPE), -delta)
-        mixed = mixture_pattern(0.5, one, 0.5, two)
+        mixed = mixture_pattern(EQUAL_WEIGHTS, one, two)
         worst = max(worst, abs(visibility(mixed) - abs(math.cos(delta))))
     _verdict(7, f"equal-weight +-delta mixtures have visibility |cos delta| within 1e-3 "
                 f"over a 20-point sweep (worst {worst:.2e})",
@@ -178,7 +178,7 @@ def test_criterion_8_monte_carlo_experiment():
     seed = 4242
     config = antisymmetric_config()
     kwargs = dict(config=config, amplitudes=EQUAL_WEIGHTS, n_electrons=n, seed=seed,
-                  screen=SCREEN, envelope_width=ENVELOPE)
+                  optics=ScreenOptics(SCREEN, PERIOD, ENVELOPE))
     report = run_experiment(**kwargs)
     rerun = run_experiment(**kwargs)
 
@@ -220,7 +220,7 @@ def test_criterion_9_classical_vs_mixture_discriminator():
         and visibility(classical_pattern) > 0.999
     )
 
-    report = run_experiment(mixture, EQUAL_WEIGHTS, 100_000, 4242, SCREEN, ENVELOPE)
+    report = run_experiment(mixture, EQUAL_WEIGHTS, 100_000, 4242, ScreenOptics(SCREEN, PERIOD, ENVELOPE))
     epsilon = abs(report.branch1.outcome.shift)
     bimodal_ok = (
         report.branch1.estimate.shift < -5.0 * report.branch1.estimate.uncertainty

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from abmix import experiment
+from abmix import experiment, pattern
 from abmix.cli import build_parser, main
 from abmix.config import SCHEMA
 from abmix.errors import ValidationError
@@ -179,6 +179,14 @@ class TestMixtureCommand:
 
 
 class TestExperimentCommand:
+    def test_the_screen_envelope_is_computed_once_per_run(self, tmp_path, capsys, monkeypatch):
+        # validation builds the run's one ScreenOptics, and run_experiment takes it as it is
+        envelope, calls = pattern._envelope, []
+        monkeypatch.setattr(pattern, "_envelope", lambda *args: calls.append(args) or envelope(*args))
+        assert main(["experiment", "--config", write_config(tmp_path), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_fixed_seed_reruns_byte_identically(self, tmp_path, capsys):
         config = write_config(tmp_path)
         first_dir = tmp_path / "one"
@@ -302,6 +310,21 @@ class TestCurrentCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and value in lines[0]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("n_ensemble", ["1e308", "1" + "0" * 400], ids=["float", "401_digit_integer"])
+    def test_an_ensemble_current_that_is_not_finite_is_one_exit_3_line(self, tmp_path, capsys, n_ensemble):
+        # with m = 1e-30 the current of one electron is near 3e28 A, which 1e308 electrons overflow
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"wavepackets": {{"n_ensemble": {n_ensemble}}}, "constants": '
+                          '{"e": 1.0, "m": 1e-30, "hbar": 1.0, "h": 6.283185307179586}}', encoding="utf-8")
+        out_dir = tmp_path / "currents"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["current", "--config", str(config), "--out", str(out_dir)]) == 3
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ensemble current is not finite: ")
         assert not out_dir.exists()
 
     def test_plane_wave_matches_analytic_bound(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ from abmix.core import ApparatusGeometry, PhysicalConstants, Solenoid, flux, fri
 from abmix.dual import (
     BranchAmplitudes,
     DualSolenoidConfig,
-    check_weights,
     classical_totals,
     mixture_expectations,
     mixture_mean,
@@ -77,17 +76,31 @@ class TestBranchAmplitudes:
 
 
 @pytest.mark.parametrize("p1, p2", [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5 + 9e-13)])
-def test_check_weights_accepts_normalized_pairs(p1, p2):
-    check_weights(p1, p2)
+def test_amplitudes_accept_normalized_weights(p1, p2):
+    BranchAmplitudes(complex(math.sqrt(p1)), complex(math.sqrt(p2)))
 
 
+# BranchAmplitudes is the one normalization check: these are the weights that
+# mixtures, superpositions and the check itself once refused.  No amplitude
+# has a negative |c|^2, so a pair such as (-0.5, 1.5) cannot be formed at all
 @pytest.mark.parametrize(
-    "p1, p2",
-    [(0.6, 0.6), (-0.5, 1.5), (0.5, 0.5 + 2e-12), (math.nan, 1.0), (math.inf, 0.0), (math.inf, -math.inf)],
+    "c1, c2, weights",
+    [
+        (math.sqrt(0.6), math.sqrt(0.6), "(0.6000000000000001, 0.6000000000000001)"),
+        (1.0, 1.0, "(1.0, 1.0)"),
+        (ROOT_HALF, math.sqrt(0.5 + 2e-12), "(0.4999999999999999, 0.5000000000019998)"),
+        (math.nan, 1.0, "(nan, 1.0)"),
+        (complex(0.0, math.nan), 0.0, "(nan, 0.0)"),
+        (math.inf, 0.0, "(inf, 0.0)"),
+        (math.inf, complex(math.inf, math.nan), "(inf, inf)"),
+    ],
+    ids=["sum_1.2", "sum_2", "sum_just_over_tolerance", "nan", "nan_imaginary", "inf", "both_inf"],
 )
-def test_check_weights_rejects_unnormalized_negative_and_non_finite_pairs(p1, p2):
-    with pytest.raises(ValidationError, match="normalization"):
-        check_weights(p1, p2)
+def test_amplitudes_reject_unnormalized_and_non_finite_weights(c1, c2, weights):
+    message = f"weights {weights} violate normalization: both must be non-negative and sum to 1 within 1e-12"
+    with pytest.raises(ValidationError) as raised:
+        BranchAmplitudes(c1, c2)
+    assert str(raised.value) == message
 
 
 def synthetic_constants(e=1.0, m=1.0, hbar=1.0):

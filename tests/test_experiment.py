@@ -38,13 +38,13 @@ def field_config(field1, field2):
 
 
 def wide_screen(n=4096):
-    return Grid(x_min=-8.0 * PERIOD, x_max=8.0 * PERIOD, n=n)
+    return pattern.ScreenOptics(Grid(x_min=-8.0 * PERIOD, x_max=8.0 * PERIOD, n=n), PERIOD, ENVELOPE)
 
 
 class TestRunExperimentBasics:
     def test_counts_sum_to_requested_electrons(self):
         report = run_experiment(
-            antisymmetric_config(), EQUAL_WEIGHTS, 5000, 3, wide_screen(1024), ENVELOPE,
+            antisymmetric_config(), EQUAL_WEIGHTS, 5000, 3, wide_screen(1024),
             n_bootstrap=0,
         )
         assert report.branch1.count + report.branch2.count == 5000
@@ -55,33 +55,42 @@ class TestRunExperimentBasics:
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValidationError):
-            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 0, 3, wide_screen(), ENVELOPE)
+            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 0, 3, wide_screen())
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValidationError):
-            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 10, -1, wide_screen(), ENVELOPE)
+            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 10, -1, wide_screen())
 
     @pytest.mark.parametrize("n_electrons, seed", [(1000.0, 3), (True, 3), (10, 1.5), (10, True)])
     def test_rejects_non_integer_counts_and_seeds(self, n_electrons, seed):
         with pytest.raises(ValidationError):
-            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, n_electrons, seed, wide_screen(), ENVELOPE)
+            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, n_electrons, seed, wide_screen())
 
     def test_numpy_integers_run_as_python_integers(self):
-        runs = [run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, n, seed, wide_screen(1024), ENVELOPE,
+        runs = [run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, n, seed, wide_screen(1024),
                                n_bootstrap=resamples)
                 for n, seed, resamples in [(5000, 3, 3), (np.int64(5000), np.uint64(3), np.int64(3))]]
         assert report_text(runs[0]) == report_text(runs[1])
 
+    @pytest.mark.parametrize("period", [1.5 * PERIOD, math.nextafter(PERIOD, math.inf)], ids=["wider", "next_float"])
+    def test_rejects_optics_of_another_fringe_period_before_any_draw(self, monkeypatch, period):
+        streams = []
+        monkeypatch.setattr(experiment, "_Stream", lambda *args: streams.append(args))
+        optics = pattern.ScreenOptics(wide_screen().grid, period, ENVELOPE)
+        with pytest.raises(ValidationError, match="fringe period"):
+            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 1000, 3, optics)
+        assert streams == []
+
     @pytest.mark.parametrize("n_bootstrap", [2.5, True, -3])
     def test_rejects_non_integer_and_negative_resample_counts(self, n_bootstrap):
         with pytest.raises(ValidationError, match="resamples"):
-            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 10, 3, wide_screen(), ENVELOPE,
+            run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 10, 3, wide_screen(),
                            n_bootstrap=n_bootstrap)
 
     def test_pure_branch_one_gets_every_detection(self):
         pure = BranchAmplitudes(c1=1.0 + 0.0j, c2=0.0j)
         report = run_experiment(
-            antisymmetric_config(), pure, 20_000, 7, wide_screen(), ENVELOPE, n_bootstrap=20
+            antisymmetric_config(), pure, 20_000, 7, wide_screen(), n_bootstrap=20
         )
         assert report.branch1.count == 20_000
         assert report.branch2.count == 0
@@ -89,7 +98,7 @@ class TestRunExperimentBasics:
         assert report.branch2.histogram is None
         assert np.array_equal(report.pooled_histogram.intensity, report.branch1.histogram.intensity)
         estimate = report.branch1.estimate
-        tolerance = wide_screen().dx / 2.0 + 3.0 * estimate.uncertainty
+        tolerance = wide_screen().grid.dx / 2.0 + 3.0 * estimate.uncertainty
         assert abs(estimate.shift - report.branch1.outcome.shift) <= tolerance
 
     @pytest.mark.parametrize("fields, branch", [((1e308, -1.0), 1), ((1.0, 1e308), 2)], ids=["branch1", "branch2"])
@@ -104,7 +113,7 @@ class TestRunExperimentBasics:
         # 8 electrons, seed 5: branch 1 is estimated from 4 detections, the
         # 4 of branch 2 are too few; counting them as a 0 m shift would give
         # half the branch-1 estimate
-        report = run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 8, 5, wide_screen(), ENVELOPE)
+        report = run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 8, 5, wide_screen())
         assert report.branch2.count > 0 and math.isnan(report.branch2.estimate.shift)
         assert not math.isnan(report.branch1.estimate.shift)
         assert math.isnan(report.mean_shift) and math.isnan(report.mean_shift_sigma)
@@ -113,7 +122,7 @@ class TestRunExperimentBasics:
     def test_missing_branch_sigma_leaves_the_mean_sigma_undefined(self):
         # without resamples both branch sigmas are nan; counting them as 0
         # understated the 1-sigma of the mean
-        args = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 5, wide_screen(), ENVELOPE)
+        args = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 5, wide_screen())
         report = run_experiment(*args, n_bootstrap=0)
         assert math.isnan(report.branch1.estimate.uncertainty)
         assert math.isnan(report.branch2.estimate.uncertainty)
@@ -140,9 +149,9 @@ class TestPointEstimates:
         # there is no histogram
         screen = wide_screen()
         # at 1e6 detections the pooled contrast of delta = pi/2 is shot noise, about 0.02
-        report = run_experiment(antisymmetric_config(delta), amplitudes, 1_000_000, 11, screen, ENVELOPE,
+        report = run_experiment(antisymmetric_config(delta), amplitudes, 1_000_000, 11, screen,
                                 n_bootstrap=0)
-        reference = pattern.two_slit_pattern(pattern.ScreenOptics(screen, PERIOD, ENVELOPE), 0.0)
+        reference = pattern.two_slit_pattern(screen, 0.0)
         estimator = pattern.shift_estimator(reference)
         rows = [
             (report.branch1.estimate, report.branch1.histogram),
@@ -168,8 +177,7 @@ class TestDeterminism:
             amplitudes=EQUAL_WEIGHTS,
             n_electrons=20_000,
             seed=20240601,
-            screen=wide_screen(),
-            envelope_width=ENVELOPE,
+            optics=wide_screen(),
             n_bootstrap=25,
         )
         first = report_text(run_experiment(**kwargs))
@@ -184,8 +192,7 @@ class TestDeterminism:
             amplitudes=EQUAL_WEIGHTS,
             n_electrons=20_000,
             seed=20240601,
-            screen=wide_screen(),
-            envelope_width=ENVELOPE,
+            optics=wide_screen(),
             n_bootstrap=10,
         )
         default = run_experiment(**kwargs)
@@ -212,7 +219,7 @@ class TestDeterminism:
         for n_bootstrap in (2, 30):
             calls.clear()
             run_experiment(
-                antisymmetric_config(), EQUAL_WEIGHTS, 2000, 3, wide_screen(1024), ENVELOPE,
+                antisymmetric_config(), EQUAL_WEIGHTS, 2000, 3, wide_screen(1024),
                 n_bootstrap=n_bootstrap,
             )
             per_run.append(len(calls))
@@ -223,8 +230,7 @@ class TestDeterminism:
             config=antisymmetric_config(),
             amplitudes=EQUAL_WEIGHTS,
             n_electrons=5000,
-            screen=wide_screen(1024),
-            envelope_width=ENVELOPE,
+            optics=wide_screen(1024),
             n_bootstrap=0,
         )
         first = run_experiment(seed=1, **base)
@@ -246,7 +252,7 @@ class TestBlockBootstrap:
     def test_block_size_moves_no_bit(self, monkeypatch):
         # 7 resamples are estimated 4 + 3 by default; 1 at a time, or all 7
         # in one block, they must give the same report
-        args = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 8, wide_screen(), ENVELOPE, 7)
+        args = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 8, wide_screen(), 7)
         expected = report_text(run_experiment(*args))
         nfft = 8192   # the transform length of the 4096-cell screen
         for block_cells in (nfft, 7 * nfft):
@@ -255,7 +261,7 @@ class TestBlockBootstrap:
 
 
 class TestSharedSchedule:
-    ARGS = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 20240601, wide_screen(), ENVELOPE, 25)
+    ARGS = (antisymmetric_config(), EQUAL_WEIGHTS, 20_000, 20240601, wide_screen(), 25)
 
     @pytest.mark.parametrize("delayed", ["caller", "worker"])
     @pytest.mark.parametrize("phase", ["counting", "bootstrap"])
@@ -294,9 +300,8 @@ class TestSharedSchedule:
 
         monkeypatch.setattr(np, "std", recorded)
         schedule.delay["bootstrap", delayed] = 0.002
-        config, amplitudes, n_electrons, seed, screen, width, n_bootstrap = self.ARGS
+        config, amplitudes, n_electrons, seed, optics, n_bootstrap = self.ARGS
         report = run_experiment(*self.ARGS)
-        optics = pattern.ScreenOptics(screen, fringe_period(config.constants, config.geometry), width)
         estimator = pattern.shift_estimator(pattern.two_slit_pattern(optics, 0.0))
         block = max(1, experiment.BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
         histograms = (report.branch1.histogram, report.branch2.histogram, report.pooled_histogram)
@@ -324,7 +329,7 @@ class TestSharedSchedule:
         # the other thread is slowed so that units are still left when the fault hits
         schedule.fault = (phase, failing, 2 if failing == "caller" else 1, error())
         schedule.delay[phase, other] = 0.001
-        args = (*self.ARGS[:6], 200)
+        args = (*self.ARGS[:5], 200)
         with pytest.raises(error):
             run_experiment(*args)
         units = {"counting": 200, "bootstrap": 150}[phase]
@@ -345,7 +350,7 @@ class TestSharedSchedule:
         for n_electrons, workers in ((experiment.DRAW_CHUNK, 0), (experiment.DRAW_CHUNK + 1, 1)):
             started.clear()
             run_experiment(
-                antisymmetric_config(), EQUAL_WEIGHTS, n_electrons, 3, wide_screen(1024), ENVELOPE,
+                antisymmetric_config(), EQUAL_WEIGHTS, n_electrons, 3, wide_screen(1024),
                 n_bootstrap=0,
             )
             assert len(started) == workers
@@ -354,20 +359,20 @@ class TestSharedSchedule:
 class TestTwoPointStatistics:
     def test_branch_estimates_recover_opposite_shifts(self):
         report = run_experiment(
-            antisymmetric_config(), EQUAL_WEIGHTS, 100_000, 4242, wide_screen(), ENVELOPE,
+            antisymmetric_config(), EQUAL_WEIGHTS, 100_000, 4242, wide_screen(),
             n_bootstrap=50,
         )
         epsilon = abs(report.branch1.outcome.shift)
         for branch in (report.branch1, report.branch2):
             estimate = branch.estimate
-            tolerance = wide_screen().dx / 2.0 + 3.0 * estimate.uncertainty
+            tolerance = wide_screen().grid.dx / 2.0 + 3.0 * estimate.uncertainty
             assert abs(estimate.shift - branch.outcome.shift) <= tolerance
         assert report.branch1.estimate.shift < -0.5 * epsilon
         assert report.branch2.estimate.shift > +0.5 * epsilon
 
     def test_pooled_mean_compatible_with_zero(self):
         report = run_experiment(
-            antisymmetric_config(), EQUAL_WEIGHTS, 100_000, 4242, wide_screen(), ENVELOPE,
+            antisymmetric_config(), EQUAL_WEIGHTS, 100_000, 4242, wide_screen(),
             n_bootstrap=50,
         )
         assert abs(report.mean_shift) <= 3.0 * report.mean_shift_sigma
@@ -376,7 +381,7 @@ class TestTwoPointStatistics:
         # equal-weight quarter-turn mixture: pooled visibility ~ |cos(pi/2)|
         report = run_experiment(
             antisymmetric_config(delta=math.pi / 2.0), EQUAL_WEIGHTS, 400_000, 4242,
-            wide_screen(), ENVELOPE, n_bootstrap=10,
+            wide_screen(), n_bootstrap=10,
         )
         assert math.isnan(report.pooled_estimate.shift)
         assert report.pooled_estimate.visibility < 0.05
@@ -405,29 +410,29 @@ class TestPooledPhasorLaw:
         + [(0.6, (1.1, -0.4))],   # one asymmetric flux pair
     )
     def test_mixture_pattern_is_the_phasor_fringe(self, p1, phases):
-        screen = wide_screen()
-        optics = pattern.ScreenOptics(screen, PERIOD, ENVELOPE)
+        optics = wide_screen()
+        amplitudes = BranchAmplitudes(c1=complex(math.sqrt(p1)), c2=complex(math.sqrt(1.0 - p1)))
         branches = [pattern.two_slit_pattern(optics, phi) for phi in phases]
-        mixed = pattern.mixture_pattern(p1, branches[0], 1.0 - p1, branches[1])
-        z = phasor((p1, 1.0 - p1), phases)
+        mixed = pattern.mixture_pattern(amplitudes, *branches)
+        z = phasor((amplitudes.p1, amplitudes.p2), phases)
         assert abs(pattern.visibility(mixed) - abs(z)) <= 1e-3
         reference = pattern.two_slit_pattern(optics, 0.0)
         estimate = pattern.estimate_shift(mixed, reference)
         # arg z = pi (p1 = 0.5, delta = 2) is half a period either way: compare modulo the period
         offset = (estimate.shift - shift_at(math.atan2(z.imag, z.real)) + PERIOD / 2.0) % PERIOD - PERIOD / 2.0
-        assert abs(offset) <= screen.dx / 2.0
+        assert abs(offset) <= optics.grid.dx / 2.0
 
     def test_pooled_shift_follows_the_phasor_not_the_mean(self):
         p1 = 0.75
         amplitudes = BranchAmplitudes(c1=complex(math.sqrt(p1)), c2=complex(math.sqrt(1.0 - p1)))
         n = 100_000
-        report = run_experiment(antisymmetric_config(1.0), amplitudes, n, 4242, wide_screen(), ENVELOPE,
+        report = run_experiment(antisymmetric_config(1.0), amplitudes, n, 4242, wide_screen(),
                                 n_bootstrap=50)
         branches = (report.branch1, report.branch2)
         z = phasor([b.count / n for b in branches], [b.outcome.phase for b in branches])
         pooled = report.pooled_estimate
         predicted = shift_at(math.atan2(z.imag, z.real))
-        assert abs(pooled.shift - predicted) <= wide_screen().dx / 2.0 + 3.0 * pooled.uncertainty
+        assert abs(pooled.shift - predicted) <= wide_screen().grid.dx / 2.0 + 3.0 * pooled.uncertainty
         mixture_mean = p1 * branches[0].outcome.shift + (1.0 - p1) * branches[1].outcome.shift
         assert abs(report.mean_shift - mixture_mean) <= 3.0 * report.mean_shift_sigma
         sigma = math.hypot(pooled.uncertainty, report.mean_shift_sigma)
@@ -444,7 +449,7 @@ class TestConvergence:
             frequency, shift = [], []
             for seed in seeds:
                 report = run_experiment(
-                    config, EQUAL_WEIGHTS, n, seed, screen, ENVELOPE, n_bootstrap=0
+                    config, EQUAL_WEIGHTS, n, seed, screen, n_bootstrap=0
                 )
                 frequency.append(abs(report.branch1.count / n - 0.5))
                 shift.append(abs(report.mean_shift))
@@ -469,7 +474,7 @@ class TestDiscriminator:
         )
         assert classical_totals(classical) == (0.0, 0.0)
         report = run_experiment(
-            mixture, EQUAL_WEIGHTS, 100_000, 4242, wide_screen(), ENVELOPE, n_bootstrap=50
+            mixture, EQUAL_WEIGHTS, 100_000, 4242, wide_screen(), n_bootstrap=50
         )
         for branch in (report.branch1, report.branch2):
             estimate = branch.estimate
@@ -482,7 +487,7 @@ class TestReportText:
     def test_a_branch_with_detections_but_no_estimate_prints_nan(self):
         # 8 electrons, seed 5: branch 2's 4 detections have a contrast at or
         # below the floor; its estimate keeps that contrast, the report prints nan
-        report = run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 8, 5, wide_screen(), ENVELOPE)
+        report = run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 8, 5, wide_screen())
         assert report.branch2.count > 0
         assert math.isfinite(report.branch2.estimate.visibility)
         assert report.branch2.estimate.visibility <= pattern.VISIBILITY_FLOOR
@@ -492,9 +497,9 @@ class TestReportText:
 
     def test_a_washed_out_pool_prints_its_visibility_and_is_not_measurable(self):
         screen = wide_screen()
-        report = run_experiment(antisymmetric_config(math.pi / 2.0), EQUAL_WEIGHTS, 1_000_000, 11, screen, ENVELOPE,
+        report = run_experiment(antisymmetric_config(math.pi / 2.0), EQUAL_WEIGHTS, 1_000_000, 11, screen,
                                 n_bootstrap=0)
-        reference = pattern.two_slit_pattern(pattern.ScreenOptics(screen, PERIOD, ENVELOPE), 0.0)
+        reference = pattern.two_slit_pattern(screen, 0.0)
         estimator = pattern.shift_estimator(reference)
         _, visibilities = estimator.shifts(report.pooled_histogram.intensity[np.newaxis])
         lines = report_text(report).splitlines()
@@ -504,7 +509,7 @@ class TestReportText:
 
     def test_flat_key_value_layout(self):
         report = run_experiment(
-            antisymmetric_config(), EQUAL_WEIGHTS, 2000, 5, wide_screen(1024), ENVELOPE,
+            antisymmetric_config(), EQUAL_WEIGHTS, 2000, 5, wide_screen(1024),
             n_bootstrap=0,
         )
         text = report_text(report)
