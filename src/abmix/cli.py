@@ -2,19 +2,21 @@
 
 Subcommands: phase, classical, mixture, experiment, current.  Every
 command reads an optional JSON config (--config), applies flag overrides
-(--seed, --out), prints a table to stdout and, where applicable, writes
-CSV / flat-text artifacts into the output directory (--csv enables the
-pattern CSVs of `mixture`).
+(--seed, --out) and computes its stdout table and, where applicable, the
+CSV / flat-text artifacts of the output directory (--csv enables the
+pattern CSVs of `mixture`).  Commands return text and files, `main`
+writes, then prints.
 
 Exit codes: 0 success, 2 validation failure (every violation is listed
 once, not just the first), 3 when the wire packets overlap
 (InterferenceError), a current is not finite or not real (ArithmeticError)
-or memory runs out, 4 I/O failure.  A failed run writes no file: each
-artifact is written to a hidden temporary file beside the output
-directory and renamed into it only once all are written (a killed process
-can leave such `.<out>-...` files behind).  All artifacts are plain text,
-deterministic for a fixed (config, seed), and echo the resolved config:
-the CSVs as one `# config =` JSON line, report.txt as its `config.*` block.
+or memory runs out, 4 I/O failure.  A failed run writes no file and prints
+no result: each artifact is written to a hidden temporary file beside the
+output directory and renamed into it only once all are written (a killed
+process can leave such `.<out>-...` files behind); stdout is written last.
+All artifacts are plain text, deterministic for a fixed (config, seed), and
+echo the resolved config: the CSVs as one `# config =` JSON line,
+report.txt as its `config.*` block.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ def _load_config(args) -> RunConfig | None:
         cfg = RunConfig.from_file(args.config, **overrides) if args.config else RunConfig(**overrides)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return None
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return None
     problems = cfg.validate()
     for problem in problems:
@@ -141,7 +140,7 @@ def _write_all(cfg: RunConfig, command: str, files: dict[str, str]) -> None:
         raise
 
 
-def cmd_phase(cfg: RunConfig) -> int:
+def cmd_phase(cfg: RunConfig) -> tuple[str, dict[str, str]]:
     constants, geometry, solenoid = (cfg.objects[k] for k in ("constants", "geometry", "solenoid1"))
     lam = de_broglie_wavelength(constants, geometry)
     phi = flux(solenoid)
@@ -153,11 +152,10 @@ def cmd_phase(cfg: RunConfig) -> int:
         ("fringe shift dx [m]", fringe_shift(constants, geometry, phi)),
         ("fringe shift, classical form [m]", fringe_shift_classical_form(constants, geometry, phi)),
     ]
-    _print_table("single solenoid", rows)
-    return EXIT_OK
+    return _table("single solenoid", rows), {}
 
 
-def cmd_classical(cfg: RunConfig) -> int:
+def cmd_classical(cfg: RunConfig) -> tuple[str, dict[str, str]]:
     config = cfg.objects["apparatus"]
     phi1, phi2 = config.flux1, config.flux2
     dphi, dx = classical_totals(config)
@@ -168,11 +166,10 @@ def cmd_classical(cfg: RunConfig) -> int:
         ("total phase difference dphi [rad]", dphi),
         ("total fringe shift dx [m]", dx),
     ]
-    _print_table("classical two-solenoid totals", rows)
-    return EXIT_OK
+    return _table("classical two-solenoid totals", rows), {}
 
 
-def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
+def cmd_mixture(cfg: RunConfig, write_csv: bool) -> tuple[str, dict[str, str]]:
     config, amplitudes = cfg.objects["apparatus"], cfg.objects["amplitudes"]
     outcomes = outcome_distribution(config, amplitudes)
     o1, o2 = outcomes
@@ -193,21 +190,20 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> int:
     branch_patterns = [two_slit_pattern(cfg.objects["screen"], o.phase) for o in outcomes]
     mixed = mixture_pattern(amplitudes, *branch_patterns)
     rows.append(("mixture pattern visibility", visibility(mixed)))
-    _print_table("quantum mixture", rows)
-    if write_csv:
-        summary = ["quantity,value"]
-        summary += [f"{label.replace(' ', '_').replace(',', '')},{value!r}" for label, value in rows]
-        _write_all(cfg, "mixture", {
-            "pattern_branch1.csv": pattern_csv(branch_patterns[0]),
-            "pattern_branch2.csv": pattern_csv(branch_patterns[1]),
-            "pattern_mixture.csv": pattern_csv(mixed),
-            "mixture_summary.csv": "\n".join(summary) + "\n",
-        })
-        print(f"wrote pattern CSVs to {cfg['out_dir']}/")
-    return EXIT_OK
+    text = _table("quantum mixture", rows)
+    if not write_csv:
+        return text, {}
+    summary = ["quantity,value"]
+    summary += [f"{label.replace(' ', '_').replace(',', '')},{value!r}" for label, value in rows]
+    return text + f"wrote pattern CSVs to {cfg['out_dir']}/\n", {
+        "pattern_branch1.csv": pattern_csv(branch_patterns[0]),
+        "pattern_branch2.csv": pattern_csv(branch_patterns[1]),
+        "pattern_mixture.csv": pattern_csv(mixed),
+        "mixture_summary.csv": "\n".join(summary) + "\n",
+    }
 
 
-def cmd_experiment(cfg: RunConfig) -> int:
+def cmd_experiment(cfg: RunConfig) -> tuple[str, dict[str, str]]:
     report = run_experiment(
         config=cfg.objects["apparatus"],
         amplitudes=cfg.objects["amplitudes"],
@@ -220,23 +216,19 @@ def cmd_experiment(cfg: RunConfig) -> int:
     for branch in (report.branch1, report.branch2):
         if branch.histogram is not None:
             files[f"histogram_branch{branch.outcome.branch}.csv"] = pattern_csv(branch.histogram, "count")
-    _write_all(cfg, "experiment", files)
-    sys.stdout.write(text)
-    print(f"wrote report and histograms to {cfg['out_dir']}/")
-    return EXIT_OK
+    return text + f"wrote report and histograms to {cfg['out_dir']}/\n", files
 
 
-def cmd_current(cfg: RunConfig) -> int:
+def cmd_current(cfg: RunConfig) -> tuple[str, dict[str, str]]:
     constants, grid = cfg.objects["constants"], cfg.objects["wavepackets"]
 
     if cfg["wavepackets.kind"] == "plane":
         k = cfg["wavepackets.k"]
         j, deviation, bound = cur.plane_wave_check(grid, k, constants)
-        print(f"plane wave k = {k!r} 1/m on {grid.n} samples, d_eta = {grid.dx!r} m")
-        print(f"max |j - e*hbar*k/m*|psi|^2| = {deviation!r} A (discretization bound {bound!r} A)")
-        _write_all(cfg, "current", {"current_plane.csv": cur.current_table(j)})
-        print(f"wrote current_plane.csv to {cfg['out_dir']}/")
-        return EXIT_OK
+        text = (f"plane wave k = {k!r} 1/m on {grid.n} samples, d_eta = {grid.dx!r} m\n"
+                f"max |j - e*hbar*k/m*|psi|^2| = {deviation!r} A (discretization bound {bound!r} A)\n"
+                f"wrote current_plane.csv to {cfg['out_dir']}/\n")
+        return text, {"current_plane.csv": cur.current_table(j)}
 
     width = cfg["wavepackets.width"]
     psi1 = cur.gaussian_packet(grid, cfg["wavepackets.center1"], width, cfg["wavepackets.k1"])
@@ -244,25 +236,22 @@ def cmd_current(cfg: RunConfig) -> int:
     j_total, j_mixture, deviation, bound = cur.mixture_current_check(cfg.objects["amplitudes"], psi1, psi2, constants)
     j_ensemble = cur.ensemble_current(cfg["wavepackets.n_ensemble"], j_total)
     tolerance = np.format_float_scientific(cur.DECOMPOSITION_TOL, trim="-", exp_digits=1)
-    print(f"two gaussian packets, |overlap| = {abs(cur.overlap(psi1, psi2))!r}")
-    print(f"max |j_total - (|c1|^2 j_1 + |c2|^2 j_2)| = {deviation!r} A")
-    print(f"decomposition bound {tolerance} * max|j_k| = {bound!r} A")
-    _write_all(cfg, "current", {
+    text = (f"two gaussian packets, |overlap| = {abs(cur.overlap(psi1, psi2))!r}\n"
+            f"max |j_total - (|c1|^2 j_1 + |c2|^2 j_2)| = {deviation!r} A\n"
+            f"decomposition bound {tolerance} * max|j_k| = {bound!r} A\n"
+            f"wrote wavefunction and current CSVs to {cfg['out_dir']}/\n")
+    return text, {
         "wavefunction_branch1.csv": cur.wavefunction_table(psi1),
         "wavefunction_branch2.csv": cur.wavefunction_table(psi2),
         "current_total.csv": cur.current_table(j_total),
         "current_mixture.csv": cur.current_table(j_mixture),
         "current_ensemble.csv": cur.current_table(j_ensemble),
-    })
-    print(f"wrote wavefunction and current CSVs to {cfg['out_dir']}/")
-    return EXIT_OK
+    }
 
 
-def _print_table(title: str, rows: list[tuple[str, float]]) -> None:
-    print(title)
+def _table(title: str, rows: list[tuple[str, float]]) -> str:
     label_width = max(len(label) for label, _ in rows)
-    for label, value in rows:
-        print(f"  {label:<{label_width}}  {value!r}")
+    return "".join([f"{title}\n", *(f"  {label:<{label_width}}  {value!r}\n" for label, value in rows)])
 
 
 @functools.cache
@@ -299,7 +288,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args)   # validation builds the screen's arrays, which can exhaust memory
         if cfg is None:
             return EXIT_VALIDATION
-        return commands[args.command](cfg)
+        text, files = commands[args.command](cfg)
+        if files:
+            _write_all(cfg, args.command, files)
+        sys.stdout.write(text)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -102,14 +102,6 @@ def pointwise_product_max(psi1: GridWavefunction, psi2: GridWavefunction) -> flo
     return float(np.max(np.abs(psi1.samples * psi2.samples)))
 
 
-def non_interfering(psi1: GridWavefunction, psi2: GridWavefunction) -> bool:
-    """True when both |overlap| and the pointwise product stay below 1e-9."""
-    return (
-        abs(overlap(psi1, psi2)) < NON_INTERFERENCE_TOL
-        and pointwise_product_max(psi1, psi2) < NON_INTERFERENCE_TOL
-    )
-
-
 def superpose(amplitudes: BranchAmplitudes, psi1: GridWavefunction, psi2: GridWavefunction) -> GridWavefunction:
     """Form c1 psi1 + c2 psi2 on the shared grid.
 
@@ -162,15 +154,15 @@ def mixture_current_check(
     Returns (j_total, j_mixture, max_abs_deviation, bound) where j_total is
     the current of c1 psi1 + c2 psi2, j_mixture_i = |c1|^2 j1_i + |c2|^2 j2_i
     and bound = DECOMPOSITION_TOL * max|j_k| over both branch currents.
-    Raises InterferenceError when the branches fail the non-interference
-    predicate, since the decomposition only holds for vanishing cross terms.
+    Raises InterferenceError unless |overlap| and max|psi1 psi2| are both
+    below NON_INTERFERENCE_TOL, since the decomposition needs vanishing cross terms.
     """
-    if not non_interfering(psi1, psi2):
+    measured = abs(overlap(psi1, psi2)), pointwise_product_max(psi1, psi2)
+    if not all(measure < NON_INTERFERENCE_TOL for measure in measured):   # a nan measure fails
         raise InterferenceError(
             "branch wavefunctions interfere: the non-interference condition "
             f"requires |overlap| < {NON_INTERFERENCE_TOL} and max|psi1*psi2| < "
-            f"{NON_INTERFERENCE_TOL}, measured |overlap|={abs(overlap(psi1, psi2))!r}, "
-            f"max|psi1*psi2|={pointwise_product_max(psi1, psi2)!r}"
+            f"{NON_INTERFERENCE_TOL}, measured |overlap|={measured[0]!r}, max|psi1*psi2|={measured[1]!r}"
         )
     j_total = current_density(superpose(amplitudes, psi1, psi2), constants)
     j1 = current_density(psi1, constants)

@@ -546,6 +546,35 @@ class TestValidationReporting:
         assert "n_electrons" not in errors[0]
         assert not out_dir.exists()
 
+    # (command, wavepackets config, the table writer its files are built with)
+    @pytest.mark.parametrize("command, wavepackets, table", [
+        (["mixture", "--csv"], {}, "abmix.cli.pattern_csv"),
+        (["current"], {}, "abmix.current.current_table"),
+        (["current"], {"kind": "plane"}, "abmix.current.current_table"),
+        (["experiment"], {}, "abmix.cli.pattern_csv"),
+    ], ids=["mixture", "current", "current_plane", "experiment"])
+    @pytest.mark.parametrize("fault, code", [("blocked_out", 4), ("table_memory", 3)])
+    def test_a_run_that_fails_after_computing_prints_no_result(
+        self, tmp_path, capsys, monkeypatch, command, wavepackets, table, fault, code
+    ):
+        config = write_config(tmp_path, wavepackets=wavepackets)
+        out_dir = tmp_path / "run"
+        if fault == "blocked_out":
+            (tmp_path / "blocker").write_text("not a directory", encoding="utf-8")
+            out_dir = tmp_path / "blocker" / "run"
+        else:
+            def exhausted(*args):
+                raise MemoryError
+
+            monkeypatch.setattr(table, exhausted)
+        before = {path.name for path in tmp_path.iterdir()}
+        assert main([*command, "--config", config, "--out", str(out_dir)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert {path.name for path in tmp_path.iterdir()} == before   # no output, no temporary
+
 
     @pytest.mark.parametrize("phase", ["counting", "bootstrap"])
     @pytest.mark.parametrize("thread", ["caller", "worker"])

@@ -1,10 +1,12 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abmix import current
 from abmix.core import Grid, PhysicalConstants
 from abmix.current import (
     CurrentDensity,
@@ -14,7 +16,6 @@ from abmix.current import (
     ensemble_current,
     gaussian_packet,
     mixture_current_check,
-    non_interfering,
     overlap,
     plane_wave,
     plane_wave_check,
@@ -89,14 +90,43 @@ class TestOverlap:
 
 
 class TestNonInterfering:
+    """mixture_current_check's non-interference condition: |overlap| and
+    max|psi1 psi2| both below NON_INTERFERENCE_TOL."""
+
     def test_separated_packets_qualify(self):
         psi1, psi2 = disjoint_packets()
-        assert non_interfering(psi1, psi2)
+        mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
+        assert abs(overlap(psi1, psi2)) < 1e-9
         assert pointwise_product_max(psi1, psi2) < 1e-9
 
-    def test_overlapping_packets_do_not(self):
-        psi1, psi2 = disjoint_packets(separation=2.0 * 16.0)
-        assert not non_interfering(psi1, psi2)
+    def test_overlapping_packets_do_not_and_the_message_names_both_measures(self):
+        psi1, psi2 = disjoint_packets(separation=2.0 * 16.0, k2=1.5)
+        measured = f"|overlap|={abs(overlap(psi1, psi2))!r}, max|psi1*psi2|={pointwise_product_max(psi1, psi2)!r}"
+        with pytest.raises(InterferenceError, match=re.escape(measured)):
+            mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
+
+    @pytest.mark.parametrize("measure", ["overlap", "pointwise_product_max"])
+    def test_a_nan_measure_fails(self, monkeypatch, measure):
+        psi1, psi2 = disjoint_packets(n=1024)
+        monkeypatch.setattr(current, measure, lambda a, b: math.nan)
+        with pytest.raises(InterferenceError, match="=nan"):
+            mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
+
+    # packets of one k two widths apart fail both measures; packets of opposite
+    # k are orthogonal, so co-located ones fail the pointwise product only
+    @pytest.mark.parametrize("separation, k2", [(2.0 * 16.0, 1.5), (0.0, -1.5)], ids=["both", "product_only"])
+    def test_each_measure_is_computed_once_on_the_failure_path(self, monkeypatch, separation, k2):
+        psi1, psi2 = disjoint_packets(n=1024, separation=separation, k2=k2)
+        calls = {}
+        for name in ("overlap", "pointwise_product_max"):
+            def counted(a, b, measure=getattr(current, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return measure(a, b)
+
+            monkeypatch.setattr(current, name, counted)
+        with pytest.raises(InterferenceError):
+            mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
+        assert calls == {"overlap": 1, "pointwise_product_max": 1}
 
 
 class TestSuperpose:
