@@ -37,7 +37,7 @@ from . import current as cur
 from .config import RunConfig
 from .core import (de_broglie_wavelength, flux, fringe_period, fringe_shift,
                    fringe_shift_classical_form, phase_shift)
-from .dual import classical_totals, mixture_mean, outcome_distribution
+from .dual import classical_totals, outcome_distribution
 from .errors import InterferenceError, ValidationError
 from .experiment import BOOTSTRAP_DEFAULT, DRAW_ORDER, RNG_ALGORITHM, report_text, run_experiment
 from .pattern import mixture_pattern, pattern_csv, two_slit_pattern, visibility
@@ -172,7 +172,6 @@ def cmd_classical(cfg: RunConfig) -> tuple[str, dict[str, str]]:
 def cmd_mixture(cfg: RunConfig, write_csv: bool) -> tuple[str, dict[str, str]]:
     config, amplitudes = cfg.objects["apparatus"], cfg.objects["amplitudes"]
     outcomes = outcome_distribution(config, amplitudes)
-    o1, o2 = outcomes
     rows = []
     for o in outcomes:
         rows += [
@@ -181,12 +180,8 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> tuple[str, dict[str, str]]:
             (f"branch {o.branch} phase dphi_{o.branch} [rad]", o.phase),
             (f"branch {o.branch} shift dx_{o.branch} [m]", o.shift),
         ]
-    rows += [
-        ("mixture field B [T]", mixture_mean(amplitudes, config.solenoid1.field, config.solenoid2.field)),
-        ("mixture flux Phi [Wb]", mixture_mean(amplitudes, config.flux1, config.flux2)),
-        ("mixture mean phase dphi [rad]", mixture_mean(amplitudes, o1.phase, o2.phase)),
-        ("mixture mean shift dx [m]", mixture_mean(amplitudes, o1.shift, o2.shift)),
-    ]
+    rows += zip(("mixture field B [T]", "mixture flux Phi [Wb]", "mixture mean phase dphi [rad]",
+                 "mixture mean shift dx [m]"), cfg.objects["mixture"])
     branch_patterns = [two_slit_pattern(cfg.objects["screen"], o.phase) for o in outcomes]
     mixed = mixture_pattern(amplitudes, *branch_patterns)
     rows.append(("mixture pattern visibility", visibility(mixed)))
@@ -220,23 +215,20 @@ def cmd_experiment(cfg: RunConfig) -> tuple[str, dict[str, str]]:
 
 
 def cmd_current(cfg: RunConfig) -> tuple[str, dict[str, str]]:
-    constants, grid = cfg.objects["constants"], cfg.objects["wavepackets"]
-
+    constants, amplitudes, packets = (cfg.objects[k] for k in ("constants", "amplitudes", "wavepackets"))
     if cfg["wavepackets.kind"] == "plane":
-        k = cfg["wavepackets.k"]
-        j, deviation, bound = cur.plane_wave_check(grid, k, constants)
+        k, grid = cfg["wavepackets.k"], packets[0].grid
+        j, deviation, bound = cur.plane_wave_check(packets[0], k, constants)
         text = (f"plane wave k = {k!r} 1/m on {grid.n} samples, d_eta = {grid.dx!r} m\n"
                 f"max |j - e*hbar*k/m*|psi|^2| = {deviation!r} A (discretization bound {bound!r} A)\n"
                 f"wrote current_plane.csv to {cfg['out_dir']}/\n")
         return text, {"current_plane.csv": cur.current_table(j)}
 
-    width = cfg["wavepackets.width"]
-    psi1 = cur.gaussian_packet(grid, cfg["wavepackets.center1"], width, cfg["wavepackets.k1"])
-    psi2 = cur.gaussian_packet(grid, cfg["wavepackets.center2"], width, cfg["wavepackets.k2"])
-    j_total, j_mixture, deviation, bound = cur.mixture_current_check(cfg.objects["amplitudes"], psi1, psi2, constants)
+    psi1, psi2 = packets
+    j_total, j_mixture, deviation, bound, overlap = cur.mixture_current_check(amplitudes, psi1, psi2, constants)
     j_ensemble = cur.ensemble_current(cfg["wavepackets.n_ensemble"], j_total)
     tolerance = np.format_float_scientific(cur.DECOMPOSITION_TOL, trim="-", exp_digits=1)
-    text = (f"two gaussian packets, |overlap| = {abs(cur.overlap(psi1, psi2))!r}\n"
+    text = (f"two gaussian packets, |overlap| = {overlap!r}\n"
             f"max |j_total - (|c1|^2 j_1 + |c2|^2 j_2)| = {deviation!r} A\n"
             f"decomposition bound {tolerance} * max|j_k| = {bound!r} A\n"
             f"wrote wavefunction and current CSVs to {cfg['out_dir']}/\n")
@@ -285,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"phase": cmd_phase, "classical": cmd_classical, "experiment": cmd_experiment,
                 "current": cmd_current, "mixture": lambda cfg: cmd_mixture(cfg, args.csv)}
     try:
-        cfg = _load_config(args)   # validation builds the screen's arrays, which can exhaust memory
+        cfg = _load_config(args)   # validation builds the screen's and the wire's arrays, which can exhaust memory
         if cfg is None:
             return EXIT_VALIDATION
         text, files = commands[args.command](cfg)

@@ -15,12 +15,12 @@ with no NUL character (no path can hold one).
 Unknown keys are rejected at any depth, and a partial section is merged key
 by key with the defaults.
 
-`validate` builds each domain object once and lists every violation once:
-it skips an object whose inputs already failed.  The screen is a
-`pattern.ScreenOptics`, the one home of the screen's rules; it is built
-after the apparatus, from the apparatus's fringe period, so an apparatus
-that failed skips it and no cause is listed twice.  Every command
-validates the same objects, so a bad screen fails every command alike.
+`validate` is the one place a loadable config is refused: it builds each
+domain object once, skips one whose inputs already failed and lists every
+other violation once.  After the apparatus come the screen (a
+`pattern.ScreenOptics`, from the apparatus's fringe period), the four
+mixture means and the wire wavefunctions of `wavepackets.kind`.  Every
+command validates, and then reads, the same objects, so all fail alike.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 
 from .core import (ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, ApparatusGeometry, Grid, PhysicalConstants,
                    Solenoid, base_area, fringe_period)
-from .current import MIN_SAMPLES
-from .dual import BranchAmplitudes, DualSolenoidConfig
+from .current import MIN_SAMPLES, gaussian_packet, plane_wave
+from .dual import BranchAmplitudes, DualSolenoidConfig, mixture_expectations
 from .errors import ValidationError
 from .pattern import ScreenOptics
 
@@ -93,6 +93,15 @@ def _unit_field(radius: str, sign: float):
     """Default field whose branch phase difference is exactly `sign` rad: 0
     where the base area overflows to inf, which leaves the flux nan."""
     return lambda v: sign * ((v["constants.hbar"] / v["constants.e"]) / base_area(v[radius]))
+
+
+def _wavepackets(v) -> tuple:
+    """The `current` command's wire wavefunctions: the plane wave, or the two Gaussian packets."""
+    grid = Grid(v["wavepackets.eta_min"], v["wavepackets.eta_max"], v["wavepackets.n"])
+    if v["wavepackets.kind"] == "plane":
+        return (plane_wave(grid, v["wavepackets.k"]),)
+    return tuple(gaussian_packet(grid, v[f"wavepackets.center{k}"], v["wavepackets.width"], v[f"wavepackets.k{k}"])
+                 for k in (1, 2))
 
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -167,8 +176,8 @@ _BUILDERS = (
         period=fringe_period(built["apparatus"].constants, built["apparatus"].geometry),
         grid=Grid(v["screen.x_min"], v["screen.x_max"], v["screen.n"]),
         envelope_width=v["envelope_width"])),
-    ("wavepackets", lambda v, built: Grid(      # the wire grid of the `current` command
-        v["wavepackets.eta_min"], v["wavepackets.eta_max"], v["wavepackets.n"])),
+    ("mixture", lambda v, built: mixture_expectations(built["apparatus"], built["amplitudes"])),
+    ("wavepackets", lambda v, built: _wavepackets(v)),
 )
 
 

@@ -16,7 +16,9 @@ the spacing cuts the discretization error by about four.
 For a superposition c1 psi1 + c2 psi2 whose branches do not interfere
 (vanishing pointwise product and inner product), the total current
 decomposes as |c1|^2 j1 + |c2|^2 j2; `mixture_current_check` verifies
-this numerically and refuses to run on interfering branches.
+this numerically and refuses to run on interfering branches.  The factories
+refuse a packet that cannot be normalized and a plane wave whose bound
+overflows, so `config.validate` refuses both before any command runs.
 """
 
 from __future__ import annotations
@@ -148,12 +150,12 @@ def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> Curr
 
 def mixture_current_check(
     amplitudes: BranchAmplitudes, psi1: GridWavefunction, psi2: GridWavefunction, constants: PhysicalConstants
-) -> tuple[CurrentDensity, CurrentDensity, float, float]:
+) -> tuple[CurrentDensity, CurrentDensity, float, float, float]:
     """Compare the superposition current with its mixture decomposition.
 
-    Returns (j_total, j_mixture, max_abs_deviation, bound) where j_total is
-    the current of c1 psi1 + c2 psi2, j_mixture_i = |c1|^2 j1_i + |c2|^2 j2_i
-    and bound = DECOMPOSITION_TOL * max|j_k| over both branch currents.
+    Returns (j_total, j_mixture, max_abs_deviation, bound, abs_overlap): the
+    current of c1 psi1 + c2 psi2, j_mixture_i = |c1|^2 j1_i + |c2|^2 j2_i, bound =
+    DECOMPOSITION_TOL * max|j_k| over both branch currents, and the |overlap| measured.
     Raises InterferenceError unless |overlap| and max|psi1 psi2| are both
     below NON_INTERFERENCE_TOL, since the decomposition needs vanishing cross terms.
     """
@@ -171,28 +173,20 @@ def mixture_current_check(
     j_mixture = CurrentDensity(psi1.grid, mixture)
     deviation = float(np.max(np.abs(j_total.samples - j_mixture.samples)))
     bound = DECOMPOSITION_TOL * max(float(np.max(np.abs(j.samples))) for j in (j1, j2))
-    return j_total, j_mixture, deviation, bound
+    return j_total, j_mixture, deviation, bound, measured[0]
 
 
 def plane_wave_check(
-    grid: Grid, wavenumber: float, constants: PhysicalConstants
+    psi: GridWavefunction, wavenumber: float, constants: PhysicalConstants
 ) -> tuple[CurrentDensity, float, float]:
-    """Compare the current of the plane wave exp(i k eta) on `grid` with
-    its closed form e hbar k / m |psi|^2.
-
-    Returns (j, max_abs_deviation, bound) where bound = 0.4 (k d_eta)^2
-    max|e hbar k / m |psi|^2| is the discretization bound of the central
-    differences.  Raises ValidationError when (k d_eta)^2 overflows.
-    """
-    psi = plane_wave(grid, wavenumber)
+    """Compare the current of `psi`, the :func:`plane_wave` of `wavenumber`,
+    with its closed form e hbar k / m |psi|^2: returns (j, max_abs_deviation,
+    bound), where bound = 0.4 (k d_eta)^2 max|e hbar k / m |psi|^2| is the
+    discretization bound of the central differences."""
     j = current_density(psi, constants)
     analytic = (constants.e * constants.hbar * wavenumber / constants.m) * np.abs(psi.samples) ** 2
     deviation = float(np.max(np.abs(j.samples - analytic)))
-    try:
-        bound = 0.4 * (wavenumber * grid.dx) ** 2 * float(np.max(np.abs(analytic)))
-    except OverflowError:
-        raise ValidationError(f"wavepackets.k {wavenumber!r} is too large for the wire grid spacing "
-                              f"{grid.dx!r}: the discretization bound (k * d_eta)**2 overflows") from None
+    bound = 0.4 * (wavenumber * psi.grid.dx) ** 2 * float(np.max(np.abs(analytic)))
     return j, deviation, bound
 
 
@@ -227,23 +221,30 @@ def gaussian_packet(grid: Grid, center: float, width: float, wavenumber: float) 
     except OverflowError:
         raise ValidationError(f"packet width {width!r} is too large: its square overflows") from None
     eta = grid.positions
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):   # a weight or norm that is not finite fails the check below
         samples = np.exp(-((eta - center) ** 2) / two_width_sq) * np.exp(1j * wavenumber * eta)
-    weight = float(np.sum(np.abs(samples) ** 2)) * grid.dx
-    if not weight > 0.0:   # also nan, when k * eta overflows
-        raise ValidationError(f"packet with center {center!r}, width {width!r} and k {wavenumber!r} has "
-                              f"no finite weight on the wire grid [{grid.x_min!r}, {grid.x_max!r}]")
-    return GridWavefunction(grid, samples / math.sqrt(weight))
+        weight = float(np.sum(np.abs(samples) ** 2)) * grid.dx
+        psi = GridWavefunction(grid, samples / math.sqrt(weight)) if weight > 0.0 else None
+        if psi is None or not abs(psi.norm_squared - 1.0) <= NORM_TOL:   # a weight of 0, nan or subnormal
+            raise ValidationError(f"packet with center {center!r}, width {width!r} and k {wavenumber!r} has "
+                                  f"weight {weight!r} on the wire grid [{grid.x_min!r}, {grid.x_max!r}]: "
+                                  "it cannot be normalized")
+    return psi
 
 
 def plane_wave(grid: Grid, wavenumber: float) -> GridWavefunction:
-    """Grid-normalized plane wave exp(i k eta); its current is e hbar k / m |psi|^2."""
+    """Grid-normalized plane wave exp(i k eta); its current is e hbar k / m |psi|^2.
+    ValidationError when a sample is not finite or (k d_eta)^2, in `plane_wave_check`'s bound, overflows."""
     with np.errstate(all="ignore"):
         samples = np.exp(1j * wavenumber * grid.positions) / cmath.sqrt(grid.n * grid.dx)
     try:
-        return GridWavefunction(grid, samples)
+        psi = GridWavefunction(grid, samples)
+        (wavenumber * grid.dx) ** 2
     except ValidationError as exc:
         raise ValidationError(f"plane wave with k {wavenumber!r}: {exc}") from None
+    except OverflowError:
+        raise ValidationError(f"plane wave with k {wavenumber!r}: (k d_eta)^2 overflows at d_eta {grid.dx!r}") from None
+    return psi
 
 
 def wavefunction_table(psi: GridWavefunction) -> str:

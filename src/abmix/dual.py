@@ -153,11 +153,13 @@ def mixture_mean(amplitudes: BranchAmplitudes, value1: float, value2: float) -> 
 
 def mixture_expectations(
     config: DualSolenoidConfig, amplitudes: BranchAmplitudes
-) -> tuple[float, float]:
-    """Mixture means (|c1|^2 dphi_1 + |c2|^2 dphi_2, |c1|^2 dx_1 + |c2|^2 dx_2)
-    of the phases and shifts of :func:`outcome_distribution`."""
+) -> tuple[float, float, float, float]:
+    """Mixture means (B, Phi, dphi, dx), each a :func:`mixture_mean`: of the solenoid
+    fields, then of the fluxes, phases and shifts of :func:`outcome_distribution`."""
     o1, o2 = outcome_distribution(config, amplitudes)
-    return mixture_mean(amplitudes, o1.phase, o2.phase), mixture_mean(amplitudes, o1.shift, o2.shift)
+    pairs = ((config.solenoid1.field, config.solenoid2.field), (o1.flux, o2.flux), (o1.phase, o2.phase),
+             (o1.shift, o2.shift))
+    return tuple(mixture_mean(amplitudes, *pair) for pair in pairs)
 
 
 def outcome_distribution(

@@ -124,7 +124,7 @@ def test_criterion_5_current_decomposition_and_convergence():
     wire = Grid(-half, half, 4096)
     psi1 = gaussian_packet(wire, -separation / 2.0, width, +1.5)
     psi2 = gaussian_packet(wire, +separation / 2.0, width, -1.5)
-    _, _, deviation, _ = mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
+    _, _, deviation, _, _ = mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
     scale = max(
         float(np.max(np.abs(current_density(psi1, CONSTANTS).samples))),
         float(np.max(np.abs(current_density(psi2, CONSTANTS).samples))),

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from abmix import experiment, pattern
+from abmix import current, experiment, pattern
 from abmix.cli import build_parser, main
 from abmix.config import SCHEMA
 from abmix.errors import ValidationError
@@ -291,26 +291,14 @@ class TestCurrentCommand:
         err = capsys.readouterr().err
         assert "non-interference" in err
 
-    @pytest.mark.parametrize(
-        "wavepackets, value",
-        [
-            ({"center1": 1e6}, "1000000.0"),       # packet off the grid
-            ({"width": 1e-300}, "1e-300"),         # the width's square underflows
-            ({"k1": 1e308}, "1e+308"),             # k * eta overflows
-            ({"kind": "plane", "k": 1e308}, "1e+308"),
-            ({"width": 1e300}, "width 1e+300"),    # the width's square overflows
-            ({"kind": "plane", "k": 1e200}, "wavepackets.k 1e+200"),   # (k * d_eta)**2 overflows
-        ],
-        ids=["off_grid", "tiny_width", "huge_k1", "huge_plane_k", "huge_width", "huge_plane_bound_k"],
-    )
-    def test_packet_without_finite_weight_is_one_exit_2_line(self, tmp_path, capsys, wavepackets, value):
-        config = write_config(tmp_path, wavepackets=wavepackets)
-        out_dir = tmp_path / "currents"
-        assert main(["current", "--config", config, "--out", str(out_dir)]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ") and value in lines[0]
-        assert not out_dir.exists()
+    def test_one_run_measures_the_overlap_once(self, tmp_path, capsys, monkeypatch):
+        # the printed |overlap| is the one mixture_current_check measured for its predicate
+        calls, measure = [], current.overlap
+        monkeypatch.setattr(current, "overlap", lambda *args: calls.append(args) or measure(*args))
+        assert main(["current", "--out", str(tmp_path / "run")]) == 0
+        psi1, psi2 = calls[0]
+        assert f"|overlap| = {abs(measure(psi1, psi2))!r}\n" in capsys.readouterr().out
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("n_ensemble", ["1e308", "1" + "0" * 400], ids=["float", "401_digit_integer"])
     def test_an_ensemble_current_that_is_not_finite_is_one_exit_3_line(self, tmp_path, capsys, n_ensemble):

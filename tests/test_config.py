@@ -151,12 +151,58 @@ def test_a_screen_distance_whose_shift_overflows_is_one_exit_2_line(tmp_path, co
     assert not out_dir.exists()
 
 
-def test_a_mixture_mean_that_overflows_is_one_exit_2_line(tmp_path):
+# each breaks a rule of a wire wavefunction or a mixture mean, which every
+# command's validation builds: (config, the start of its one line, a value it names)
+UNBUILDABLE = {
+    "off_grid": ({"wavepackets": {"center1": 1e6}}, "wavepackets: packet with ", "1000000.0"),
+    "tiny_width": ({"wavepackets": {"width": 1e-300}}, "wavepackets: packet with ", "1e-300"),   # width^2 underflows
+    "huge_k1": ({"wavepackets": {"k1": 1e308}}, "wavepackets: packet with ", "1e+308"),   # k * eta overflows
+    "huge_plane_k": ({"wavepackets": {"kind": "plane", "k": 1e308}}, "wavepackets: plane wave with ", "1e+308"),
+    "huge_width": ({"wavepackets": {"width": 1e300}}, "wavepackets: packet width ", "1e+300"),   # width^2 overflows
+    # (k * d_eta)**2, the plane-wave check's discretization bound, overflows
+    "huge_plane_bound_k": ({"wavepackets": {"kind": "plane", "k": 1e200}}, "wavepackets: plane wave with ",
+                           "1e+200: (k d_eta)^2 overflows"),
+    # the weight is subnormal: normalized by it, the packet's norm is off by 9e-9
+    "subnormal_weight": ({"wavepackets": {"center1": -687.0}}, "wavepackets: packet with ", "-687.0"),
+    # flat on a grid of subnormal spacing: the weight is subnormal and, divided by it, the norm overflows
+    "subnormal_spacing": ({"wavepackets": {"eta_min": 0.0, "eta_max": 1e-310, "center1": 0.0, "center2": 1e-310,
+                                           "width": 1.0}}, "wavepackets: packet with ", "weight 1.0002442001567e-310"),
     # every closed form is finite (R^2 underflows, so each flux is 0), but the
     # weights sum to 1 + 2.2e-16 and the mean field overflows
-    code, lines, out_dir = run_without_warnings(tmp_path, ["mixture", "--csv"], OVERFLOWING_MEAN)
+    "overflowing_mean": (OVERFLOWING_MEAN, "mixture: mixture mean inf of (1.7976931348623157e+308, ", "inf"),
+}
+
+
+@pytest.mark.parametrize("data, start, value", UNBUILDABLE.values(), ids=UNBUILDABLE.keys())
+def test_a_wavefunction_or_mean_that_cannot_be_built_is_one_exit_2_line_from_every_command(
+    tmp_path, data, start, value
+):
+    refusals = set()
+    for command in COMMANDS.values():
+        code, lines, out_dir = run_without_warnings(tmp_path, command, data)
+        assert code == 2, command
+        assert len(lines) == 1 and lines[0].startswith(f"invalid config: {start}") and value in lines[0], command
+        assert not out_dir.exists(), command
+        refusals.add(lines[0])
+    assert len(refusals) == 1
+
+
+# a mixture mean and a wire packet that both fail: each is listed, in builder order
+TWO_PROBLEMS = {**OVERFLOWING_MEAN, "wavepackets": {"center1": 1e6}}
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+def test_two_problems_are_two_lines_from_every_command(tmp_path, command):
+    stdout = io.StringIO()
+    code, lines, out_dir = run(tmp_path, command, TWO_PROBLEMS, stdout)
     assert code == 2
-    assert len(lines) == 1 and lines[0].startswith("error: mixture mean inf of (1.7976931348623157e+308, ")
+    assert lines == [
+        "invalid config: mixture: mixture mean inf of (1.7976931348623157e+308, 1.7976931348623157e+308) "
+        "with weights (0.5000000000000001, 0.5000000000000001) is not finite",
+        "invalid config: wavepackets: packet with center 1000000.0, width 16.0 and k 1.5 has weight 0.0 "
+        "on the wire grid [-256.0, 256.0]: it cannot be normalized",
+    ]
+    assert stdout.getvalue() == ""
     assert not out_dir.exists()
 
 
@@ -189,12 +235,12 @@ def test_grids_past_addressable_bytes_are_one_exit_2_line(tmp_path, command, dat
 @pytest.mark.parametrize(
     "command, data",
     [*((command, {"screen": {"n": SCREEN_N_MAX}}) for command in COMMANDS.values()),
-     (["current"], {"wavepackets": {"n": WIRE_N_MAX}})],
-    ids=[*COMMANDS.keys(), "current_wire"],
+     *((command, {"wavepackets": {"n": WIRE_N_MAX}}) for command in COMMANDS.values())],
+    ids=[*COMMANDS.keys(), *(f"{name}_wire" for name in COMMANDS)],
 )
 def test_grids_at_the_bound_stay_out_of_memory_failures(tmp_path, command, data):
-    # addressable, but far beyond any machine's memory: the allocation fails,
-    # for a screen already when validation builds its envelope
+    # addressable, but far beyond any machine's memory: the allocation fails
+    # when validation builds the screen's envelope or the wire wavefunctions
     code, lines, out_dir = run(tmp_path, command, data)
     assert code == 3
     assert lines == ["error: out of memory: reduce screen.n or wavepackets.n"]
@@ -316,6 +362,8 @@ def numbers_that_are_not_finite(text):
 @example(data={"solenoids": {"B1": 1e308, "B2": -1e308}})
 @example(data={"geometry": {"L": 1e308}})
 @example(data=OVERFLOWING_MEAN)
+@example(data={"wavepackets": {"center1": 1e6}})
+@example(data={"wavepackets": {"kind": "plane", "k": 1e200}})
 @example(data=BAD_SCREENS["narrower_than_4_periods"])
 @example(data=BAD_SCREENS["envelope_narrower_than_the_central_fringes"])
 @example(data=BAD_SCREENS["envelope_quotient_overflows"])
@@ -337,7 +385,8 @@ def test_every_command_prints_finite_numbers_or_refuses_alike(data):
         assert not any("Traceback" in line for line in lines), name
         if code == 0:   # stdout and every file written
             assert numbers_that_are_not_finite("\n".join([stdout.getvalue(), *written])) == [], name
-        if lines and lines[0].startswith("invalid config: "):
+        if code == 2:   # validation is the one place a config is refused
+            assert lines and all(line.startswith("invalid config: ") for line in lines), name
             refusals[name] = lines
     # validation does not depend on the command: all refuse alike, or none does
     assert len(refusals) in (0, len(COMMANDS))

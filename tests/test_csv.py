@@ -78,7 +78,7 @@ def test_pattern_csv_is_the_table_of_the_pattern_grid():
     "args, grid, tables",
     [
         (["mixture", "--csv"], lambda objects: objects["screen"].grid, 3),
-        (["current"], lambda objects: objects["wavepackets"], 5),
+        (["current"], lambda objects: objects["wavepackets"][0].grid, 5),
         (["experiment", "--seed", "5"], lambda objects: objects["screen"].grid, 3),
     ],
     ids=["mixture", "current", "experiment"],

@@ -67,6 +67,21 @@ class TestGridWavefunction:
             psi.samples[0] = 0.0
 
 
+class TestFactories:
+    def test_a_plane_wave_whose_discretization_bound_overflows_is_refused(self):
+        grid = Grid(-256.0, 256.0, 4096)
+        with pytest.raises(ValidationError, match=r"plane wave with k 1e\+200: \(k d_eta\)\^2 overflows"):
+            plane_wave(grid, 1e200)
+        assert math.isfinite(plane_wave_check(plane_wave(grid, 1e100), 1e100, CONSTANTS)[2])
+
+    def test_a_packet_whose_weight_is_subnormal_is_refused(self):
+        # its weight, 2.7e-316, has lost digits: divided by its root the packet's
+        # norm would be off by 9e-9, which superpose's NORM_TOL refuses
+        with pytest.raises(ValidationError, match=r"weight 2\.\d+e-316 .*: it cannot be normalized"):
+            gaussian_packet(Grid(-256.0, 256.0, 4096), -687.0, 16.0, 1.5)
+        assert abs(gaussian_packet(Grid(-256.0, 256.0, 4096), -680.0, 16.0, 1.5).norm_squared - 1.0) <= 1e-9
+
+
 class TestOverlap:
     def test_self_overlap_is_one(self):
         psi, _ = disjoint_packets(n=1024)
@@ -170,7 +185,7 @@ class TestCurrentDensity:
         bound = 0.4 * (k * spacing) ** 2 * float(np.max(np.abs(analytic)))
         deviation = float(np.max(np.abs(j.samples - analytic)))
         assert deviation < bound
-        assert plane_wave_check(psi.grid, k, CONSTANTS)[1:] == (deviation, bound)
+        assert plane_wave_check(psi, k, CONSTANTS)[1:] == (deviation, bound)
 
     def test_gaussian_packet_matches_analytic_current(self):
         # envelope is real, so j = e hbar k / m |psi|^2 exactly in the continuum
@@ -212,19 +227,21 @@ class TestCurrentDensity:
 class TestMixtureCurrentCheck:
     def test_disjoint_counter_propagating_decomposition(self):
         psi1, psi2 = disjoint_packets()
-        j_total, j_mixture, deviation, bound = mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
+        j_total, j_mixture, deviation, bound, abs_overlap = mixture_current_check(
+            EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
         j1 = current_density(psi1, CONSTANTS)
         j2 = current_density(psi2, CONSTANTS)
         scale = max(float(np.max(np.abs(j1.samples))), float(np.max(np.abs(j2.samples))))
         assert deviation < 1e-9 * scale
         assert bound == 1e-9 * scale
+        assert abs_overlap == abs(overlap(psi1, psi2))
         assert np.allclose(
             j_mixture.samples, 0.5 * j1.samples + 0.5 * j2.samples, rtol=1e-12, atol=0.0
         )
 
     def test_pure_branch_total_equals_branch_current(self):
         psi1, psi2 = disjoint_packets(n=1024)
-        j_total, _, _, _ = mixture_current_check(FIRST_BRANCH, psi1, psi2, CONSTANTS)
+        j_total, _, _, _, _ = mixture_current_check(FIRST_BRANCH, psi1, psi2, CONSTANTS)
         j1 = current_density(psi1, CONSTANTS)
         assert np.array_equal(j_total.samples, j1.samples)
 
@@ -270,7 +287,7 @@ class TestEnsembleCurrent:
     def test_ensemble_decomposes_linearly(self):
         # brute force: n * (mixture of j1, j2) vs mixture of (n j1, n j2)
         psi1, psi2 = disjoint_packets()
-        _, j_mixture, _, _ = mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
+        _, j_mixture, _, _, _ = mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
         j1 = current_density(psi1, CONSTANTS)
         j2 = current_density(psi2, CONSTANTS)
         n = 1000

@@ -252,25 +252,29 @@ class TestMixtureMeans:
 
 class TestMixtureExpectations:
     def test_equal_weights_antisymmetric_mean_is_zero(self):
-        dphi_mean, dx_mean = mixture_expectations(antisymmetric_config(), EQUAL_WEIGHTS)
+        field_mean, flux_mean, dphi_mean, dx_mean = mixture_expectations(antisymmetric_config(), EQUAL_WEIGHTS)
         outcomes = outcome_distribution(antisymmetric_config(), EQUAL_WEIGHTS)
         epsilon = abs(outcomes[0].shift)
         delta = abs(outcomes[0].phase)
+        assert field_mean == 0.0 and flux_mean == 0.0
         assert abs(dphi_mean) <= 1e-12 * delta
         assert abs(dx_mean) <= 1e-12 * epsilon
 
     def test_pure_branch_two(self):
         config = config_with_fields(3e-3, -5e-3)
         amps = BranchAmplitudes(c1=0.0j, c2=1.0 + 0.0j)
-        dphi_mean, dx_mean = mixture_expectations(config, amps)
+        field_mean, flux_mean, dphi_mean, dx_mean = mixture_expectations(config, amps)
+        assert (field_mean, flux_mean) == (-5e-3, config.flux2)
         assert dphi_mean == phase_shift(CONSTANTS, config.flux2)
         assert dx_mean == fringe_shift(CONSTANTS, GEOMETRY, config.flux2)
 
     def test_matches_weighted_mean_of_outcomes(self):
         config = config_with_fields(2e-3, 7e-3)
         amps = BranchAmplitudes(c1=0.6 + 0.0j, c2=0.8j)
-        dphi_mean, dx_mean = mixture_expectations(config, amps)
+        field_mean, flux_mean, dphi_mean, dx_mean = mixture_expectations(config, amps)
         outcomes = outcome_distribution(config, amps)
+        assert field_mean == mixture_mean(amps, 2e-3, 7e-3)
+        assert flux_mean == mixture_mean(amps, config.flux1, config.flux2)
         assert dphi_mean == pytest.approx(
             sum(o.probability * o.phase for o in outcomes), rel=1e-12
         )
