@@ -188,7 +188,7 @@ def cmd_mixture(cfg: RunConfig, write_csv: bool) -> tuple[str, dict[str, str]]:
     text = _table("quantum mixture", rows)
     if not write_csv:
         return text, {}
-    summary = ["quantity,value"]
+    summary = ["quantity,value"]   # rows by label, not by grid position: not csv_table's shape
     summary += [f"{label.replace(' ', '_').replace(',', '')},{value!r}" for label, value in rows]
     return text + f"wrote pattern CSVs to {cfg['out_dir']}/\n", {
         "pattern_branch1.csv": pattern_csv(branch_patterns[0]),

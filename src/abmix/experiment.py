@@ -18,16 +18,17 @@ entropy tuples, each read in order under its own lock, by either thread:
     (seed, 1, 2)   bootstrap of the branch-2 shift estimate
     (seed, 1, 0)   bootstrap of the pooled-pattern shift estimate
 
-The calling thread and one worker take each phase's tasks from one list
-(`_share`): one per draw chunk of the first stream, then one per
-resample block of the bootstrap streams, interleaved.  A block's
-position in its stream is taken under the stream's lock with its draw,
-and every result lands by that position: detection counts are summed as
-integers, and bootstrap shifts are joined in block order.  So a report
-is reproducible bit for bit from (configuration, seed), on any number of
-CPUs and whichever thread draws which block.  A bootstrap draws its
-resamples a block at a time, `rng.multinomial(n, p, size=k)`, which is
-k successive draws from its stream.
+The calling thread and one worker, started before either takes a task,
+take each phase's tasks from one list (`_share`): one per draw chunk of
+the first stream, then one per resample block of the bootstrap streams,
+interleaved.  A block's position in its stream is taken under the
+stream's lock with its draw, and every result lands by that position:
+detection counts are summed as integers, and bootstrap shifts are
+written at their place in their stream.  So a report is reproducible bit
+for bit from (configuration, seed), on any number of CPUs and whichever
+thread draws which block.  A bootstrap draws its resamples a block at a
+time, `rng.multinomial(n, p, size=k)`, which is k successive draws from
+its stream.
 
 The report carries both views of the outcome statistics: the
 branch-separated estimates (which recover the two-point law, shifts of
@@ -169,11 +170,11 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
     """Call `work(slot, task)` once per task, on this thread (slot 0) and,
     when there are at least 2 tasks, on one worker thread (slot 1).
 
-    Both threads take the tasks from one list in order under one lock; a
-    task works outside that lock, possibly into results of its own slot.
-    This thread works the first task before the worker starts.  A failure
-    on either thread, KeyboardInterrupt included, stops the other before
-    its next task and is raised here, once.
+    The worker starts before any task runs, and both threads take the tasks
+    from one list in order under one lock; a task works outside that lock,
+    possibly into results of its own slot.  A failure on either thread,
+    KeyboardInterrupt included, stops the other before its next task and is
+    raised here, once.
     """
     pending, lock = iter(tasks), threading.Lock()
     stop = threading.Event()
@@ -196,7 +197,6 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
     if len(tasks) < 2:
         run(0)
         return
-    work(0, next(pending))
     worker = threading.Thread(target=run, args=(1,), name="abmix-worker")
     worker.start()
     try:
@@ -249,8 +249,9 @@ def _bootstrap_sigma(
     Row i is resampled from the stream of entropies[i],
     BOOTSTRAP_BLOCK_CELLS // nfft (at least 1) resamples at a time.  The
     blocks of all streams, interleaved, are one task list for this thread
-    and one worker (`_share`); each block's shifts are kept by its start in
-    its stream and joined in stream order.
+    and one worker (`_share`).  Each block writes its shifts into row i of
+    one (rows, n_bootstrap) array at its start in its stream, so they stand
+    in stream order; a resample not measured, or not drawn, stays nan.
     """
     block = max(1, BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
     resampled = {}   # row index -> (stream, detections, cell probabilities)
@@ -258,25 +259,18 @@ def _bootstrap_sigma(
         n_samples = int(row.sum())
         if not math.isnan(shift) and n_bootstrap >= 2 and n_samples >= 2:
             resampled[i] = (_Stream(entropy, n_bootstrap, block), n_samples, row / row.sum())
-    kept = {}   # (row index, block start) -> the block's kept shifts
+    bootstrap_shifts = np.full((len(rows), n_bootstrap), math.nan)
 
     def resample(slot: int, i: int) -> None:
         stream, n_samples, probabilities = resampled[i]
         start, resamples = stream.take(
             lambda rng, size: rng.multinomial(n_samples, probabilities, size=size)
         )
-        shifts, _ = estimator.shifts(resamples.astype(float))
-        kept[i, start] = shifts[~np.isnan(shifts)]
+        bootstrap_shifts[i, start:start + len(resamples)], _ = estimator.shifts(resamples.astype(float))
 
     _share([i for _ in range(0, n_bootstrap, block) for i in resampled], resample)   # streams interleaved
-
-    def sigma(i: int) -> float:
-        if i not in resampled:
-            return float("nan")
-        shifts = np.concatenate([kept[i, start] for start in range(0, n_bootstrap, block)])
-        return float(np.std(shifts, ddof=1)) if len(shifts) >= 2 else float("nan")
-
-    return [sigma(i) for i in range(len(rows))]
+    kept = [row[~np.isnan(row)] for row in bootstrap_shifts]
+    return [float(np.std(shifts, ddof=1)) if len(shifts) >= 2 else math.nan for shifts in kept]
 
 
 def _weighted_mean_shift(reports: list[BranchReport], n: int) -> tuple[float, float]:

@@ -44,16 +44,18 @@ class ScreenOptics:
     neither overflowing nor underflowing to 0; a span of MIN_PERIODS periods
     of 2 * HISTOGRAM_REBIN cells each at least; and, read cell by cell and
     merged HISTOGRAM_REBIN at a time, some cell within one period of x = 0,
-    where contrast is read, with the envelope above 0 on each such cell.
+    where contrast is read, with the envelope above 0 on each such cell.  The
+    centres ascend, and so do their means, as float rounding is monotone: the
+    central cells are one run, found by binary search and kept as a slice.
     Two optics are equal when their grid, P and w are."""
 
     grid: Grid
     period: float            # m
     envelope_width: float    # m
     envelope: np.ndarray = field(init=False, repr=False, compare=False)   # G(x) on each cell, read-only
-    # by rebin, 1 or HISTOGRAM_REBIN: the mask of the merged cells within one
-    # period of x = 0, and the merged envelope on them, both read-only
-    central: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
+    # by rebin, 1 or HISTOGRAM_REBIN: the slice of the grid's cells whose merged
+    # cells have |centre| <= P, and the merged envelope on them, read-only
+    central: dict[int, tuple[slice, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid, period, width = self.grid, self.period, self.envelope_width
@@ -75,23 +77,23 @@ class ScreenOptics:
                 f"each period needs at least {2 * HISTOGRAM_REBIN} cells, so raise screen.n or narrow "
                 "[screen.x_min, screen.x_max]"
             )
-        x = grid.positions   # becomes the envelope: with the masks, about 9 bytes a cell
-        masks = {}
+        x = grid.positions   # becomes the envelope: 8 bytes a cell
+        windows = {}
         for rebin in (1, HISTOGRAM_REBIN):
-            keep = (grid.n // rebin) * rebin
-            centers = x if rebin == 1 else x[:keep].reshape(-1, rebin).mean(axis=1)   # mean positions
-            masks[rebin] = (-period <= centers) & (centers <= period)   # |centre| <= P, with no float temporary
-            if not masks[rebin].any():
+            centers = x if rebin == 1 else x[:grid.n // rebin * rebin].reshape(-1, rebin).mean(axis=1)
+            start, stop = np.searchsorted(centers, -period, "left"), np.searchsorted(centers, period, "right")
+            if start == stop:
                 raise ValidationError(f"the screen has no cell within one fringe period ({period!r} m) of x = 0")
+            windows[rebin] = slice(start * rebin, stop * rebin)
         envelope = _envelope(x, width)
         central = {}
-        for rebin, mask in masks.items():
-            central_envelope = envelope[:len(mask) * rebin].reshape(-1, rebin)[mask].sum(axis=1)
+        for rebin, window in windows.items():
+            central_envelope = envelope[window].reshape(-1, rebin).sum(axis=1)
             if not np.all(central_envelope > 0.0):
                 raise ValidationError(f"envelope_width {width!r} m is too narrow: the envelope underflows "
                                       f"to 0 within one fringe period ({period!r} m) of x = 0")
-            mask.flags.writeable = central_envelope.flags.writeable = False
-            central[rebin] = (mask, central_envelope)
+            central_envelope.flags.writeable = False
+            central[rebin] = (window, central_envelope)
         envelope.flags.writeable = False
         object.__setattr__(self, "envelope", envelope)
         object.__setattr__(self, "central", central)
@@ -161,14 +163,11 @@ def mixture_pattern(amplitudes: BranchAmplitudes, pattern1: IntensityPattern,
 
 def _contrast(optics: ScreenOptics, block: np.ndarray, counts: bool) -> np.ndarray:
     """Visibility of each row of a (k, n) block on `optics`'s grid: (max - min)/(max + min),
-    or 0 if that is 0/0, of intensity/envelope over the cells within one fringe period
-    of x = 0, with counts merged HISTOGRAM_REBIN cells at a time first (one at a time is
-    the identity)."""
+    or 0 if that is 0/0, of intensity/envelope over the slice of cells within one fringe
+    period of x = 0 (`optics.central`), with counts merged HISTOGRAM_REBIN at a time first."""
     rebin = HISTOGRAM_REBIN if counts else 1
-    central, central_envelope = optics.central[rebin]
-    keep = len(central) * rebin
-    merged = block[:, :keep].reshape(len(block), -1, rebin).sum(axis=2)
-    profile = merged[:, central] / central_envelope
+    window, central_envelope = optics.central[rebin]
+    profile = block[:, window].reshape(len(block), -1, rebin).sum(axis=2) / central_envelope
     hi, lo = profile.max(axis=1), profile.min(axis=1)
     return np.divide(hi - lo, hi + lo, out=np.zeros(len(block)), where=hi + lo > 0.0)
 

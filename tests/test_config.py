@@ -122,6 +122,25 @@ def test_a_wavelength_that_is_not_finite_is_listed_once(tmp_path, command):
     assert not out_dir.exists()
 
 
+# a default derived from other keys that cannot be computed is refused under
+# the builder that reads it, naming the key it was derived for
+UNDERIVABLE_DEFAULTS = {
+    "field_of_a_tiny_radius": ({"solenoids": {"R1": 1e-200}}, "invalid config: solenoid1: cannot derive the "
+                               "default of solenoids.B1: float division by zero"),
+    "h_of_a_huge_hbar": ({"constants": {"hbar": 1e308}}, "invalid config: constants: cannot derive the "
+                         "default of constants.h: must be a finite number, got inf"),
+}
+
+
+@pytest.mark.parametrize("data, line", UNDERIVABLE_DEFAULTS.values(), ids=UNDERIVABLE_DEFAULTS.keys())
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+def test_a_default_that_cannot_be_derived_is_one_exit_2_line(tmp_path, command, data, line):
+    code, lines, out_dir = run_without_warnings(tmp_path, command, data)
+    assert code == 2
+    assert lines == [line]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
 def test_a_radius_whose_area_overflows_is_one_exit_2_line(tmp_path, command):
     # pi R1^2 overflows to inf, so the default field that gives 1 rad is 0 and the flux 0 * inf is nan

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period, fringe_shift
-from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals
+from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals, outcome_distribution
 from abmix import experiment, pattern
 from abmix.errors import ValidationError
 from abmix.experiment import report_text, run_experiment
@@ -39,6 +39,45 @@ def field_config(field1, field2):
 
 def wide_screen(n=4096):
     return pattern.ScreenOptics(Grid(x_min=-8.0 * PERIOD, x_max=8.0 * PERIOD, n=n), PERIOD, ENVELOPE)
+
+
+def kept_bootstrap_shifts(estimator, counts, entropy, n_bootstrap):
+    """The measured shifts of the n_bootstrap multinomial resamples of the
+    `counts` row, drawn from the stream of `entropy` block after block, in
+    stream order: the bootstrap re-derived from its entropy tuple."""
+    block = max(1, experiment.BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    n_samples = int(counts.sum())
+    expected = []
+    for start in range(0, n_bootstrap, block):
+        resamples = rng.multinomial(n_samples, counts / counts.sum(), size=min(block, n_bootstrap - start))
+        block_shifts, visibilities = estimator.shifts(resamples.astype(float))
+        expected.extend(block_shifts[visibilities > pattern.VISIBILITY_FLOOR])
+    return expected
+
+
+def contract_reference(config, amplitudes, n_electrons, seed, optics, n_bootstrap):
+    """The two branch count rows and the three bootstrap 1-sigmas (branch 1,
+    branch 2, pooled) that the determinism contract fixes, written from
+    `experiment`'s module docstring and DRAW_ORDER alone: one thread, every
+    electron in one draw, no chunks."""
+    outcomes = outcome_distribution(config, amplitudes)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    uniforms = rng.random((n_electrons, 2))   # per electron: branch uniform, then position uniform
+    in_branch1 = uniforms[:, 0] < outcomes[0].probability
+    counts = []
+    for outcome, drawn in zip(outcomes, (in_branch1, ~in_branch1)):
+        cdf = np.concatenate([[0.0], np.cumsum(pattern.two_slit_pattern(optics, outcome.phase).intensity)])
+        cdf /= cdf[-1]
+        cells = np.clip(np.searchsorted(cdf, uniforms[drawn, 1], side="right") - 1, 0, optics.grid.n - 1)
+        counts.append(np.bincount(cells, minlength=optics.grid.n))
+    rows = np.array([*counts, counts[0] + counts[1]], dtype=float)
+    estimator = pattern.shift_estimator(pattern.two_slit_pattern(optics, 0.0))
+    sigmas = []
+    for row, shift, stream in zip(rows, estimator.shifts(rows)[0], (1, 2, 0)):
+        kept = [] if math.isnan(shift) else kept_bootstrap_shifts(estimator, row, (seed, 1, stream), n_bootstrap)
+        sigmas.append(float(np.std(kept, ddof=1)) if len(kept) >= 2 else math.nan)
+    return counts, sigmas
 
 
 class TestRunExperimentBasics:
@@ -239,6 +278,29 @@ class TestDeterminism:
             first.pooled_histogram.intensity, second.pooled_histogram.intensity
         )
 
+    @pytest.mark.parametrize(
+        "n_electrons, seed, p1, chunk",
+        [(1000, 3, 0.36, None), (2**17 + 5, 0, 0.36, None), (30_001, 11, 0.36, 997),
+         (5000, 5, 0.0, None), (5000, 7, 1.0, 997)],
+    )
+    def test_the_run_matches_the_contract_reference(self, monkeypatch, n_electrons, seed, p1, chunk):
+        # on any numpy: the counts and each 1-sigma equal those the documented
+        # draw order and entropy tuples give, whatever the chunking
+        if chunk is not None:
+            monkeypatch.setattr(experiment, "DRAW_CHUNK", chunk)
+        amplitudes = BranchAmplitudes(complex(math.sqrt(p1)), complex(0.0, math.sqrt(1.0 - p1)))
+        args = (antisymmetric_config(), amplitudes, n_electrons, seed, wide_screen(1024), 20)
+        report = run_experiment(*args)
+        counts, sigmas = contract_reference(*args)
+        for branch, expected in zip((report.branch1, report.branch2), counts):
+            intensity = np.zeros(len(expected)) if branch.histogram is None else branch.histogram.intensity
+            assert branch.count == expected.sum() and np.array_equal(intensity, expected)
+        assert np.array_equal(report.pooled_histogram.intensity, counts[0] + counts[1])
+        reported = [report.branch1.estimate.uncertainty, report.branch2.estimate.uncertainty,
+                    report.pooled_estimate.uncertainty]
+        assert np.array_equal(reported, sigmas, equal_nan=True)
+        assert math.isnan(sigmas[0]) == (p1 == 0.0) and math.isnan(sigmas[1]) == (p1 == 1.0)
+
 
 class TestBlockBootstrap:
     def test_numpy_multinomial_block_equals_successive_draws(self):
@@ -303,17 +365,9 @@ class TestSharedSchedule:
         config, amplitudes, n_electrons, seed, optics, n_bootstrap = self.ARGS
         report = run_experiment(*self.ARGS)
         estimator = pattern.shift_estimator(pattern.two_slit_pattern(optics, 0.0))
-        block = max(1, experiment.BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
         histograms = (report.branch1.histogram, report.branch2.histogram, report.pooled_histogram)
         for histogram, stream, shifts in zip(histograms, (1, 2, 0), reported, strict=True):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 1, stream)))
-            n_samples = int(histogram.intensity.sum())
-            expected = []
-            for start in range(0, n_bootstrap, block):
-                resamples = rng.multinomial(n_samples, histogram.intensity / histogram.intensity.sum(),
-                                            size=min(block, n_bootstrap - start))
-                block_shifts, visibilities = estimator.shifts(resamples.astype(float))
-                expected.extend(block_shifts[visibilities > pattern.VISIBILITY_FLOOR])
+            expected = kept_bootstrap_shifts(estimator, histogram.intensity, (seed, 1, stream), n_bootstrap)
             assert np.array_equal(shifts, expected)
         assert schedule.takers("bootstrap") == {"caller", "worker"}
 
@@ -325,7 +379,7 @@ class TestSharedSchedule:
     ):
         monkeypatch.setattr(experiment, "DRAW_CHUNK", 100)   # 200 chunks; the bootstrap has 3 x 50 blocks
         other = {"caller": "worker", "worker": "caller"}[failing]
-        # the caller's first unit is worked before the worker starts, so it fails its second;
+        # the caller fails its second take, after a unit of its own, and the worker its first;
         # the other thread is slowed so that units are still left when the fault hits
         schedule.fault = (phase, failing, 2 if failing == "caller" else 1, error())
         schedule.delay[phase, other] = 0.001

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period, fringe_shift, phase_shift
@@ -495,6 +496,47 @@ def test_screen_optics_need_the_central_fringes_on_the_screen():
     assert abs(edge.x_min) <= PERIOD
     with pytest.raises(ValidationError, match="within one fringe period"):
         ScreenOptics(edge, PERIOD, ENVELOPE)
+
+
+@st.composite
+def screens(draw):
+    """(grid, P, w) that pass every screen rule but the central ones: 160 to
+    4096 cells over 4 periods to 32 cells a period, P from 1e-9 to 1e3 m,
+    the left edge from 2 P right of x = 0 to 2 P beyond the span left of it."""
+    n = draw(st.integers(160, 4096))
+    period = 10.0 ** draw(st.floats(-9.0, 3.0))
+    span = period * draw(st.floats(4.01, (n - 1) / (2.0 * HISTOGRAM_REBIN) - 0.01))
+    x_min = period * draw(st.floats(-2.0, 2.0)) - span * draw(st.floats(0.0, 1.0))
+    return Grid(x_min, x_min + span, n), period, period * draw(st.floats(1.0, 100.0))
+
+
+EDGE_DX = 6.0 * PERIOD / 1023
+
+
+@settings(max_examples=300, deadline=None)
+@given(screens())
+# the first cell is within one period of x = 0, but the centre of the first 16 cells is not
+@example((Grid(PERIOD - 2.0 * EDGE_DX, PERIOD - 2.0 * EDGE_DX + 6.0 * PERIOD, 1024), PERIOD, ENVELOPE))
+@example((screen(), PERIOD, ENVELOPE))
+def test_the_central_window_holds_the_cells_within_one_period_of_the_axis(screen_optics):
+    # the window is the run of cells that |centre| <= P picks, read cell by
+    # cell and merged, on off-axis and asymmetric screens; a screen with no
+    # such cell is refused
+    grid, period, width = screen_optics
+    x, keep = grid.positions, grid.n // HISTOGRAM_REBIN * HISTOGRAM_REBIN
+    masks = {rebin: (-period <= centers) & (centers <= period)
+             for rebin, centers in ((1, x), (HISTOGRAM_REBIN, x[:keep].reshape(-1, HISTOGRAM_REBIN).mean(axis=1)))}
+    if not all(mask.any() for mask in masks.values()):
+        with pytest.raises(ValidationError) as refused:
+            ScreenOptics(grid, period, width)
+        assert str(refused.value) == f"the screen has no cell within one fringe period ({period!r} m) of x = 0"
+        return
+    optics = ScreenOptics(grid, period, width)
+    for rebin, mask in masks.items():
+        window, central_envelope = optics.central[rebin]
+        assert isinstance(window, slice)
+        assert np.array_equal(np.arange(grid.n)[window], np.flatnonzero(np.repeat(mask, rebin)))
+        assert len(central_envelope) == mask.sum() and not central_envelope.flags.writeable
 
 
 def test_pattern_carries_its_period_and_phase_shift_round_trips():
