@@ -9,8 +9,8 @@ writes, then prints.
 
 Exit codes: 0 success, 2 validation failure (every violation is listed
 once, not just the first), 3 when the wire packets overlap
-(InterferenceError), a current is not finite or not real (ArithmeticError)
-or memory runs out, 4 I/O failure.  A failed run writes no file and prints
+(InterferenceError), a current is not finite (ArithmeticError) or memory
+runs out, 4 I/O failure.  A failed run writes no file and prints
 no result: each artifact is written to a hidden temporary file beside the
 output directory and renamed into it only once all are written (a killed
 process can leave such `.<out>-...` files behind); stdout is written last.

@@ -194,9 +194,9 @@ class _Reader:
     """The resolved values as one derived default or builder reads them.
 
     Records the keys read; a value that derives from a failed key raises
-    _Skip, and a default that could not be derived raises its error and
-    counts its inputs as read, so nothing else derived from them reports
-    the same failure again.
+    _Skip, and a default that could not be derived raises its error.  A
+    failed builder fails only the keys it read, so a later one that fails
+    on its own inputs is listed too.
     """
 
     def __init__(self, cfg: "RunConfig", failed: set[str]):
@@ -208,7 +208,6 @@ class _Reader:
             raise _Skip(key)
         value = self.cfg.values[key]
         if isinstance(value, ValidationError):
-            self.read |= self.cfg.sources[key]   # the inputs it failed on
             raise value
         return value
 

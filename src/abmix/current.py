@@ -38,7 +38,6 @@ MIN_SAMPLES = 8              # central differences need interior points
 NORM_TOL = 1e-9              # on |psi|^2 integral of a normalized grid function
 NON_INTERFERENCE_TOL = 1e-9  # on overlap and pointwise product
 DECOMPOSITION_TOL = 1e-9     # on |j_total - j_mixture|, relative to max|j_k|
-REALITY_TOL = 1e-12          # relative imaginary residue allowed in j
 
 
 @dataclass(frozen=True)
@@ -120,11 +119,11 @@ def superpose(amplitudes: BranchAmplitudes, psi1: GridWavefunction, psi2: GridWa
 def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> CurrentDensity:
     """Electric current j = (i hbar e / 2m)(psi dpsi* - psi* dpsi), amperes.
 
-    The complex bracket is evaluated literally.  ArithmeticError when a
-    sample of it is not finite (the derivative or the bracket overflows),
-    or when its imaginary residue does not cancel to below 1e-12 of the
-    natural scale (hbar e / 2m) max|psi| max|dpsi|; both are checked on
-    every call before the real part is returned.
+    The complex bracket is evaluated literally.  Its two products differ
+    only by exact sign flips, so its real part is exactly 0, and times the
+    imaginary prefactor so is the imaginary part of every finite sample of
+    j.  ArithmeticError when a sample of j is not finite (the derivative,
+    the bracket or hbar e overflows); else the real part is returned.
     """
     prefactor = 1j * constants.hbar * constants.e / (2.0 * constants.m)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite current is refused below
@@ -134,16 +133,6 @@ def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> Curr
         raise ArithmeticError(
             f"current is not finite on the wire grid of spacing {psi.grid.dx!r} m: "
             "its derivative or its bracket overflows"
-        )
-    scale = (
-        (constants.hbar * constants.e / (2.0 * constants.m))
-        * float(np.max(np.abs(psi.samples)))
-        * float(np.max(np.abs(dpsi)))
-    )
-    residue = float(np.max(np.abs(j_complex.imag)))
-    if scale > 0.0 and residue > REALITY_TOL * scale:
-        raise ArithmeticError(
-            f"current has imaginary residue {residue!r} above {REALITY_TOL} of scale {scale!r}"
         )
     return CurrentDensity(psi.grid, j_complex.real)
 

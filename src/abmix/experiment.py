@@ -124,7 +124,7 @@ def run_experiment(
 
     counts = _count_detections(patterns, outcomes[0].probability, n_electrons, seed)
     pooled = replace(reference, intensity=counts[0] + counts[1])
-    rows = np.vstack([counts, pooled.intensity]).astype(float)   # branch 1, branch 2, pooled
+    rows = np.vstack([counts, pooled.intensity])   # branch 1, branch 2, pooled; float64, as the pool is
     shifts, visibilities = estimator.shifts(rows)   # an empty row has contrast 0: nan
     entropies = [(seed, 1, outcome.branch) for outcome in outcomes] + [(seed, 1, 0)]
     sigmas = _bootstrap_sigma(rows, shifts, estimator, entropies, n_bootstrap)

@@ -39,11 +39,11 @@ def run(tmp_path, command, data, stdout=None):
     return code, err.getvalue().splitlines(), out_dir
 
 
-def run_without_warnings(tmp_path, command, data):
+def run_without_warnings(tmp_path, command, data, stdout=None):
     """`run`, failing on any warning the command emits."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = run(tmp_path, command, data)
+        result = run(tmp_path, command, data, stdout)
     assert [str(w.message) for w in caught] == []
     return result
 
@@ -138,6 +138,32 @@ def test_a_default_that_cannot_be_derived_is_one_exit_2_line(tmp_path, command, 
     code, lines, out_dir = run_without_warnings(tmp_path, command, data)
     assert code == 2
     assert lines == [line]
+    assert not out_dir.exists()
+
+
+# two defaults that each fail on their own inputs: a failed builder fails only
+# the keys it read, so solenoid2, which reads none of solenoid1's, is listed too
+INDEPENDENT_UNDERIVABLE_DEFAULTS = {
+    "fields_of_two_tiny_radii": ({"solenoids": {"R1": 1e-200, "R2": 1e-200}}, [
+        "invalid config: solenoid1: cannot derive the default of solenoids.B1: float division by zero",
+        "invalid config: solenoid2: cannot derive the default of solenoids.B2: float division by zero",
+    ]),
+    "fields_of_a_huge_hbar_over_e": ({"constants": {"hbar": 1e300, "e": 1e-10}}, [
+        "invalid config: solenoid1: cannot derive the default of solenoids.B1: must be a finite number, got inf",
+        "invalid config: solenoid2: cannot derive the default of solenoids.B2: must be a finite number, got -inf",
+    ]),
+}
+
+
+@pytest.mark.parametrize("data, expected", INDEPENDENT_UNDERIVABLE_DEFAULTS.values(),
+                         ids=INDEPENDENT_UNDERIVABLE_DEFAULTS.keys())
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+def test_two_defaults_that_fail_on_their_own_are_two_exit_2_lines(tmp_path, command, data, expected):
+    stdout = io.StringIO()
+    code, lines, out_dir = run_without_warnings(tmp_path, command, data, stdout)
+    assert code == 2
+    assert lines == expected
+    assert stdout.getvalue() == ""
     assert not out_dir.exists()
 
 

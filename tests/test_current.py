@@ -1,14 +1,17 @@
 import cmath
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from abmix import current
 from abmix.core import Grid, PhysicalConstants
 from abmix.current import (
+    MIN_SAMPLES,
     CurrentDensity,
     GridWavefunction,
     current_density,
@@ -27,6 +30,7 @@ from abmix.dual import BranchAmplitudes
 from abmix.errors import InterferenceError, ValidationError
 
 CONSTANTS = PhysicalConstants()
+POSITIVE_FINITE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 EQUAL_WEIGHTS = BranchAmplitudes(ROOT_HALF, ROOT_HALF)
 FIRST_BRANCH = BranchAmplitudes(1.0, 0.0)
@@ -211,6 +215,33 @@ class TestCurrentDensity:
         j_rotated = current_density(rotated, CONSTANTS)
         scale = float(np.max(np.abs(j.samples)))
         assert float(np.max(np.abs(j_rotated.samples - j.samples))) <= 1e-13 * scale
+
+    # the bracket's two products differ only by exact sign flips, so its real
+    # part is exactly 0 and, times the purely imaginary prefactor, so is the
+    # imaginary part of every finite sample of j: no residue is left to check
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samples=arrays(complex, st.integers(MIN_SAMPLES, 512), elements=st.complex_numbers(
+            min_magnitude=1e-150, max_magnitude=1e150, allow_nan=False, allow_infinity=False)),
+        spacing=st.floats(1e-100, 1e100),
+        hbar=POSITIVE_FINITE,
+        e=POSITIVE_FINITE,
+        m=POSITIVE_FINITE,
+    )
+    def test_a_finite_current_is_exactly_real(self, samples, spacing, hbar, e, m):
+        psi = GridWavefunction(Grid(0.0, spacing * (len(samples) - 1), len(samples)), samples)
+        constants = SimpleNamespace(hbar=hbar, e=e, m=m)   # any positive triple; h is not read
+        prefactor = 1j * hbar * e / (2.0 * m)
+        with np.errstate(all="ignore"):
+            dpsi = current._derivative(psi.samples, psi.grid.dx)
+            j_complex = prefactor * (psi.samples * np.conj(dpsi) - np.conj(psi.samples) * dpsi)
+        finite = np.isfinite(j_complex)
+        assert np.all(j_complex.imag[finite] == 0.0)
+        if finite.all():
+            assert np.array_equal(current_density(psi, constants).samples, j_complex.real)
+        else:
+            with pytest.raises(ArithmeticError, match="current is not finite"):
+                current_density(psi, constants)
 
     def test_halving_spacing_cuts_error_by_at_least_3_5(self):
         k = 2.0
