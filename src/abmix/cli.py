@@ -10,10 +10,11 @@ writes, then prints.
 Exit codes: 0 success, 2 validation failure (every violation is listed
 once, not just the first), 3 when the wire packets overlap
 (InterferenceError), a current is not finite (ArithmeticError) or memory
-runs out, 4 I/O failure.  A failed run writes no file and prints
-no result: each artifact is written to a hidden temporary file beside the
-output directory and renamed into it only once all are written (a killed
-process can leave such `.<out>-...` files behind); stdout is written last.
+runs out, 4 I/O failure, an unreadable --config included.  A failed run
+writes no file and prints no result: each artifact is written to a hidden
+temporary file beside the output directory and renamed into it only once
+all are written (a killed process can leave such `.<out>-...` files
+behind); stdout is written last.
 All artifacts are plain text, deterministic for a fixed (config, seed), and
 echo the resolved config: the CSVs as one `# config =` JSON line,
 report.txt as its `config.*` block.
@@ -50,11 +51,7 @@ EXIT_IO = 4
 
 def _load_config(args) -> RunConfig | None:
     overrides = {"seed": args.seed, "out_dir": args.out}
-    try:
-        cfg = RunConfig.from_file(args.config, **overrides) if args.config else RunConfig(**overrides)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return None
+    cfg = RunConfig.from_file(args.config, **overrides) if args.config else RunConfig(**overrides)
     problems = cfg.validate()
     for problem in problems:
         print(f"invalid config: {problem}", file=sys.stderr)

@@ -160,24 +160,22 @@ SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
 SECTIONS = {key.split(".")[0] for key in SCHEMA if "." in key}
 
 
-# the domain objects, in build order: name -> builder(values, objects built so far)
+# the domain objects, in build order: name -> builder(values and objects built so far)
 _BUILDERS = (
-    ("constants", lambda v, built: _constants(v)),
-    ("geometry", lambda v, built: _geometry(v)),
-    ("solenoid1", lambda v, built: Solenoid(field=v["solenoids.B1"], radius=v["solenoids.R1"])),
-    ("solenoid2", lambda v, built: Solenoid(field=v["solenoids.B2"], radius=v["solenoids.R2"])),
-    ("amplitudes", lambda v, built: BranchAmplitudes(
-        c1=complex(*v["amplitudes.c1"]), c2=complex(*v["amplitudes.c2"]))),
-    ("apparatus", lambda v, built: DualSolenoidConfig(
-        built["solenoid1"], built["solenoid2"], built["geometry"], built["constants"])),
+    ("constants", _constants),
+    ("geometry", _geometry),
+    ("solenoid1", lambda v: Solenoid(field=v["solenoids.B1"], radius=v["solenoids.R1"])),
+    ("solenoid2", lambda v: Solenoid(field=v["solenoids.B2"], radius=v["solenoids.R2"])),
+    ("amplitudes", lambda v: BranchAmplitudes(c1=complex(*v["amplitudes.c1"]), c2=complex(*v["amplitudes.c2"]))),
+    ("apparatus", lambda v: DualSolenoidConfig(v["solenoid1"], v["solenoid2"], v["geometry"], v["constants"])),
     # the apparatus is read before any screen key: if it failed, the screen,
     # which needs its fringe period, is skipped rather than listing its cause again
-    ("screen", lambda v, built: ScreenOptics(
-        period=fringe_period(built["apparatus"].constants, built["apparatus"].geometry),
+    ("screen", lambda v: ScreenOptics(
+        period=fringe_period(v["apparatus"].constants, v["apparatus"].geometry),
         grid=Grid(v["screen.x_min"], v["screen.x_max"], v["screen.n"]),
         envelope_width=v["envelope_width"])),
-    ("mixture", lambda v, built: mixture_expectations(built["apparatus"], built["amplitudes"])),
-    ("wavepackets", lambda v, built: _wavepackets(v)),
+    ("mixture", lambda v: mixture_expectations(v["apparatus"], v["amplitudes"])),
+    ("wavepackets", _wavepackets),
 )
 
 
@@ -185,24 +183,24 @@ class _Skip(Exception):
     """An input already failed and is reported; skip what depends on it."""
 
 
-class _Built(dict):
-    def __missing__(self, name):
-        raise _Skip(name)
-
-
 class _Reader:
-    """The resolved values as one derived default or builder reads them.
+    """The resolved values, and the objects built so far by builder name, as
+    one derived default or builder reads them.
 
-    Records the keys read; a value that derives from a failed key raises
-    _Skip, and a default that could not be derived raises its error.  A
-    failed builder fails only the keys it read, so a later one that fails
-    on its own inputs is listed too.
+    Records the SCHEMA keys read; a value that derives from a failed key, or
+    an object that failed or was skipped, raises _Skip, and a default that
+    could not be derived raises its error.  A failed builder fails only the
+    keys it read, so a later one that fails on its own inputs is listed too.
     """
 
     def __init__(self, cfg: "RunConfig", failed: set[str]):
         self.cfg, self.failed, self.read = cfg, failed, set()
 
     def __getitem__(self, key: str) -> Any:
+        if key not in SCHEMA:   # a builder name
+            if key not in self.cfg.objects:
+                raise _Skip(key)
+            return self.cfg.objects[key]
         self.read.add(key)
         if self.cfg.sources[key] & self.failed:
             raise _Skip(key)
@@ -291,11 +289,11 @@ class RunConfig:
         """Every violation, each once; an empty list means valid."""
         problems = list(self.problems)
         failed = set(SCHEMA) - set(self.values)
-        self.objects = _Built()
+        self.objects = {}
         for name, build in _BUILDERS:
             reader = _Reader(self, failed)
             try:
-                self.objects[name] = build(reader, self.objects)
+                self.objects[name] = build(reader)
             except _Skip:
                 continue
             except (ValidationError, ArithmeticError) as exc:

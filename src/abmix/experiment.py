@@ -56,7 +56,7 @@ from .core import fringe_period, is_integer
 from .dual import BranchAmplitudes, DualSolenoidConfig, MixtureOutcome, outcome_distribution
 from .errors import ValidationError
 from .pattern import (FringeEstimate, IntensityPattern, ScreenOptics, ShiftEstimator, detection_counts,
-                      shift_estimator, two_slit_pattern)
+                      two_slit_pattern)
 
 BOOTSTRAP_DEFAULT = 200
 
@@ -119,7 +119,7 @@ def run_experiment(
 
     outcomes = outcome_distribution(config, amplitudes)
     reference = two_slit_pattern(optics, 0.0)
-    estimator = shift_estimator(reference)
+    estimator = ShiftEstimator(reference)
     patterns = [two_slit_pattern(optics, outcome.phase) for outcome in outcomes]
 
     counts = _count_detections(patterns, outcomes[0].probability, n_electrons, seed)
@@ -167,8 +167,8 @@ class _Stream:
 
 
 def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
-    """Call `work(slot, task)` once per task, on this thread (slot 0) and,
-    when there are at least 2 tasks, on one worker thread (slot 1).
+    """Call `work(slot, task)` once per task, on this thread (slot 0) and
+    on one worker thread (slot 1).
 
     The worker starts before any task runs, and both threads take the tasks
     from one list in order under one lock; a task works outside that lock,
@@ -194,9 +194,6 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
                 raise
             worker_errors.append(exc)   # raised again below, on this thread
 
-    if len(tasks) < 2:
-        run(0)
-        return
     worker = threading.Thread(target=run, args=(1,), name="abmix-worker")
     worker.start()
     try:

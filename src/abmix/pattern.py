@@ -194,8 +194,8 @@ def _fringe_parts(block: np.ndarray, envelope: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ShiftEstimator:
-    """Estimator of fringe translations relative to `reference`, built by
-    `shift_estimator`, which checks and transforms the reference once.
+    """Estimator of fringe translations relative to `reference`, checked
+    (ValidationError if it is not measured) and transformed once.
 
     A shift is the argmax of the cross-correlation of the two
     baseline-removed patterns (`_fringe_parts`), refined by quadratic
@@ -208,8 +208,19 @@ class ShiftEstimator:
     """
 
     reference: IntensityPattern
-    nfft: int                     # smallest power of 2 >= 2n - 1: no circular wrap
-    reference_spectrum: np.ndarray   # conj(rfft) of the reference's fringe part, read-only
+    nfft: int = field(init=False)   # smallest power of 2 >= 2n - 1: no circular wrap
+    reference_spectrum: np.ndarray = field(init=False)   # conj(rfft) of the reference's fringe part, read-only
+
+    def __post_init__(self):
+        reference = self.reference
+        object.__setattr__(self, "nfft", 1 << (2 * reference.n - 2).bit_length())
+        reference_part = _fringe_parts(reference.intensity[np.newaxis], reference.optics.envelope)[0]
+        spectrum = np.conj(np.fft.rfft(reference_part, self.nfft))
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "reference_spectrum", spectrum)
+        shifts, visibilities = self.shifts(reference.intensity[np.newaxis], holds_counts=False)
+        if math.isnan(shifts[0]):
+            raise ValidationError(f"reference visibility {float(visibilities[0])!r} is at or below {VISIBILITY_FLOOR}")
 
     def shifts(self, block: np.ndarray, holds_counts: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Shifts (m) and visibilities of the rows of a (k, n) block of
@@ -239,28 +250,12 @@ class ShiftEstimator:
         return shifts, visibilities
 
 
-def shift_estimator(reference: IntensityPattern) -> ShiftEstimator:
-    """The ShiftEstimator bound to `reference`; ValidationError if the
-    reference itself is not measured."""
-    nfft = 1 << (2 * reference.n - 2).bit_length()
-    reference_part = _fringe_parts(reference.intensity[np.newaxis], reference.optics.envelope)[0]
-    reference_spectrum = np.conj(np.fft.rfft(reference_part, nfft))
-    reference_spectrum.flags.writeable = False
-    estimator = ShiftEstimator(reference, nfft, reference_spectrum)
-    shifts, visibilities = estimator.shifts(reference.intensity[np.newaxis], holds_counts=False)
-    if math.isnan(shifts[0]):
-        raise ValidationError(
-            f"reference visibility {float(visibilities[0])!r} is at or below {VISIBILITY_FLOOR}"
-        )
-    return estimator
-
-
 def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> FringeEstimate:
     """Fringe translation of the synthesized `pattern` relative to `reference`,
     by a one-off estimator: a nan shift, as `ShiftEstimator.shifts` gives, when
     its visibility is at or below VISIBILITY_FLOOR (the physically washed-out
     regime); ValidationError when its optics differ from the reference's."""
-    estimator = shift_estimator(reference)
+    estimator = ShiftEstimator(reference)
     if pattern.optics != reference.optics:
         raise ValidationError("pattern and reference must share grid, fringe period and envelope width")
     shifts, visibilities = estimator.shifts(pattern.intensity[np.newaxis], holds_counts=False)
@@ -282,6 +277,9 @@ def inverse_cdf_positions(pattern: IntensityPattern, quantiles: np.ndarray) -> n
     [x_i - dx/2, x_i + dx/2), so the cumulative sum is piecewise linear
     and inversion is exact.  Quantile q falls in the last cell i with
     cdf[i] <= q, i.e. cdf[i] <= q < cdf[i+1], clipped to the screen.
+    Nothing in the package calls it: the benchmark's tracer wraps it by
+    name, and the tests use it, with `histogram_pattern`, as the reference
+    for `detection_counts`.
     """
     cdf = _cdf(pattern)
     cells = np.clip(np.searchsorted(cdf, quantiles, side="right") - 1, 0, pattern.n - 1)
@@ -306,7 +304,9 @@ def detection_counts(pattern: IntensityPattern, quantiles: np.ndarray) -> np.nda
 
 def histogram_pattern(samples: np.ndarray, reference: IntensityPattern) -> IntensityPattern:
     """Bin detection positions onto the cells of `reference`'s grid, as a
-    counts pattern on the reference's optics."""
+    counts pattern on the reference's optics.  Nothing in the package calls
+    it: the benchmark's tracer wraps it by name, and the tests use it, with
+    `inverse_cdf_positions`, as the reference for `detection_counts`."""
     grid = reference.optics.grid
     edges = np.concatenate([grid.positions - 0.5 * grid.dx, [grid.x_max + 0.5 * grid.dx]])
     counts, _ = np.histogram(np.asarray(samples, dtype=float), bins=edges)

@@ -394,6 +394,19 @@ class TestValidationReporting:
         assert main(["phase", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["phase"], ["classical"], ["mixture", "--csv"], ["experiment"], ["current"]],
+                             ids=lambda command: command[0])
+    @pytest.mark.parametrize("config", ["missing.json", "a_directory"], ids=["missing", "directory"])
+    def test_an_unreadable_config_is_one_exit_4_line_from_every_command(self, tmp_path, capsys, command, config):
+        (tmp_path / "a_directory").mkdir()
+        out_dir = tmp_path / "out"
+        assert main([*command, "--config", str(tmp_path / config), "--out", str(out_dir)]) == 4
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: I/O failure: ")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_invalid_run_writes_no_partial_outputs(self, tmp_path, capsys):
         config = write_config(tmp_path, n_electrons=0)
         out_dir = tmp_path / "nothing"

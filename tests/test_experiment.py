@@ -1,4 +1,5 @@
 import math
+import statistics
 import sys
 import threading
 
@@ -8,6 +9,7 @@ import pytest
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period, fringe_shift
 from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals, outcome_distribution
 from abmix import experiment, pattern
+from abmix.config import RunConfig
 from abmix.errors import ValidationError
 from abmix.experiment import report_text, run_experiment
 
@@ -72,7 +74,7 @@ def contract_reference(config, amplitudes, n_electrons, seed, optics, n_bootstra
         cells = np.clip(np.searchsorted(cdf, uniforms[drawn, 1], side="right") - 1, 0, optics.grid.n - 1)
         counts.append(np.bincount(cells, minlength=optics.grid.n))
     rows = np.array([*counts, counts[0] + counts[1]], dtype=float)
-    estimator = pattern.shift_estimator(pattern.two_slit_pattern(optics, 0.0))
+    estimator = pattern.ShiftEstimator(pattern.two_slit_pattern(optics, 0.0))
     sigmas = []
     for row, shift, stream in zip(rows, estimator.shifts(rows)[0], (1, 2, 0)):
         kept = [] if math.isnan(shift) else kept_bootstrap_shifts(estimator, row, (seed, 1, stream), n_bootstrap)
@@ -191,7 +193,7 @@ class TestPointEstimates:
         report = run_experiment(antisymmetric_config(delta), amplitudes, 1_000_000, 11, screen,
                                 n_bootstrap=0)
         reference = pattern.two_slit_pattern(screen, 0.0)
-        estimator = pattern.shift_estimator(reference)
+        estimator = pattern.ShiftEstimator(reference)
         rows = [
             (report.branch1.estimate, report.branch1.histogram),
             (report.branch2.estimate, report.branch2.histogram),
@@ -364,7 +366,7 @@ class TestSharedSchedule:
         schedule.delay["bootstrap", delayed] = 0.002
         config, amplitudes, n_electrons, seed, optics, n_bootstrap = self.ARGS
         report = run_experiment(*self.ARGS)
-        estimator = pattern.shift_estimator(pattern.two_slit_pattern(optics, 0.0))
+        estimator = pattern.ShiftEstimator(pattern.two_slit_pattern(optics, 0.0))
         histograms = (report.branch1.histogram, report.branch2.histogram, report.pooled_histogram)
         for histogram, stream, shifts in zip(histograms, (1, 2, 0), reported, strict=True):
             expected = kept_bootstrap_shifts(estimator, histogram.intensity, (seed, 1, stream), n_bootstrap)
@@ -390,24 +392,6 @@ class TestSharedSchedule:
         assert sum(1 for p, _, what in schedule.events if p == phase and what == "take") < units
         assert schedule.takes_after_the_fault(other) <= 1
         assert not schedule.workers_alive()
-
-    def test_a_run_of_one_chunk_starts_no_counting_thread(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def recorded(thread):
-            if thread.name == "abmix-worker":
-                started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", recorded)
-        for n_electrons, workers in ((experiment.DRAW_CHUNK, 0), (experiment.DRAW_CHUNK + 1, 1)):
-            started.clear()
-            run_experiment(
-                antisymmetric_config(), EQUAL_WEIGHTS, n_electrons, 3, wide_screen(1024),
-                n_bootstrap=0,
-            )
-            assert len(started) == workers
 
 
 class TestTwoPointStatistics:
@@ -442,6 +426,31 @@ class TestTwoPointStatistics:
         # the branch-separated view still resolves full-magnitude shifts
         assert not math.isnan(report.branch1.estimate.shift)
         assert not math.isnan(report.branch2.estimate.shift)
+
+    def test_the_branch_bootstrap_sigma_is_calibrated(self):
+        # With an honest sigma, each branch z = (estimate - predicted shift) / sigma
+        # is about N(0, 1), and the 40 of 20 seeds x 2 branches are about
+        # independent (disjoint electrons, separate bootstrap streams), so
+        # S = sum z^2 is about chi-square with k = 40 degrees of freedom.  S is
+        # bounded by its 1e-3 and 1 - 1e-3 quantiles: an honest sigma fails with
+        # probability 2e-3.  Wilson and Hilferty (1931): (S/k)^(1/3) is about
+        # normal with mean 1 - 2/(9k) and variance 2/(9k), so the p quantile is
+        # k (1 - 2/(9k) + z_p sqrt(2/(9k)))^3, here about 17.8 and 73.5.  A sigma
+        # off by a factor f scales S by 1/f^2: halved, S is about 160 on average.
+        # 520 cells (32 a period) keep the 20 runs under a second.
+        cfg = RunConfig({"screen": {"n": 520}})
+        assert cfg.validate() == []
+        z = []
+        for seed in range(20):
+            report = run_experiment(cfg.objects["apparatus"], cfg.objects["amplitudes"], 10_000, seed,
+                                    cfg.objects["screen"])
+            z += [(b.estimate.shift - b.outcome.shift) / b.estimate.uncertainty
+                  for b in (report.branch1, report.branch2)]
+        assert len(z) == 40 and all(math.isfinite(value) for value in z)   # every branch row measured
+        k, v = len(z), 2.0 / (9.0 * len(z))
+        low, high = (k * (1.0 - v + statistics.NormalDist().inv_cdf(p) * math.sqrt(v)) ** 3
+                     for p in (1e-3, 1.0 - 1e-3))
+        assert low < sum(value * value for value in z) < high
 
 
 def phasor(weights, phases):
@@ -554,7 +563,7 @@ class TestReportText:
         report = run_experiment(antisymmetric_config(math.pi / 2.0), EQUAL_WEIGHTS, 1_000_000, 11, screen,
                                 n_bootstrap=0)
         reference = pattern.two_slit_pattern(screen, 0.0)
-        estimator = pattern.shift_estimator(reference)
+        estimator = pattern.ShiftEstimator(reference)
         _, visibilities = estimator.shifts(report.pooled_histogram.intensity[np.newaxis])
         lines = report_text(report).splitlines()
         assert "pooled.shift_m = nan" in lines and "pooled.measurable = false" in lines
