@@ -429,7 +429,7 @@ class TestTwoPointStatistics:
 
     def test_the_branch_bootstrap_sigma_is_calibrated(self):
         # With an honest sigma, each branch z = (estimate - predicted shift) / sigma
-        # is about N(0, 1), and the 40 of 20 seeds x 2 branches are about
+        # is about N(0, 1), and the 40 z of 20 seeds x 2 branches are about
         # independent (disjoint electrons, separate bootstrap streams), so
         # S = sum z^2 is about chi-square with k = 40 degrees of freedom.  S is
         # bounded by its 1e-3 and 1 - 1e-3 quantiles: an honest sigma fails with
@@ -440,13 +440,14 @@ class TestTwoPointStatistics:
         # 520 cells (32 a period) keep the 20 runs under a second.
         cfg = RunConfig({"screen": {"n": 520}})
         assert cfg.validate() == []
-        z = []
+        branches = []
         for seed in range(20):
             report = run_experiment(cfg.objects["apparatus"], cfg.objects["amplitudes"], 10_000, seed,
                                     cfg.objects["screen"])
-            z += [(b.estimate.shift - b.outcome.shift) / b.estimate.uncertainty
-                  for b in (report.branch1, report.branch2)]
-        assert len(z) == 40 and all(math.isfinite(value) for value in z)   # every branch row measured
+            branches += [report.branch1, report.branch2]
+        # every branch row is measured, with a sigma to judge it by (a nan sigma fails too)
+        assert len(branches) == 40 and all(b.estimate.uncertainty > 0.0 for b in branches)
+        z = [(b.estimate.shift - b.outcome.shift) / b.estimate.uncertainty for b in branches]
         k, v = len(z), 2.0 / (9.0 * len(z))
         low, high = (k * (1.0 - v + statistics.NormalDist().inv_cdf(p) * math.sqrt(v)) ** 3
                      for p in (1e-3, 1.0 - 1e-3))
