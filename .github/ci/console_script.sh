@@ -62,6 +62,11 @@ echo "{$solenoids, $amplitudes, \"wavepackets\": {\"center1\": 1e6}}" > "$RUNNER
 refused 2 phase --config "$RUNNER_TEMP/two-problems.json" --out "$RUNNER_TEMP/refused"
 test "$(wc -l < "$RUNNER_TEMP/refused.err")" -eq 2
 test "$(sed -n 's/^invalid config: \([a-z]*\): .*/\1/p' "$RUNNER_TEMP/refused.err" | tr '\n' ' ')" = "mixture wavepackets "
+# 2: a width and a wire size out of range, each listed by the domain type that reads it
+echo '{"envelope_width": 0, "wavepackets": {"n": 4}}' > "$RUNNER_TEMP/domain-ranges.json"
+refused 2 phase --config "$RUNNER_TEMP/domain-ranges.json" --out "$RUNNER_TEMP/refused"
+test "$(wc -l < "$RUNNER_TEMP/refused.err")" -eq 2
+test "$(sed -n 's/^invalid config: \([a-z]*\): .*/\1/p' "$RUNNER_TEMP/refused.err" | tr '\n' ' ')" = "screen wavepackets "
 # 3: a plane wave whose current overflows on its grid
 echo '{"wavepackets": {"kind": "plane", "k": 1e300, "eta_min": -1e-300, "eta_max": 1e-300, "n": 64}}' \
   > "$RUNNER_TEMP/overflowing-plane.json"

@@ -8,12 +8,14 @@ screen (4096 cells over 16 fringe periods) and the envelope (2.5 periods)
 follow the constants and the geometry.
 
 Type rules: float keys take finite numbers; int keys take integers or
-integral floats (2.0 but not 2.5) within the bounds SCHEMA names; booleans
-and numeric strings are never numbers; amplitudes are [re, im] lists of two
-numbers; wavepackets.kind is "gaussian" or "plane"; out_dir is a string
-with no NUL character (no path can hold one).
-Unknown keys are rejected at any depth, and a partial section is merged key
-by key with the defaults.
+integral floats (2.0 but not 2.5); booleans and numeric strings are never
+numbers; amplitudes are [re, im] lists of two numbers; wavepackets.kind is
+"gaussian" or "plane"; out_dir is a string with no NUL character (no path
+can hold one).  Unknown keys are rejected at any depth, and a partial
+section is merged key by key with the defaults.  SCHEMA bounds only what no
+domain object can judge before it allocates: the grid sizes, by memory, and
+the counts and the seed, which no builder reads.  Every other range, such
+as a width or a grid's least point count, is its domain object's rule.
 
 `validate` is the one place a loadable config is refused: it builds each
 domain object once, skips one whose inputs already failed and lists every
@@ -34,7 +36,7 @@ import numpy as np
 
 from .core import (ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, ApparatusGeometry, Grid, PhysicalConstants,
                    Solenoid, base_area, fringe_period)
-from .current import MIN_SAMPLES, gaussian_packet, plane_wave
+from .current import gaussian_packet, plane_wave
 from .dual import BranchAmplitudes, DualSolenoidConfig, mixture_expectations
 from .errors import ValidationError
 from .pattern import ScreenOptics
@@ -62,13 +64,7 @@ def _pair(raw: Any) -> list[float] | None:
     return None
 
 
-def _positive(raw: Any) -> float | None:
-    value = _number(raw)
-    return value if value is not None and value > 0.0 else None
-
-
 FLOAT = ("a finite number", _number)
-POSITIVE = ("a positive finite number", _positive)
 PAIR = ("an [re, im] pair of finite numbers", _pair)
 KIND = ("'gaussian' or 'plane'", lambda raw: raw if raw in ("gaussian", "plane") else None)
 TEXT = ("a string with no NUL character", lambda raw: raw if isinstance(raw, str) and "\x00" not in raw else None)
@@ -137,7 +133,7 @@ SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
     "screen.n": (_integer(f"an integer <= {SCREEN_N_MAX}", high=SCREEN_N_MAX + 1), 4096),
     "screen.x_min": (FLOAT, _periods(-8.0)),
     "screen.x_max": (FLOAT, _periods(8.0)),
-    "envelope_width": (POSITIVE, _periods(2.5)),
+    "envelope_width": (FLOAT, _periods(2.5)),
     "n_electrons": (_integer("an integer >= 1", 1), 100_000),
     "seed": (_integer("an unsigned 64-bit integer", 0, 2**64), 20240601),
     "out_dir": (TEXT, "abmix-out"),
@@ -146,12 +142,10 @@ SCHEMA: dict[str, tuple[tuple[str, Any], Any]] = {
     "wavepackets.kind": (KIND, "gaussian"),
     "wavepackets.eta_min": (FLOAT, -256.0),
     "wavepackets.eta_max": (FLOAT, 256.0),
-    "wavepackets.n": (
-        _integer(f"an integer in [{MIN_SAMPLES}, {WIRE_N_MAX}]", MIN_SAMPLES, WIRE_N_MAX + 1), 4096
-    ),
+    "wavepackets.n": (_integer(f"an integer <= {WIRE_N_MAX}", high=WIRE_N_MAX + 1), 4096),
     "wavepackets.center1": (FLOAT, -128.0),
     "wavepackets.center2": (FLOAT, 128.0),
-    "wavepackets.width": (POSITIVE, 16.0),
+    "wavepackets.width": (FLOAT, 16.0),
     "wavepackets.k1": (FLOAT, 1.5),
     "wavepackets.k2": (FLOAT, -1.5),
     "wavepackets.k": (FLOAT, 1.5),

@@ -203,8 +203,8 @@ def gaussian_packet(grid: Grid, center: float, width: float, wavenumber: float) 
     magnitude exp(-s^2 / (4 width^2)), so a separation of 12 widths
     guarantees non-interference to well below 1e-12.
     """
-    if not width > 0.0:
-        raise ValidationError(f"packet width must be positive, got {width!r}")
+    if not (width > 0.0 and math.isfinite(width)):
+        raise ValidationError(f"packet width must be finite and positive, got {width!r}")
     try:
         two_width_sq = 2.0 * width**2
     except OverflowError:

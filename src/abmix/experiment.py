@@ -178,7 +178,7 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
     """
     pending, lock = iter(tasks), threading.Lock()
     stop = threading.Event()
-    worker_errors: list[BaseException] = []
+    errors: list[BaseException] = []
 
     def run(slot: int) -> None:
         try:
@@ -190,9 +190,7 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
                 work(slot, task)
         except BaseException as exc:
             stop.set()
-            if slot == 0:
-                raise
-            worker_errors.append(exc)   # raised again below, on this thread
+            errors.append(exc)   # the first is raised below, on this thread
 
     worker = threading.Thread(target=run, args=(1,), name="abmix-worker")
     worker.start()
@@ -202,8 +200,8 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
         # every task is taken once run returns, so this cuts the worker short only after a failure
         stop.set()
         worker.join()
-    if worker_errors:
-        raise worker_errors[0]
+    if errors:
+        raise errors[0]
 
 
 def _count_detections(

@@ -41,13 +41,13 @@ HISTOGRAM_REBIN = 16     # cell merging for counts histograms
 class ScreenOptics:
     """The detection screen's grid, fringe period P and envelope width w, and
     the one home of the screen's rules: P and w finite and positive, 2 w^2
-    neither overflowing nor underflowing to 0; a span of MIN_PERIODS periods
-    of 2 * HISTOGRAM_REBIN cells each at least; and, read cell by cell and
-    merged HISTOGRAM_REBIN at a time, some cell within one period of x = 0,
-    where contrast is read, with the envelope above 0 on each such cell.  The
-    centres ascend, and so do their means, as float rounding is monotone: the
-    central cells are one run, found by binary search and kept as a slice.
-    Two optics are equal when their grid, P and w are."""
+    not overflowing; a span of MIN_PERIODS periods of 2 * HISTOGRAM_REBIN
+    cells each at least; and, read cell by cell and merged HISTOGRAM_REBIN at
+    a time, some cell within one period of x = 0, where contrast is read,
+    with the envelope above 0 on each such cell.  The centres ascend, and so
+    do their means, as float rounding is monotone: the central cells are one
+    run, found by binary search and kept as a slice.  Two optics are equal
+    when their grid, P and w are."""
 
     grid: Grid
     period: float            # m
@@ -63,11 +63,9 @@ class ScreenOptics:
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
         try:
-            two_width_sq = 2.0 * width**2
+            2.0 * width**2
         except OverflowError:
             raise ValidationError(f"envelope_width {width!r} m is too large: its square overflows") from None
-        if two_width_sq == 0.0:
-            raise ValidationError(f"envelope_width {width!r} m is too narrow: its square underflows to 0")
         if grid.span < MIN_PERIODS * period:
             raise ValidationError(f"screen span {grid.span!r} m is narrower than {MIN_PERIODS} fringe "
                                   f"periods ({MIN_PERIODS * period!r} m)")
@@ -100,8 +98,10 @@ class ScreenOptics:
 
 
 def _envelope(x: np.ndarray, width: float) -> np.ndarray:
-    """exp(-x^2 / 2w^2), computed in place: `x` is overwritten and returned."""
-    with np.errstate(over="ignore"):   # x^2 / 2w^2 beyond the float range is inf, and exp(-inf) = 0
+    """exp(-x^2 / 2w^2), computed in place: `x` is overwritten and returned.
+    x^2 / 2w^2 beyond the float range is inf, and exp(-inf) = 0; where 2w^2
+    underflows to 0 the envelope is 0, or nan at x = 0, which ScreenOptics refuses."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.square(x, out=x)
         np.divide(x, -2.0 * width**2, out=x)
         return np.exp(x, out=x)

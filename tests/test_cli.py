@@ -349,8 +349,9 @@ class TestValidationReporting:
         "width, message",
         [
             (1e300, "envelope_width 1e+300 m is too large: its square overflows"),
-            (1e-200, "envelope_width 1e-200 m is too narrow: its square underflows to 0"),
-            (1e-300, "envelope_width 1e-300 m is too narrow: its square underflows to 0"),
+            # 2 w^2 underflows to 0, so the envelope is 0 on every cell, or nan at x = 0
+            (1e-200, "envelope_width 1e-200 m is too narrow: the envelope underflows to 0 within one fringe"),
+            (1e-300, "envelope_width 1e-300 m is too narrow: the envelope underflows to 0 within one fringe"),
             # x^2 / 2w^2 overflows, and exp underflows on every cell
             (1e-160, "envelope_width 1e-160 m is too narrow: the envelope underflows to 0 within one fringe"),
             (1e-100, "envelope_width 1e-100 m is too narrow: the envelope underflows to 0 within one fringe"),
@@ -393,6 +394,21 @@ class TestValidationReporting:
         path.write_text("{not json", encoding="utf-8")
         assert main(["phase", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["phase"], ["classical"], ["mixture", "--csv"], ["experiment"], ["current"]],
+                             ids=lambda command: command[0])
+    @pytest.mark.parametrize("text", ["[]", '[{"seed": 1}]', "null"], ids=["empty_array", "array", "null"])
+    def test_a_config_that_is_not_a_json_object_is_one_exit_2_line_from_every_command(
+        self, tmp_path, capsys, command, text
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main([*command, "--config", str(path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: config file {path} must hold a JSON object"]
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", [["phase"], ["classical"], ["mixture", "--csv"], ["experiment"], ["current"]],
                              ids=lambda command: command[0])

@@ -96,6 +96,8 @@ BAD_SCREENS = {
     "envelope_square_overflows": {"envelope_width": 1e200},
     "envelope_square_underflows": {"envelope_width": 1e-300},
     "no_cell_near_the_axis": {"screen": {"x_min": 1e-3, "x_max": 2e-3, "n": 40960}},
+    "envelope_width_0": {"envelope_width": 0},
+    "envelope_width_negative": {"envelope_width": -1},
 }
 
 
@@ -204,6 +206,12 @@ UNBUILDABLE = {
     "huge_k1": ({"wavepackets": {"k1": 1e308}}, "wavepackets: packet with ", "1e+308"),   # k * eta overflows
     "huge_plane_k": ({"wavepackets": {"kind": "plane", "k": 1e308}}, "wavepackets: plane wave with ", "1e+308"),
     "huge_width": ({"wavepackets": {"width": 1e300}}, "wavepackets: packet width ", "1e+300"),   # width^2 overflows
+    "width_0": ({"wavepackets": {"width": 0}}, "wavepackets: packet width must be finite and positive, ", "0.0"),
+    # a wire grid needs 2 points, and a wavefunction on it 8
+    "wire_n_1": ({"wavepackets": {"n": 1}}, "wavepackets: a grid needs at least 2 points, ", "got 1"),
+    "gaussian_n_4": ({"wavepackets": {"n": 4}}, "wavepackets: need one sample per point ", "on 4 points"),
+    "plane_n_4": ({"wavepackets": {"kind": "plane", "n": 4}}, "wavepackets: plane wave with k 1.5: need one ",
+                  "on 4 points"),
     # (k * d_eta)**2, the plane-wave check's discretization bound, overflows
     "huge_plane_bound_k": ({"wavepackets": {"kind": "plane", "k": 1e200}}, "wavepackets: plane wave with ",
                            "1e+200: (k d_eta)^2 overflows"),
@@ -230,6 +238,12 @@ def test_a_wavefunction_or_mean_that_cannot_be_built_is_one_exit_2_line_from_eve
         assert not out_dir.exists(), command
         refusals.add(lines[0])
     assert len(refusals) == 1
+
+
+def test_a_plane_wave_reads_no_packet_width():
+    # like center1, the packet width is a Gaussian key: the plane wave never reads it
+    for width in (0.0, -1.0):
+        assert RunConfig({"wavepackets": {"kind": "plane", "width": width}}).validate() == []
 
 
 # a mixture mean and a wire packet that both fail: each is listed, in builder order

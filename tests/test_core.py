@@ -81,6 +81,11 @@ class TestGeometryAndSolenoid:
         with pytest.raises(ValidationError):
             Solenoid(field=1.0, radius=0.0)
 
+    @pytest.mark.parametrize("field", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_field_that_is_not_finite(self, field):
+        with pytest.raises(ValidationError, match=f"solenoid field must be finite, got {field!r}"):
+            Solenoid(field=field, radius=1.0)
+
     def test_solenoid_area(self):
         assert Solenoid(field=0.0, radius=2.0).area == pytest.approx(4.0 * math.pi, rel=1e-15)
 

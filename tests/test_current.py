@@ -78,6 +78,12 @@ class TestFactories:
             plane_wave(grid, 1e200)
         assert math.isfinite(plane_wave_check(plane_wave(grid, 1e100), 1e100, CONSTANTS)[2])
 
+    @pytest.mark.parametrize("width", [0.0, -16.0, math.inf, math.nan])
+    def test_a_packet_width_that_is_not_finite_and_positive_is_refused(self, width):
+        # an inf width would give a flat packet, a plane wave that normalizes
+        with pytest.raises(ValidationError, match=f"packet width must be finite and positive, got {width!r}"):
+            gaussian_packet(Grid(-256.0, 256.0, 4096), 0.0, width, 1.5)
+
     def test_a_packet_whose_weight_is_subnormal_is_refused(self):
         # its weight, 2.7e-316, has lost digits: divided by its root the packet's
         # norm would be off by 9e-9, which superpose's NORM_TOL refuses

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, Solenoid, fringe_period, fringe_shift
-from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals, outcome_distribution
+from abmix.dual import BranchAmplitudes, DualSolenoidConfig, classical_totals, mixture_mean, outcome_distribution
 from abmix import experiment, pattern
 from abmix.config import RunConfig
 from abmix.errors import ValidationError
@@ -431,27 +431,63 @@ class TestTwoPointStatistics:
         # With an honest sigma, each branch z = (estimate - predicted shift) / sigma
         # is about N(0, 1), and the 40 z of 20 seeds x 2 branches are about
         # independent (disjoint electrons, separate bootstrap streams), so
-        # S = sum z^2 is about chi-square with k = 40 degrees of freedom.  S is
-        # bounded by its 1e-3 and 1 - 1e-3 quantiles: an honest sigma fails with
-        # probability 2e-3.  Wilson and Hilferty (1931): (S/k)^(1/3) is about
-        # normal with mean 1 - 2/(9k) and variance 2/(9k), so the p quantile is
-        # k (1 - 2/(9k) + z_p sqrt(2/(9k)))^3, here about 17.8 and 73.5.  A sigma
-        # off by a factor f scales S by 1/f^2: halved, S is about 160 on average.
-        # 520 cells (32 a period) keep the 20 runs under a second.
-        cfg = RunConfig({"screen": {"n": 520}})
-        assert cfg.validate() == []
-        branches = []
-        for seed in range(20):
-            report = run_experiment(cfg.objects["apparatus"], cfg.objects["amplitudes"], 10_000, seed,
-                                    cfg.objects["screen"])
-            branches += [report.branch1, report.branch2]
+        # S = sum z^2 is about chi-square with k = 40 degrees of freedom, and
+        # `chi_square_bounds` gives about 17.8 and 73.5.  A sigma off by a factor
+        # f scales S by 1/f^2: halved, S is about 160 on average.
+        reports = seed_batch()
+        branches = [branch for report in reports for branch in (report.branch1, report.branch2)]
         # every branch row is measured, with a sigma to judge it by (a nan sigma fails too)
         assert len(branches) == 40 and all(b.estimate.uncertainty > 0.0 for b in branches)
         z = [(b.estimate.shift - b.outcome.shift) / b.estimate.uncertainty for b in branches]
-        k, v = len(z), 2.0 / (9.0 * len(z))
-        low, high = (k * (1.0 - v + statistics.NormalDist().inv_cdf(p) * math.sqrt(v)) ** 3
-                     for p in (1e-3, 1.0 - 1e-3))
+        low, high = chi_square_bounds(len(z))
         assert low < sum(value * value for value in z) < high
+
+    def test_the_mean_and_pooled_sigmas_are_calibrated(self):
+        # At weights 0.7 and 0.3, for each of 20 seeds: z = (mean_shift - the
+        # mixture mean of the branch shifts) / mean_shift_sigma, and z = (pooled
+        # shift - the shift at the phasor's arg, as in TestPooledPhasorLaw) /
+        # pooled sigma.  The 20 runs share no electron, so with honest sigmas
+        # each S = sum z^2 is about chi-square with k = 20 degrees of freedom,
+        # and `chi_square_bounds` gives about 5.8 and 45.4.  Halved, a sigma
+        # makes its S about 80 on average.
+        c1, c2 = [math.sqrt(0.7), 0.0], [math.sqrt(0.3), 0.0]
+        reports = seed_batch({"amplitudes": {"c1": c1, "c2": c2}})
+        amplitudes = BranchAmplitudes(c1=complex(*c1), c2=complex(*c2))
+        mean_z, pooled_z = [], []
+        for report in reports:
+            branches = (report.branch1, report.branch2)
+            expected = mixture_mean(amplitudes, *(b.outcome.shift for b in branches))
+            mean_z.append((report.mean_shift - expected) / report.mean_shift_sigma)
+            z = phasor([b.count / BATCH_N for b in branches], [b.outcome.phase for b in branches])
+            pooled = report.pooled_estimate
+            pooled_z.append((pooled.shift - shift_at(math.atan2(z.imag, z.real))) / pooled.uncertainty)
+        # every mean and pool is measured, with a sigma to judge it by (a nan sigma fails too)
+        assert all(r.mean_shift_sigma > 0.0 and r.pooled_estimate.uncertainty > 0.0 for r in reports)
+        low, high = chi_square_bounds(20)
+        for z in (mean_z, pooled_z):
+            assert low < sum(value * value for value in z) < high
+
+
+BATCH_N = 10_000
+
+
+def seed_batch(data=None):
+    """The reports of `data`'s config on a 520-cell screen at BATCH_N electrons,
+    seeds 0-19; 520 cells (32 a period) keep the 20 runs under a second."""
+    cfg = RunConfig({"screen": {"n": 520}, **(data or {})})
+    assert cfg.validate() == []
+    return [run_experiment(cfg.objects["apparatus"], cfg.objects["amplitudes"], BATCH_N, seed, cfg.objects["screen"])
+            for seed in range(20)]
+
+
+def chi_square_bounds(k):
+    """The 1e-3 and 1 - 1e-3 quantiles of chi-square with k degrees of freedom,
+    so that a sum of k squared N(0, 1) z fails them with probability 2e-3.
+    Wilson and Hilferty (1931): (S/k)^(1/3) is about normal with mean
+    1 - 2/(9k) and variance 2/(9k), so the p quantile is
+    k (1 - 2/(9k) + z_p sqrt(2/(9k)))^3."""
+    v = 2.0 / (9.0 * k)
+    return tuple(k * (1.0 - v + statistics.NormalDist().inv_cdf(p) * math.sqrt(v)) ** 3 for p in (1e-3, 1.0 - 1e-3))
 
 
 def phasor(weights, phases):

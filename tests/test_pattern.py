@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -82,6 +83,11 @@ class TestIntensityPattern:
     def test_rejects_zero_mass(self):
         with pytest.raises(ValidationError):
             IntensityPattern(flat(Grid(0.0, 12.9, 130)), np.zeros(130))
+
+    @pytest.mark.parametrize("shape", [(129,), (131,), (130, 1), (2, 130), ()], ids=str)
+    def test_rejects_an_intensity_not_one_value_per_cell(self, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {shape} on 130 cells")):
+            IntensityPattern(flat(Grid(0.0, 12.9, 130)), np.ones(shape))
 
     def test_total_mass(self):
         pattern = IntensityPattern(flat(Grid(0.0, 15.9, 160)), np.ones(160))
@@ -477,12 +483,16 @@ def test_two_slit_pattern_mass_positive():
 def test_screen_optics_require_a_positive_period_and_envelope_width():
     with pytest.raises(ValidationError, match="period"):
         ScreenOptics(Grid(0.0, 3.1, 32), 0.0, 1.0)
-    with pytest.raises(ValidationError, match="envelope_width"):
-        ScreenOptics(Grid(0.0, 3.1, 32), 1.0, float("nan"))
+    for width in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=f"envelope_width must be finite and positive, got {width!r}"):
+            ScreenOptics(Grid(0.0, 3.1, 32), 1.0, width)
     with pytest.raises(ValidationError, match="envelope_width 1e\\+300 m is too large"):
         ScreenOptics(Grid(0.0, 3.1, 32), 1.0, 1e300)
-    with pytest.raises(ValidationError, match="envelope_width 1e-200 m is too narrow"):
-        ScreenOptics(Grid(0.0, 3.1, 32), 1.0, 1e-200)
+    # 2 w^2 underflows to 0: the envelope is 0 on every cell, or nan at x = 0, on a screen
+    # that passes the span and resolution rules
+    for tiny in (1e-200, 1e-300):
+        with pytest.raises(ValidationError, match=f"envelope_width {tiny!r} m is too narrow: the envelope underflows"):
+            ScreenOptics(Grid(-4.0, 4.0, 513), 1.0, tiny)
 
 
 def test_screen_optics_need_the_central_fringes_on_the_screen():
