@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Detection counting on the newest numpy.  pyproject.toml allows any numpy >=
+# 1.24, and run_experiment draws each chunk of detections from a PCG64
+# advanced by two outputs per electron before it, then counts the chunk's
+# uniforms on the 2^-53 lattice.  Both hold only while Generator.random makes
+# one double (u >> 11) * 2^-53 of each 64-bit output u; a failure here means
+# the newest numpy changed how random() maps its outputs.  Usage, from anywhere
+# in the repository:
+#
+#   bash .github/ci/newest_numpy.sh            # upgrades numpy, then checks
+#   bash .github/ci/newest_numpy.sh --source   # checks the installed numpy, upgrades nothing
+#
+# --source skips only the `pip install -U numpy`.  The tests' files go under
+# $RUNNER_TEMP if it is set, else under a temporary directory that is removed
+# on exit.  The first failing check stops the script and names its line.
+set -eEuo pipefail
+trap 'echo "$0: line $LINENO: check failed" >&2' ERR
+cd "$(dirname "$0")/../.."
+if [ -z "${RUNNER_TEMP:-}" ]; then
+  RUNNER_TEMP=$(mktemp -d)
+  trap 'rm -rf "$RUNNER_TEMP"' EXIT
+fi
+source=false
+case "${1:-}" in
+  --source) source=true ;;
+  "") ;;
+  *) echo "usage: $0 [--source]" >&2; exit 64 ;;
+esac
+
+if ! $source; then
+  python -m pip install -U numpy
+fi
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --basetemp "$RUNNER_TEMP/numpy" \
+  tests/test_experiment.py::TestChunkCount \
+  tests/test_experiment.py::TestDeterminism::test_the_run_matches_the_contract_reference

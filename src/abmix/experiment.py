@@ -8,27 +8,32 @@ are kept, never positions.  The generator is numpy's PCG64; per electron
 the branch uniform is consumed first and the position uniform second;
 a branch uniform below p1 = |c1|^2 picks branch 1.  Before the first
 draw, the calling thread builds both branch patterns, whatever the weights.
-Draws run in fixed chunks of DRAW_CHUNK electrons taken in order from the
-same stream, which yields the same uniforms as one draw of all of them,
-so memory is independent of n_electrons.  Derived streams get fixed
-entropy tuples, each read in order under its own lock, by either thread:
+Draws run in fixed chunks of DRAW_CHUNK electrons, so memory is
+independent of n_electrons.  Chunk k starts at output 2 k DRAW_CHUNK of
+the first stream below: whichever thread counts it advances a PCG64 at
+the stream's start state there, with no lock.  `Generator.random` makes
+one double of each 64-bit output u, (u >> 11) 2^-53, so the chunks hold
+the uniforms of one draw of all of them.  Derived streams get fixed
+entropy tuples:
 
-    (seed, 0)      branch and position draws
+    (seed, 0)      branch and position draws, each chunk at its offset
     (seed, 1, 1)   bootstrap of the branch-1 shift estimate
     (seed, 1, 2)   bootstrap of the branch-2 shift estimate
     (seed, 1, 0)   bootstrap of the pooled-pattern shift estimate
 
-The calling thread and one worker, started before either takes a task,
-take each phase's tasks from one list (`_share`): one per draw chunk of
-the first stream, then one per resample block of the bootstrap streams,
-interleaved.  A block's position in its stream is taken under the
-stream's lock with its draw, and every result lands by that position:
+A multinomial spends a variable number of outputs, so a bootstrap stream
+cannot be advanced to a block: each is read in order under its own lock,
+by either thread, and a block's position in its stream is taken under
+that lock with its draw.  The calling thread and one worker, started
+before either takes a task, take each phase's tasks from one list
+(`_share`): one per draw chunk, then one per resample block of the
+bootstrap streams, interleaved.  Every result lands by its position:
 detection counts are summed as integers, and bootstrap shifts are
 written at their place in their stream.  So a report is reproducible bit
 for bit from (configuration, seed), on any number of CPUs and whichever
-thread draws which block.  A bootstrap draws its resamples a block at a
-time, `rng.multinomial(n, p, size=k)`, which is k successive draws from
-its stream.
+thread draws which chunk or block.  A bootstrap draws its resamples a
+block at a time, `rng.multinomial(n, p, size=k)`, which is k successive
+draws from its stream.
 
 The report carries both views of the outcome statistics: the
 branch-separated estimates (which recover the two-point law, shifts of
@@ -55,8 +60,7 @@ import numpy as np
 from .core import fringe_period, is_integer
 from .dual import BranchAmplitudes, DualSolenoidConfig, MixtureOutcome, outcome_distribution
 from .errors import ValidationError
-from .pattern import (FringeEstimate, IntensityPattern, ScreenOptics, ShiftEstimator, detection_counts,
-                      two_slit_pattern)
+from .pattern import FringeEstimate, IntensityPattern, ScreenOptics, ShiftEstimator, cdf_edges, two_slit_pattern
 
 BOOTSTRAP_DEFAULT = 200
 
@@ -147,7 +151,9 @@ def run_experiment(
 
 
 class _Stream:
-    """A random stream read in order under its own lock, by either thread."""
+    """A bootstrap's random stream, read in order under its own lock, by
+    either thread: a multinomial spends a variable number of outputs, so a
+    block cannot start at an offset known before the blocks ahead of it."""
 
     def __init__(self, entropy: tuple[int, ...], length: int, block: int):
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy))
@@ -204,25 +210,49 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
         raise errors[0]
 
 
+def _draw_chunk(start: np.random.SeedSequence, chunk: int, n_electrons: int) -> np.ndarray:
+    """Rows chunk * DRAW_CHUNK onwards, at most DRAW_CHUNK, of one
+    `random((n_electrons, 2))` of the `start` stream, drawn by a PCG64
+    advanced past the two outputs of each electron before them."""
+    size = min(DRAW_CHUNK, n_electrons - chunk * DRAW_CHUNK)
+    return np.random.Generator(np.random.PCG64(start).advance(2 * chunk * DRAW_CHUNK)).random((size, 2))
+
+
+def _edge_table(patterns: list[IntensityPattern]) -> np.ndarray:
+    """The ascending edges `_count_chunk` counts against: pattern 2's
+    interior CDF edges less 1, then 0, then pattern 1's, each edge c raised
+    to ceil(c * 2^53) / 2^53.  A uniform q on the 2^-53 lattice is at or
+    above c exactly when it is at or above that ceiling, and q - 1 and the
+    ceiling less 1 are exact doubles."""
+    lifted = [np.ceil(cdf_edges(pattern)[1:-1] * 2.0**53) * 2.0**-53 for pattern in patterns]
+    return np.concatenate([lifted[1] - 1.0, [0.0], lifted[0]])
+
+
+def _count_chunk(edges: np.ndarray, p1: float, uniforms: np.ndarray) -> np.ndarray:
+    """(2, n) int64 branch counts on the n cells of the patterns of `edges`
+    (`_edge_table`) of (branch, position) uniform pairs on the 2^-53
+    lattice, by the module's rule.  One key per electron, q on branch 1 and
+    q - 1 on branch 2, is sorted once; one binary search per edge counts both."""
+    keys = (uniforms[:, 0] >= p1).astype(float)   # 1 on branch 2
+    np.subtract(uniforms[:, 1], keys, out=keys)
+    keys.sort()
+    below = np.searchsorted(keys, edges, side="left")
+    return np.diff(below, prepend=0, append=len(keys)).reshape(2, -1)[::-1]
+
+
 def _count_detections(
     patterns: list[IntensityPattern], p1: float, n_electrons: int, seed: int
 ) -> np.ndarray:
     """(2, n) int64 detection counts of the two branches on the patterns'
-    n cells, drawn from the (seed, 0) stream DRAW_CHUNK electrons at a time,
-    one task per chunk; each thread adds the chunks it draws into counts of
-    its own.  A branch uniform below p1 picks branch 1."""
-    stream = _Stream((seed, 0), n_electrons, DRAW_CHUNK)
-    cells = patterns[0].n
-    counts = np.zeros((2, 2, cells), dtype=np.int64)   # by thread slot, then branch
+    n cells, from the (seed, 0) stream, one task per chunk of DRAW_CHUNK
+    electrons, each drawn at its own offset (`_draw_chunk`) with no lock.
+    Each thread adds the chunks it counts into counts of its own."""
+    start = np.random.SeedSequence((seed, 0))
+    edges = _edge_table(patterns)
+    counts = np.zeros((2, 2, patterns[0].n), dtype=np.int64)   # by thread slot, then branch
 
-    def count(slot: int, _chunk: int) -> None:
-        _, uniforms = stream.take(lambda rng, size: rng.random((size, 2)))
-        in_branch1 = uniforms[:, 0] < p1
-        # compress on a contiguous copy splits twice as fast as a boolean index of the column
-        position_uniforms = np.ascontiguousarray(uniforms[:, 1])
-        del uniforms
-        for k, (pattern, mask) in enumerate(zip(patterns, (in_branch1, ~in_branch1))):
-            counts[slot, k] += detection_counts(pattern, np.compress(mask, position_uniforms))
+    def count(slot: int, chunk: int) -> None:
+        counts[slot] += _count_chunk(edges, p1, _draw_chunk(start, chunk, n_electrons))
 
     _share(range(-(-n_electrons // DRAW_CHUNK)), count)
     return counts[0] + counts[1]

@@ -62,10 +62,8 @@ class ScreenOptics:
         for name, value in (("period", period), ("envelope_width", width)):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        try:
-            2.0 * width**2
-        except OverflowError:
-            raise ValidationError(f"envelope_width {width!r} m is too large: its square overflows") from None
+        if math.isinf(2.0 * width * width):   # (2w)w rounds as 2 w^2; w**2 would raise, not give inf
+            raise ValidationError(f"envelope_width {width!r} m is too large: 2 w^2 overflows")
         if grid.span < MIN_PERIODS * period:
             raise ValidationError(f"screen span {grid.span!r} m is narrower than {MIN_PERIODS} fringe "
                                   f"periods ({MIN_PERIODS * period!r} m)")
@@ -262,7 +260,7 @@ def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> Fr
     return FringeEstimate(shift=float(shifts[0]), visibility=float(visibilities[0]), uncertainty=0.0)
 
 
-def _cdf(pattern: IntensityPattern) -> np.ndarray:
+def cdf_edges(pattern: IntensityPattern) -> np.ndarray:
     """The pattern's normalized CDF at its n + 1 cell edges: 0, then the
     running sum of the intensities over their total, ending at exactly 1."""
     cdf = np.concatenate([[0.0], np.cumsum(pattern.intensity)])
@@ -279,9 +277,10 @@ def inverse_cdf_positions(pattern: IntensityPattern, quantiles: np.ndarray) -> n
     cdf[i] <= q, i.e. cdf[i] <= q < cdf[i+1], clipped to the screen.
     Nothing in the package calls it: the benchmark's tracer wraps it by
     name, and the tests use it, with `histogram_pattern`, as the reference
-    for `detection_counts`.
+    for the cells the experiment's chunk count (`experiment._count_chunk`)
+    puts each quantile in.
     """
-    cdf = _cdf(pattern)
+    cdf = cdf_edges(pattern)
     cells = np.clip(np.searchsorted(cdf, quantiles, side="right") - 1, 0, pattern.n - 1)
     width = np.maximum(cdf[cells + 1] - cdf[cells], np.finfo(float).tiny)
     fraction = np.clip((quantiles - cdf[cells]) / width, 0.0, 1.0)
@@ -290,23 +289,12 @@ def inverse_cdf_positions(pattern: IntensityPattern, quantiles: np.ndarray) -> n
     return left_edges + fraction * grid.dx
 
 
-def detection_counts(pattern: IntensityPattern, quantiles: np.ndarray) -> np.ndarray:
-    """Per-cell int64 counts of the quantiles, each in the cell that
-    `inverse_cdf_positions` maps it into, without placing any of them.
-
-    With the quantiles sorted, the number falling in cells >= i is the
-    number at or above cdf[i], so one binary search per interior cell edge
-    counts them all; the end cells take the quantiles the clip sends there.
-    """
-    below = np.searchsorted(np.sort(quantiles), _cdf(pattern)[1:-1], side="left")
-    return np.diff(below, prepend=0, append=len(quantiles)).astype(np.int64, copy=False)
-
-
 def histogram_pattern(samples: np.ndarray, reference: IntensityPattern) -> IntensityPattern:
     """Bin detection positions onto the cells of `reference`'s grid, as a
     counts pattern on the reference's optics.  Nothing in the package calls
     it: the benchmark's tracer wraps it by name, and the tests use it, with
-    `inverse_cdf_positions`, as the reference for `detection_counts`."""
+    `inverse_cdf_positions`, as the reference for the experiment's chunk
+    count (`experiment._count_chunk`)."""
     grid = reference.optics.grid
     edges = np.concatenate([grid.positions - 0.5 * grid.dx, [grid.x_max + 0.5 * grid.dx]])
     counts, _ = np.histogram(np.asarray(samples, dtype=float), bins=edges)

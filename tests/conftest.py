@@ -8,12 +8,13 @@ from abmix import experiment
 
 class Schedule:
     """Hooks on the units run_experiment's two threads take: records each
-    take by phase ("counting" or "bootstrap") and thread ("caller" or
+    take by phase ("counting", a chunk drawn by `_draw_chunk`, or
+    "bootstrap", a block taken by `_Stream.take`) and thread ("caller" or
     "worker"), and can slow one thread or make one take fail.
 
-    `delay[phase, thread]` is slept after each take, outside the stream's
-    lock; `fault = (phase, thread, n, exception)` raises the exception in
-    place of that thread's n-th take of the phase.  `events` lists
+    `delay[phase, thread]` is slept after each take, outside any lock;
+    `fault = (phase, thread, n, exception)` raises the exception in place of
+    that thread's n-th take of the phase.  `events` lists
     (phase, thread, "take" | "raise") in the order they happened.
     """
 
@@ -21,35 +22,28 @@ class Schedule:
         self.events = []
         self.delay = {}
         self.fault = None
-        self._phase = None
         self._attempts = {}
         self._lock = threading.Lock()
-        take = experiment._Stream.take
 
-        def entering(phase, function):
-            def entered(*args):
-                self._phase = phase
-                return function(*args)
+        def hooked(phase, take):
+            def taken(*args):
+                thread = "worker" if threading.current_thread().name == "abmix-worker" else "caller"
+                key = (phase, thread)
+                with self._lock:
+                    self._attempts[key] = self._attempts.get(key, 0) + 1
+                    if self.fault is not None and self.fault[:3] == (*key, self._attempts[key]):
+                        self.events.append((*key, "raise"))
+                        raise self.fault[3]
+                    unit = take(*args)
+                    self.events.append((*key, "take"))
+                if key in self.delay:
+                    time.sleep(self.delay[key])
+                return unit
 
-            return entered
-
-        def hooked(stream, draw):
-            thread = "worker" if threading.current_thread().name == "abmix-worker" else "caller"
-            key = (self._phase, thread)
-            with self._lock:
-                self._attempts[key] = self._attempts.get(key, 0) + 1
-                if self.fault is not None and self.fault[:3] == (*key, self._attempts[key]):
-                    self.events.append((*key, "raise"))
-                    raise self.fault[3]
-                taken = take(stream, draw)
-                self.events.append((*key, "take"))
-            if key in self.delay:
-                time.sleep(self.delay[key])
             return taken
 
-        monkeypatch.setattr(experiment._Stream, "take", hooked)
-        for phase, name in (("counting", "_count_detections"), ("bootstrap", "_bootstrap_sigma")):
-            monkeypatch.setattr(experiment, name, entering(phase, getattr(experiment, name)))
+        monkeypatch.setattr(experiment, "_draw_chunk", hooked("counting", experiment._draw_chunk))
+        monkeypatch.setattr(experiment._Stream, "take", hooked("bootstrap", experiment._Stream.take))
 
     def reset(self) -> None:
         self.events.clear()

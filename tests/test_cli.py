@@ -348,7 +348,9 @@ class TestValidationReporting:
     @pytest.mark.parametrize(
         "width, message",
         [
-            (1e300, "envelope_width 1e+300 m is too large: its square overflows"),
+            (1e300, "envelope_width 1e+300 m is too large: 2 w^2 overflows"),
+            # w^2 is finite, but 2 w^2 overflows, which would make the envelope flat
+            (1.2e154, "envelope_width 1.2e+154 m is too large: 2 w^2 overflows"),
             # 2 w^2 underflows to 0, so the envelope is 0 on every cell, or nan at x = 0
             (1e-200, "envelope_width 1e-200 m is too narrow: the envelope underflows to 0 within one fringe"),
             (1e-300, "envelope_width 1e-300 m is too narrow: the envelope underflows to 0 within one fringe"),
@@ -358,8 +360,8 @@ class TestValidationReporting:
             # the envelope is above 0 on the cells nearest the axis, not on all within one period
             (1e-7, "envelope_width 1e-07 m is too narrow: the envelope underflows to 0 within one fringe"),
         ],
-        ids=["huge", "square_underflows", "square_underflows_further", "quotient_overflows", "exp_underflows",
-             "narrower_than_the_central_fringes"],
+        ids=["huge", "twice_the_square_overflows", "square_underflows", "square_underflows_further",
+             "quotient_overflows", "exp_underflows", "narrower_than_the_central_fringes"],
     )
     def test_unusable_envelope_width_is_one_exit_2_line(self, tmp_path, capsys, command, width, message):
         config = write_config(tmp_path, envelope_width=width)

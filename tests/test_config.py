@@ -94,6 +94,7 @@ BAD_SCREENS = {
     "envelope_narrower_than_the_central_fringes": {"envelope_width": 1e-7},
     "envelope_quotient_overflows": {"envelope_width": 1e-160},
     "envelope_square_overflows": {"envelope_width": 1e200},
+    "envelope_twice_square_overflows": {"envelope_width": 1.2e154},   # w^2 is finite, 2 w^2 is not
     "envelope_square_underflows": {"envelope_width": 1e-300},
     "no_cell_near_the_axis": {"screen": {"x_min": 1e-3, "x_max": 2e-3, "n": 40960}},
     "envelope_width_0": {"envelope_width": 0},
@@ -427,6 +428,7 @@ def numbers_that_are_not_finite(text):
 @example(data=BAD_SCREENS["envelope_narrower_than_the_central_fringes"])
 @example(data=BAD_SCREENS["envelope_quotient_overflows"])
 @example(data=BAD_SCREENS["envelope_square_overflows"])
+@example(data=BAD_SCREENS["envelope_twice_square_overflows"])
 @example(data=BAD_SCREENS["envelope_square_underflows"])
 @example(data=BAD_SCREENS["no_cell_near_the_axis"])
 def test_every_command_prints_finite_numbers_or_refuses_alike(data):

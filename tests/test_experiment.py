@@ -58,6 +58,21 @@ def kept_bootstrap_shifts(estimator, counts, entropy, n_bootstrap):
     return expected
 
 
+def reference_counts(patterns, p1, uniforms):
+    """The two branch count rows of (branch, position) uniform pairs, by the
+    contract's rule: a branch uniform below p1 picks branch 1, and position
+    uniform q falls in cell searchsorted(cdf, q, side="right") - 1, clipped,
+    of its branch's pattern."""
+    in_branch1 = uniforms[:, 0] < p1
+    counts = []
+    for branch_pattern, drawn in zip(patterns, (in_branch1, ~in_branch1)):
+        cdf = np.concatenate([[0.0], np.cumsum(branch_pattern.intensity)])
+        cdf /= cdf[-1]
+        cells = np.clip(np.searchsorted(cdf, uniforms[drawn, 1], side="right") - 1, 0, branch_pattern.n - 1)
+        counts.append(np.bincount(cells, minlength=branch_pattern.n))
+    return counts
+
+
 def contract_reference(config, amplitudes, n_electrons, seed, optics, n_bootstrap):
     """The two branch count rows and the three bootstrap 1-sigmas (branch 1,
     branch 2, pooled) that the determinism contract fixes, written from
@@ -66,13 +81,8 @@ def contract_reference(config, amplitudes, n_electrons, seed, optics, n_bootstra
     outcomes = outcome_distribution(config, amplitudes)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     uniforms = rng.random((n_electrons, 2))   # per electron: branch uniform, then position uniform
-    in_branch1 = uniforms[:, 0] < outcomes[0].probability
-    counts = []
-    for outcome, drawn in zip(outcomes, (in_branch1, ~in_branch1)):
-        cdf = np.concatenate([[0.0], np.cumsum(pattern.two_slit_pattern(optics, outcome.phase).intensity)])
-        cdf /= cdf[-1]
-        cells = np.clip(np.searchsorted(cdf, uniforms[drawn, 1], side="right") - 1, 0, optics.grid.n - 1)
-        counts.append(np.bincount(cells, minlength=optics.grid.n))
+    patterns = [pattern.two_slit_pattern(optics, outcome.phase) for outcome in outcomes]
+    counts = reference_counts(patterns, outcomes[0].probability, uniforms)
     rows = np.array([*counts, counts[0] + counts[1]], dtype=float)
     estimator = pattern.ShiftEstimator(pattern.two_slit_pattern(optics, 0.0))
     sigmas = []
@@ -115,12 +125,13 @@ class TestRunExperimentBasics:
 
     @pytest.mark.parametrize("period", [1.5 * PERIOD, math.nextafter(PERIOD, math.inf)], ids=["wider", "next_float"])
     def test_rejects_optics_of_another_fringe_period_before_any_draw(self, monkeypatch, period):
-        streams = []
-        monkeypatch.setattr(experiment, "_Stream", lambda *args: streams.append(args))
+        draws = []
+        monkeypatch.setattr(experiment, "_draw_chunk", lambda *args: draws.append(args))
+        monkeypatch.setattr(experiment, "_Stream", lambda *args: draws.append(args))
         optics = pattern.ScreenOptics(wide_screen().grid, period, ENVELOPE)
         with pytest.raises(ValidationError, match="fringe period"):
             run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 1000, 3, optics)
-        assert streams == []
+        assert draws == []
 
     @pytest.mark.parametrize("n_bootstrap", [2.5, True, -3])
     def test_rejects_non_integer_and_negative_resample_counts(self, n_bootstrap):
@@ -304,6 +315,50 @@ class TestDeterminism:
         assert math.isnan(sigmas[0]) == (p1 == 0.0) and math.isnan(sigmas[1]) == (p1 == 1.0)
 
 
+class TestChunkCount:
+    LATTICE = 2.0**-53   # Generator.random's doubles are k * 2^-53
+
+    def test_numpy_maps_each_pcg64_output_to_one_double(self):
+        # _draw_chunk relies on both: random() spends one 64-bit output per
+        # double, as (u >> 11) * 2^-53, so advancing the bit generator by
+        # 2 k chunk outputs starts chunk k of one sequential random((n, 2))
+        entropy = np.random.SeedSequence((20240601, 0))
+        raw = np.random.PCG64(entropy).random_raw(1000)
+        doubles = np.random.Generator(np.random.PCG64(entropy)).random(1000)
+        assert np.array_equal(doubles, (raw >> np.uint64(11)).astype(float) * self.LATTICE)
+        chunk, n = 997, 5 * 997 + 13
+        sequential = np.random.Generator(np.random.PCG64(entropy)).random((n, 2))
+        for k in range(-(-n // chunk)):
+            advanced = np.random.PCG64(entropy).advance(2 * k * chunk)
+            rows = sequential[k * chunk:(k + 1) * chunk]
+            assert np.array_equal(np.random.Generator(advanced).random(rows.shape), rows)
+
+    def test_counts_lattice_uniforms_on_and_beside_every_edge_exactly(self):
+        # zero-intensity cells at both ends and inside give repeated edges,
+        # trailing edges of exactly 1.0 among them
+        optics = wide_screen(1024)
+        intensities = [np.random.default_rng(seed).random(1024) for seed in (1, 2)]
+        intensities[0][:40] = intensities[0][300:340] = intensities[0][-50:] = 0.0
+        intensities[1][[0, 1, 2, 511, 512, 1020, 1021, 1022, 1023]] = 0.0
+        patterns = [pattern.IntensityPattern(optics, intensity) for intensity in intensities]
+        positions = [0.0, 1.0 - self.LATTICE]
+        for branch_pattern in patterns:
+            cdf = np.concatenate([[0.0], np.cumsum(branch_pattern.intensity)])
+            cdf /= cdf[-1]
+            ceilings = np.ceil(cdf * 2**53) * self.LATTICE
+            assert np.any(ceilings != cdf)   # some edges are off the lattice
+            positions += [*ceilings, *(ceilings - self.LATTICE)]
+        positions = np.unique(np.clip(positions, 0.0, 1.0 - self.LATTICE))
+        edges = experiment._edge_table(patterns)
+        for p1 in (0.0, math.ceil(0.36 * 2**53) * self.LATTICE, 1.0):
+            # a branch uniform equal to p1 picks branch 2
+            branch_uniforms = {0.0, p1 - self.LATTICE, p1, 1.0 - self.LATTICE}
+            uniforms = np.array([(b, q) for b in sorted(branch_uniforms) if 0.0 <= b < 1.0 for q in positions])
+            counts = experiment._count_chunk(edges, p1, uniforms)
+            assert counts.dtype == np.int64 and counts.shape == (2, 1024)
+            assert np.array_equal(counts, reference_counts(patterns, p1, uniforms))
+
+
 class TestBlockBootstrap:
     def test_numpy_multinomial_block_equals_successive_draws(self):
         # _bootstrap_sigma draws its resamples a block at a time
@@ -332,7 +387,7 @@ class TestSharedSchedule:
     def test_forced_interleavings_move_no_bit(self, monkeypatch, schedule, phase, delayed):
         # which thread draws which chunk or resample block, and where the
         # interpreter switches threads, must not matter
-        expected = run_experiment(*self.ARGS)   # one chunk: counted on this thread alone
+        expected = run_experiment(*self.ARGS)   # one chunk: counted by one thread
         monkeypatch.setattr(experiment, "DRAW_CHUNK", 997)   # 21 chunks; the bootstrap has 3 x 7 blocks
         schedule.reset()
         schedule.delay[phase, delayed] = 0.002

@@ -11,13 +11,13 @@ from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period
 from abmix.current import CurrentDensity, GridWavefunction
 from abmix.dual import BranchAmplitudes
 from abmix.errors import ValidationError
+from abmix.experiment import _count_chunk, _edge_table
 from abmix.pattern import (
     HISTOGRAM_REBIN,
     VISIBILITY_FLOOR,
     IntensityPattern,
     ScreenOptics,
     ShiftEstimator,
-    detection_counts,
     estimate_shift,
     histogram_pattern,
     inverse_cdf_positions,
@@ -32,6 +32,13 @@ GEOMETRY = ApparatusGeometry(screen_distance=1.0, slit_separation=1e-5, speed=1e
 PERIOD = fringe_period(CONSTANTS, GEOMETRY)
 ENVELOPE = 2.5 * PERIOD
 EQUAL_WEIGHTS = BranchAmplitudes(complex(math.sqrt(0.5)), complex(math.sqrt(0.5)))
+
+
+def detection_counts(pattern, quantiles):
+    """Per-cell counts of `quantiles` on `pattern` by the experiment's chunk
+    count, every electron on branch 1 (branch uniform 0, p1 = 1)."""
+    uniforms = np.column_stack([np.zeros(len(quantiles)), quantiles])
+    return _count_chunk(_edge_table([pattern, pattern]), 1.0, uniforms)[0]
 
 
 def screen(n=4096, periods=16.0):
@@ -430,14 +437,22 @@ class TestDetectionCounts:
         assert np.array_equal(counts, expected)
 
     def test_quantile_on_a_cell_edge_lands_in_that_cell(self):
+        # a drawn quantile is on the 2^-53 lattice: the first one at or above
+        # an edge lands in that edge's cell, and the one a lattice step below
+        # it in the cell before (a position that close to a cell's right edge
+        # may round onto it, so only the count is checked there)
         pattern = IntensityPattern(flat(Grid(0.0, 159.0, 160)), np.arange(1.0, 161.0))
         cumulative = np.concatenate([[0.0], np.cumsum(pattern.intensity)])
         cdf = cumulative / cumulative[-1]
         for cell in (0, 5, 159):
-            counts = detection_counts(pattern, np.array([cdf[cell]]))
+            on_edge = math.ceil(cdf[cell] * 2**53) * 2**-53
+            counts = detection_counts(pattern, np.array([on_edge]))
             assert np.flatnonzero(counts).tolist() == [cell]
-            sampled = inverse_cdf_positions(pattern, np.array([cdf[cell]]))
+            sampled = inverse_cdf_positions(pattern, np.array([on_edge]))
             assert np.flatnonzero(histogram_pattern(sampled, pattern).intensity).tolist() == [cell]
+            if cell > 0:
+                counts = detection_counts(pattern, np.array([on_edge - 2**-53]))
+                assert np.flatnonzero(counts).tolist() == [cell - 1]
 
     def test_zero_weight_cells_get_nothing_and_every_quantile_is_counted(self):
         intensity = np.zeros(160)
@@ -486,8 +501,11 @@ def test_screen_optics_require_a_positive_period_and_envelope_width():
     for width in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match=f"envelope_width must be finite and positive, got {width!r}"):
             ScreenOptics(Grid(0.0, 3.1, 32), 1.0, width)
-    with pytest.raises(ValidationError, match="envelope_width 1e\\+300 m is too large"):
-        ScreenOptics(Grid(0.0, 3.1, 32), 1.0, 1e300)
+    for huge in (1e300, 1.2e154, 9.5e153):   # w^2 overflows; w^2 is finite but 2 w^2 overflows
+        message = f"envelope_width {huge!r} m is too large: 2 w^2 overflows"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ScreenOptics(Grid(0.0, 3.1, 32), 1.0, huge)
+    ScreenOptics(Grid(-4.0, 4.0, 513), 1.0, 9.4e153)   # 2 w^2 is finite: accepted
     # 2 w^2 underflows to 0: the envelope is 0 on every cell, or nan at x = 0, on a screen
     # that passes the span and resolution rules
     for tiny in (1e-200, 1e-300):
