@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Detection counting on the newest numpy.  pyproject.toml allows any numpy >=
 # 1.24, and run_experiment draws each chunk of detections from a PCG64
-# advanced by two outputs per electron before it, then counts the chunk's
-# uniforms on the 2^-53 lattice.  Both hold only while Generator.random makes
-# one double (u >> 11) * 2^-53 of each 64-bit output u; a failure here means
-# the newest numpy changed how random() maps its outputs.  Usage, from anywhere
-# in the repository:
+# advanced by two outputs per electron before it, in blocks written into one
+# reused buffer by Generator.random(out=...), then counts the chunk's uniforms
+# on the 2^-53 lattice.  This holds only while Generator.random makes one
+# double (u >> 11) * 2^-53 of each 64-bit output u, and its successive
+# random(out=...) blocks take the outputs one random((n, 2)) takes, in order;
+# a failure here means the newest numpy changed how random() maps or spends
+# its outputs.  Usage, from anywhere in the repository:
 #
 #   bash .github/ci/newest_numpy.sh            # upgrades numpy, then checks
 #   bash .github/ci/newest_numpy.sh --source   # checks the installed numpy, upgrades nothing

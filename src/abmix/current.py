@@ -210,14 +210,17 @@ def gaussian_packet(grid: Grid, center: float, width: float, wavenumber: float) 
     except OverflowError:
         raise ValidationError(f"packet width {width!r} is too large: its square overflows") from None
     eta = grid.positions
+    packet = f"packet with center {center!r}, width {width!r} and k {wavenumber!r}"
     with np.errstate(all="ignore"):   # a weight or norm that is not finite fails the check below
         samples = np.exp(-((eta - center) ** 2) / two_width_sq) * np.exp(1j * wavenumber * eta)
         weight = float(np.sum(np.abs(samples) ** 2)) * grid.dx
-        psi = GridWavefunction(grid, samples / math.sqrt(weight)) if weight > 0.0 else None
+        try:
+            psi = GridWavefunction(grid, samples / math.sqrt(weight)) if weight > 0.0 else None
+        except ValidationError as exc:
+            raise ValidationError(f"{packet}: {exc}") from None
         if psi is None or not abs(psi.norm_squared - 1.0) <= NORM_TOL:   # a weight of 0, nan or subnormal
-            raise ValidationError(f"packet with center {center!r}, width {width!r} and k {wavenumber!r} has "
-                                  f"weight {weight!r} on the wire grid [{grid.x_min!r}, {grid.x_max!r}]: "
-                                  "it cannot be normalized")
+            raise ValidationError(f"{packet} has weight {weight!r} on the wire grid "
+                                  f"[{grid.x_min!r}, {grid.x_max!r}]: it cannot be normalized")
     return psi
 
 

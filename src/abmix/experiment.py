@@ -8,12 +8,15 @@ are kept, never positions.  The generator is numpy's PCG64; per electron
 the branch uniform is consumed first and the position uniform second;
 a branch uniform below p1 = |c1|^2 picks branch 1.  Before the first
 draw, the calling thread builds both branch patterns, whatever the weights.
-Draws run in fixed chunks of DRAW_CHUNK electrons, so memory is
-independent of n_electrons.  Chunk k starts at output 2 k DRAW_CHUNK of
+Draws run in fixed chunks of DRAW_CHUNK electrons, each drawn DRAW_BLOCK
+electrons at a time into one reused buffer, so a counting thread holds
+one chunk's keys (8 DRAW_CHUNK bytes) plus one draw block (16 DRAW_BLOCK
+bytes), whatever n_electrons.  Chunk k starts at output 2 k DRAW_CHUNK of
 the first stream below: whichever thread counts it advances a PCG64 at
 the stream's start state there, with no lock.  `Generator.random` makes
-one double of each 64-bit output u, (u >> 11) 2^-53, so the chunks hold
-the uniforms of one draw of all of them.  Derived streams get fixed
+one double of each 64-bit output u, (u >> 11) 2^-53, and its successive
+`random(out=...)` blocks continue one sequence, so the chunks hold the
+uniforms of one draw of all of them.  Derived streams get fixed
 entropy tuples:
 
     (seed, 0)      branch and position draws, each chunk at its offset
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,8 +67,9 @@ from .pattern import FringeEstimate, IntensityPattern, ScreenOptics, ShiftEstima
 
 BOOTSTRAP_DEFAULT = 200
 
-DRAW_CHUNK = 1 << 17   # electrons drawn per chunk, one chunk in flight per thread; memory is
-                       # bounded by this, not by n_electrons
+DRAW_CHUNK = 1 << 17   # electrons per chunk, one chunk in flight per thread: its keys are sorted at once
+
+DRAW_BLOCK = 1 << 15   # electrons drawn at a time into one reused buffer of a chunk's uniforms
 
 BOOTSTRAP_BLOCK_CELLS = 1 << 15   # FFT cells per block of resamples: 4 rows of the default screen's 8192
 
@@ -210,12 +214,15 @@ def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
         raise errors[0]
 
 
-def _draw_chunk(start: np.random.SeedSequence, chunk: int, n_electrons: int) -> np.ndarray:
-    """Rows chunk * DRAW_CHUNK onwards, at most DRAW_CHUNK, of one
-    `random((n_electrons, 2))` of the `start` stream, drawn by a PCG64
-    advanced past the two outputs of each electron before them."""
-    size = min(DRAW_CHUNK, n_electrons - chunk * DRAW_CHUNK)
-    return np.random.Generator(np.random.PCG64(start).advance(2 * chunk * DRAW_CHUNK)).random((size, 2))
+def _draw_chunk(start: np.random.SeedSequence, chunk: int, size: int) -> Iterator[np.ndarray]:
+    """The `size` rows from chunk * DRAW_CHUNK onwards of one `random((n, 2))`
+    of the `start` stream, as successive blocks of at most DRAW_BLOCK rows,
+    drawn by a PCG64 advanced past the two outputs of each electron before
+    them.  Every block is a view of one buffer: the next overwrites it."""
+    rng = np.random.Generator(np.random.PCG64(start).advance(2 * chunk * DRAW_CHUNK))
+    buffer = np.empty((min(DRAW_BLOCK, size), 2))
+    for first in range(0, size, DRAW_BLOCK):
+        yield rng.random(out=buffer[:min(DRAW_BLOCK, size - first)])
 
 
 def _edge_table(patterns: list[IntensityPattern]) -> np.ndarray:
@@ -228,13 +235,20 @@ def _edge_table(patterns: list[IntensityPattern]) -> np.ndarray:
     return np.concatenate([lifted[1] - 1.0, [0.0], lifted[0]])
 
 
-def _count_chunk(edges: np.ndarray, p1: float, uniforms: np.ndarray) -> np.ndarray:
+def _count_chunk(edges: np.ndarray, p1: float, blocks: Iterable[np.ndarray], size: int) -> np.ndarray:
     """(2, n) int64 branch counts on the n cells of the patterns of `edges`
-    (`_edge_table`) of (branch, position) uniform pairs on the 2^-53
-    lattice, by the module's rule.  One key per electron, q on branch 1 and
-    q - 1 on branch 2, is sorted once; one binary search per edge counts both."""
-    keys = (uniforms[:, 0] >= p1).astype(float)   # 1 on branch 2
-    np.subtract(uniforms[:, 1], keys, out=keys)
+    (`_edge_table`) of `size` (branch, position) uniform pairs on the 2^-53
+    lattice, given as successive (m, 2) blocks, by the module's rule.  Each
+    block writes one key per electron, q on branch 1 and q - 1 on branch 2,
+    into its slice of one key array; that is sorted once, and one binary
+    search per edge counts both branches."""
+    keys = np.empty(size)
+    first = 0
+    for block in blocks:
+        block_keys = keys[first:first + len(block)]
+        np.greater_equal(block[:, 0], p1, out=block_keys)   # 1 on branch 2
+        np.subtract(block[:, 1], block_keys, out=block_keys)
+        first += len(block)
     keys.sort()
     below = np.searchsorted(keys, edges, side="left")
     return np.diff(below, prepend=0, append=len(keys)).reshape(2, -1)[::-1]
@@ -252,7 +266,8 @@ def _count_detections(
     counts = np.zeros((2, 2, patterns[0].n), dtype=np.int64)   # by thread slot, then branch
 
     def count(slot: int, chunk: int) -> None:
-        counts[slot] += _count_chunk(edges, p1, _draw_chunk(start, chunk, n_electrons))
+        size = min(DRAW_CHUNK, n_electrons - chunk * DRAW_CHUNK)
+        counts[slot] += _count_chunk(edges, p1, _draw_chunk(start, chunk, size), size)
 
     _share(range(-(-n_electrons // DRAW_CHUNK)), count)
     return counts[0] + counts[1]

@@ -8,7 +8,7 @@ from abmix import experiment
 
 class Schedule:
     """Hooks on the units run_experiment's two threads take: records each
-    take by phase ("counting", a chunk drawn by `_draw_chunk`, or
+    take by phase ("counting", a chunk drawn and counted by `_count_chunk`, or
     "bootstrap", a block taken by `_Stream.take`) and thread ("caller" or
     "worker"), and can slow one thread or make one take fail.
 
@@ -42,7 +42,7 @@ class Schedule:
 
             return taken
 
-        monkeypatch.setattr(experiment, "_draw_chunk", hooked("counting", experiment._draw_chunk))
+        monkeypatch.setattr(experiment, "_count_chunk", hooked("counting", experiment._count_chunk))
         monkeypatch.setattr(experiment._Stream, "take", hooked("bootstrap", experiment._Stream.take))
 
     def reset(self) -> None:

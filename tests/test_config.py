@@ -210,7 +210,8 @@ UNBUILDABLE = {
     "width_0": ({"wavepackets": {"width": 0}}, "wavepackets: packet width must be finite and positive, ", "0.0"),
     # a wire grid needs 2 points, and a wavefunction on it 8
     "wire_n_1": ({"wavepackets": {"n": 1}}, "wavepackets: a grid needs at least 2 points, ", "got 1"),
-    "gaussian_n_4": ({"wavepackets": {"n": 4}}, "wavepackets: need one sample per point ", "on 4 points"),
+    "gaussian_n_4": ({"wavepackets": {"n": 4}}, "wavepackets: packet with center ",
+                     "and k 1.5: need one sample per point of a grid of at least 8 points, got shape (4,) on 4 points"),
     "plane_n_4": ({"wavepackets": {"kind": "plane", "n": 4}}, "wavepackets: plane wave with k 1.5: need one ",
                   "on 4 points"),
     # (k * d_eta)**2, the plane-wave check's discretization bound, overflows

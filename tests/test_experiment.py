@@ -2,6 +2,7 @@ import math
 import statistics
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,12 +251,16 @@ class TestDeterminism:
         default = run_experiment(**kwargs)
         assert experiment.DRAW_CHUNK > kwargs["n_electrons"]
         monkeypatch.setattr(experiment, "DRAW_CHUNK", 997)
-        chunked = run_experiment(**kwargs)
-        assert report_text(chunked) == report_text(default)
-        for name in ("branch1", "branch2"):
-            assert np.array_equal(getattr(chunked, name).histogram.intensity,
-                                  getattr(default, name).histogram.intensity)
-        assert np.array_equal(chunked.pooled_histogram.intensity, default.pooled_histogram.intensity)
+        # the default draw block, larger than the chunk, then 61, which divides
+        # neither the chunk nor n and exceeds the last chunk's 60 electrons
+        for block in (experiment.DRAW_BLOCK, 61):
+            monkeypatch.setattr(experiment, "DRAW_BLOCK", block)
+            chunked = run_experiment(**kwargs)
+            assert report_text(chunked) == report_text(default)
+            for name in ("branch1", "branch2"):
+                assert np.array_equal(getattr(chunked, name).histogram.intensity,
+                                      getattr(default, name).histogram.intensity)
+            assert np.array_equal(chunked.pooled_histogram.intensity, default.pooled_histogram.intensity)
 
     def test_envelope_builds_do_not_grow_with_the_bootstrap(self, monkeypatch):
         # the estimator judges every resample with the reference's envelope
@@ -298,20 +303,24 @@ class TestDeterminism:
     )
     def test_the_run_matches_the_contract_reference(self, monkeypatch, n_electrons, seed, p1, chunk):
         # on any numpy: the counts and each 1-sigma equal those the documented
-        # draw order and entropy tuples give, whatever the chunking
+        # draw order and entropy tuples give, whatever the chunking and the
+        # draw blocks: the default, 61 (which divides no chunk and no n here)
+        # and one larger than the chunk
         if chunk is not None:
             monkeypatch.setattr(experiment, "DRAW_CHUNK", chunk)
         amplitudes = BranchAmplitudes(complex(math.sqrt(p1)), complex(0.0, math.sqrt(1.0 - p1)))
         args = (antisymmetric_config(), amplitudes, n_electrons, seed, wide_screen(1024), 20)
-        report = run_experiment(*args)
         counts, sigmas = contract_reference(*args)
-        for branch, expected in zip((report.branch1, report.branch2), counts):
-            intensity = np.zeros(len(expected)) if branch.histogram is None else branch.histogram.intensity
-            assert branch.count == expected.sum() and np.array_equal(intensity, expected)
-        assert np.array_equal(report.pooled_histogram.intensity, counts[0] + counts[1])
-        reported = [report.branch1.estimate.uncertainty, report.branch2.estimate.uncertainty,
-                    report.pooled_estimate.uncertainty]
-        assert np.array_equal(reported, sigmas, equal_nan=True)
+        for block in (experiment.DRAW_BLOCK, 61, 2 * experiment.DRAW_CHUNK):
+            monkeypatch.setattr(experiment, "DRAW_BLOCK", block)
+            report = run_experiment(*args)
+            for branch, expected in zip((report.branch1, report.branch2), counts):
+                intensity = np.zeros(len(expected)) if branch.histogram is None else branch.histogram.intensity
+                assert branch.count == expected.sum() and np.array_equal(intensity, expected)
+            assert np.array_equal(report.pooled_histogram.intensity, counts[0] + counts[1])
+            reported = [report.branch1.estimate.uncertainty, report.branch2.estimate.uncertainty,
+                        report.pooled_estimate.uncertainty]
+            assert np.array_equal(reported, sigmas, equal_nan=True)
         assert math.isnan(sigmas[0]) == (p1 == 0.0) and math.isnan(sigmas[1]) == (p1 == 1.0)
 
 
@@ -332,6 +341,23 @@ class TestChunkCount:
             advanced = np.random.PCG64(entropy).advance(2 * k * chunk)
             rows = sequential[k * chunk:(k + 1) * chunk]
             assert np.array_equal(np.random.Generator(advanced).random(rows.shape), rows)
+
+    def test_numpy_random_out_blocks_continue_one_sequence(self):
+        # _draw_chunk relies on it: successive random(out=...) blocks of one
+        # reused buffer, from a PCG64 advanced to a chunk, hold that chunk's
+        # rows of one sequential random((n, 2)); 61 divides neither the chunk
+        # nor n, and the last chunk's 13 rows are fewer than one block
+        entropy = np.random.SeedSequence((20240601, 0))
+        chunk, block, n = 997, 61, 3 * 997 + 13
+        sequential = np.random.Generator(np.random.PCG64(entropy)).random((n, 2))
+        buffer = np.empty((block, 2))
+        for k in range(-(-n // chunk)):
+            rng = np.random.Generator(np.random.PCG64(entropy).advance(2 * k * chunk))
+            rows = sequential[k * chunk:(k + 1) * chunk]
+            for first in range(0, len(rows), block):
+                drawn = rng.random(out=buffer[:min(block, len(rows) - first)])
+                assert np.shares_memory(drawn, buffer)
+                assert np.array_equal(drawn, rows[first:first + block])
 
     def test_counts_lattice_uniforms_on_and_beside_every_edge_exactly(self):
         # zero-intensity cells at both ends and inside give repeated edges,
@@ -354,9 +380,53 @@ class TestChunkCount:
             # a branch uniform equal to p1 picks branch 2
             branch_uniforms = {0.0, p1 - self.LATTICE, p1, 1.0 - self.LATTICE}
             uniforms = np.array([(b, q) for b in sorted(branch_uniforms) if 0.0 <= b < 1.0 for q in positions])
-            counts = experiment._count_chunk(edges, p1, uniforms)
+            counts = experiment._count_chunk(edges, p1, [uniforms], len(uniforms))
             assert counts.dtype == np.int64 and counts.shape == (2, 1024)
             assert np.array_equal(counts, reference_counts(patterns, p1, uniforms))
+
+
+class TestCountingMemory:
+    """tracemalloc traces numpy's buffers.  A counting thread holds one
+    chunk's keys and one draw block of uniforms, not the chunk's uniforms."""
+
+    @staticmethod
+    def per_thread_bound(edges):
+        keys, block = 8 * experiment.DRAW_CHUNK, 16 * experiment.DRAW_BLOCK
+        # slack: the search's and np.diff's int64 arrays, about one entry per edge each, and 64 KiB of the rest
+        return keys + block + 4 * edges.nbytes + (64 << 10)
+
+    @staticmethod
+    def traced(count):
+        """count() and the bytes traced at its peak above those traced before it."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            counts = count()
+            return counts, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def patterns(self):
+        return [pattern.two_slit_pattern(wide_screen(1024), phase) for phase in (1.0, -1.0)]
+
+    def test_one_chunk_holds_its_keys_and_one_draw_block(self):
+        edges = experiment._edge_table(self.patterns())
+        start, size = np.random.SeedSequence((20240601, 0)), experiment.DRAW_CHUNK
+        counts, peak = self.traced(
+            lambda: experiment._count_chunk(edges, 0.36, experiment._draw_chunk(start, 0, size), size))
+        assert counts.sum() == size
+        assert peak <= self.per_thread_bound(edges)
+
+    def test_two_threads_hold_one_chunk_each(self):
+        patterns = self.patterns()
+        n_electrons = 4 * experiment.DRAW_CHUNK
+        counts, peak = self.traced(lambda: experiment._count_detections(patterns, 0.36, n_electrons, 20240601))
+        assert counts.sum() == n_electrons
+        assert peak <= 2 * self.per_thread_bound(experiment._edge_table(patterns))
 
 
 class TestBlockBootstrap:

@@ -38,7 +38,7 @@ def detection_counts(pattern, quantiles):
     """Per-cell counts of `quantiles` on `pattern` by the experiment's chunk
     count, every electron on branch 1 (branch uniform 0, p1 = 1)."""
     uniforms = np.column_stack([np.zeros(len(quantiles)), quantiles])
-    return _count_chunk(_edge_table([pattern, pattern]), 1.0, uniforms)[0]
+    return _count_chunk(_edge_table([pattern, pattern]), 1.0, [uniforms], len(uniforms))[0]
 
 
 def screen(n=4096, periods=16.0):
