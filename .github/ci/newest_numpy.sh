@@ -5,9 +5,15 @@
 # reused buffer by Generator.random(out=...), then counts the chunk's uniforms
 # on the 2^-53 lattice.  This holds only while Generator.random makes one
 # double (u >> 11) * 2^-53 of each 64-bit output u, and its successive
-# random(out=...) blocks take the outputs one random((n, 2)) takes, in order;
-# a failure here means the newest numpy changed how random() maps or spends
-# its outputs.  Usage, from anywhere in the repository:
+# random(out=...) blocks take the outputs one random((n, 2)) takes, in order.
+# Each bootstrap stream draws its resamples a block at a time, and
+# Generator.multinomial(n, p, size=k) must equal k successive
+# multinomial(n, p) draws of that stream; the golden digests skip on any
+# numpy but the pinned one, and the contract reference draws in the
+# program's own blocks, so TestBlockBootstrap is the one check of this.  A
+# failure here means the newest numpy changed how random() maps or spends
+# its outputs, or how a multinomial block spends them.  Usage, from anywhere
+# in the repository:
 #
 #   bash .github/ci/newest_numpy.sh            # upgrades numpy, then checks
 #   bash .github/ci/newest_numpy.sh --source   # checks the installed numpy, upgrades nothing
@@ -34,4 +40,5 @@ if ! $source; then
 fi
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --basetemp "$RUNNER_TEMP/numpy" \
   tests/test_experiment.py::TestChunkCount \
+  tests/test_experiment.py::TestBlockBootstrap \
   tests/test_experiment.py::TestDeterminism::test_the_run_matches_the_contract_reference

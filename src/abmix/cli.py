@@ -219,7 +219,7 @@ def cmd_current(cfg: RunConfig) -> tuple[str, dict[str, str]]:
         text = (f"plane wave k = {k!r} 1/m on {grid.n} samples, d_eta = {grid.dx!r} m\n"
                 f"max |j - e*hbar*k/m*|psi|^2| = {deviation!r} A (discretization bound {bound!r} A)\n"
                 f"wrote current_plane.csv to {cfg['out_dir']}/\n")
-        return text, {"current_plane.csv": cur.current_table(j)}
+        return text, {"current_plane.csv": cur.current_table(grid, j)}
 
     psi1, psi2 = packets
     j_total, j_mixture, deviation, bound, overlap = cur.mixture_current_check(amplitudes, psi1, psi2, constants)
@@ -232,9 +232,9 @@ def cmd_current(cfg: RunConfig) -> tuple[str, dict[str, str]]:
     return text, {
         "wavefunction_branch1.csv": cur.wavefunction_table(psi1),
         "wavefunction_branch2.csv": cur.wavefunction_table(psi2),
-        "current_total.csv": cur.current_table(j_total),
-        "current_mixture.csv": cur.current_table(j_mixture),
-        "current_ensemble.csv": cur.current_table(j_ensemble),
+        "current_total.csv": cur.current_table(psi1.grid, j_total),
+        "current_mixture.csv": cur.current_table(psi1.grid, j_mixture),
+        "current_ensemble.csv": cur.current_table(psi1.grid, j_ensemble),
     }
 
 

@@ -64,19 +64,6 @@ class GridWavefunction:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.dx)
 
 
-@dataclass(frozen=True)
-class CurrentDensity:
-    """Real 1-D electric current samples on the same grid as its source."""
-
-    grid: Grid
-    samples: np.ndarray   # amperes; a read-only copy
-
-    def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)   # a copy: the caller's array stays writeable
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-
-
 def _require_shared_grid(psi1: GridWavefunction, psi2: GridWavefunction) -> None:
     if psi1.grid != psi2.grid:
         raise ValidationError("wavefunctions live on different grids")
@@ -116,14 +103,15 @@ def superpose(amplitudes: BranchAmplitudes, psi1: GridWavefunction, psi2: GridWa
     return GridWavefunction(psi1.grid, amplitudes.c1 * psi1.samples + amplitudes.c2 * psi2.samples)
 
 
-def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> CurrentDensity:
+def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> np.ndarray:
     """Electric current j = (i hbar e / 2m)(psi dpsi* - psi* dpsi), amperes.
 
     The complex bracket is evaluated literally.  Its two products differ
     only by exact sign flips, so its real part is exactly 0, and times the
     imaginary prefactor so is the imaginary part of every finite sample of
     j.  ArithmeticError when a sample of j is not finite (the derivative,
-    the bracket or hbar e overflows); else the real part is returned.
+    the bracket or hbar e overflows); else the real part is returned, one
+    float per point of psi's grid, copied so that no complex array stays alive.
     """
     prefactor = 1j * constants.hbar * constants.e / (2.0 * constants.m)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite current is refused below
@@ -134,12 +122,12 @@ def current_density(psi: GridWavefunction, constants: PhysicalConstants) -> Curr
             f"current is not finite on the wire grid of spacing {psi.grid.dx!r} m: "
             "its derivative or its bracket overflows"
         )
-    return CurrentDensity(psi.grid, j_complex.real)
+    return j_complex.real.copy()
 
 
 def mixture_current_check(
     amplitudes: BranchAmplitudes, psi1: GridWavefunction, psi2: GridWavefunction, constants: PhysicalConstants
-) -> tuple[CurrentDensity, CurrentDensity, float, float, float]:
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """Compare the superposition current with its mixture decomposition.
 
     Returns (j_total, j_mixture, max_abs_deviation, bound, abs_overlap): the
@@ -158,28 +146,27 @@ def mixture_current_check(
     j_total = current_density(superpose(amplitudes, psi1, psi2), constants)
     j1 = current_density(psi1, constants)
     j2 = current_density(psi2, constants)
-    mixture = amplitudes.p1 * j1.samples + amplitudes.p2 * j2.samples
-    j_mixture = CurrentDensity(psi1.grid, mixture)
-    deviation = float(np.max(np.abs(j_total.samples - j_mixture.samples)))
-    bound = DECOMPOSITION_TOL * max(float(np.max(np.abs(j.samples))) for j in (j1, j2))
+    j_mixture = amplitudes.p1 * j1 + amplitudes.p2 * j2
+    deviation = float(np.max(np.abs(j_total - j_mixture)))
+    bound = DECOMPOSITION_TOL * max(float(np.max(np.abs(j))) for j in (j1, j2))
     return j_total, j_mixture, deviation, bound, measured[0]
 
 
 def plane_wave_check(
     psi: GridWavefunction, wavenumber: float, constants: PhysicalConstants
-) -> tuple[CurrentDensity, float, float]:
+) -> tuple[np.ndarray, float, float]:
     """Compare the current of `psi`, the :func:`plane_wave` of `wavenumber`,
     with its closed form e hbar k / m |psi|^2: returns (j, max_abs_deviation,
     bound), where bound = 0.4 (k d_eta)^2 max|e hbar k / m |psi|^2| is the
     discretization bound of the central differences."""
     j = current_density(psi, constants)
     analytic = (constants.e * constants.hbar * wavenumber / constants.m) * np.abs(psi.samples) ** 2
-    deviation = float(np.max(np.abs(j.samples - analytic)))
+    deviation = float(np.max(np.abs(j - analytic)))
     bound = 0.4 * (wavenumber * psi.grid.dx) ** 2 * float(np.max(np.abs(analytic)))
     return j, deviation, bound
 
 
-def ensemble_current(n: int, j: CurrentDensity) -> CurrentDensity:
+def ensemble_current(n: int, j: np.ndarray) -> np.ndarray:
     """Current of a beam of n identically prepared electrons: n * j;
     ArithmeticError when a sample of it is not finite."""
     if not is_integer(n) or n < 1:
@@ -189,11 +176,11 @@ def ensemble_current(n: int, j: CurrentDensity) -> CurrentDensity:
     except OverflowError:   # n is beyond the float range
         scale = math.inf
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite current is refused below
-        samples = scale * j.samples
-    if not np.all(np.isfinite(samples)):
+        j_ensemble = scale * j
+    if not np.all(np.isfinite(j_ensemble)):
         raise ArithmeticError("ensemble current is not finite: the ensemble size times the current of one "
-                              f"electron (largest |j| = {float(np.max(np.abs(j.samples)))!r} A) overflows")
-    return CurrentDensity(j.grid, samples)
+                              f"electron (largest |j| = {float(np.max(np.abs(j)))!r} A) overflows")
+    return j_ensemble
 
 
 def gaussian_packet(grid: Grid, center: float, width: float, wavenumber: float) -> GridWavefunction:
@@ -244,6 +231,6 @@ def wavefunction_table(psi: GridWavefunction) -> str:
     return csv_table("eta_m,re_psi,im_psi", psi.grid, psi.samples.real, psi.samples.imag)
 
 
-def current_table(j: CurrentDensity) -> str:
-    """CSV table of a current density, columns eta_m, j_A."""
-    return csv_table("eta_m,j_A", j.grid, j.samples)
+def current_table(grid: Grid, j: np.ndarray) -> str:
+    """CSV table of the current `j` on `grid`, columns eta_m, j_A."""
+    return csv_table("eta_m,j_A", grid, j)

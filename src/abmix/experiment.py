@@ -155,25 +155,26 @@ def run_experiment(
 
 
 class _Stream:
-    """A bootstrap's random stream, read in order under its own lock, by
-    either thread: a multinomial spends a variable number of outputs, so a
-    block cannot start at an offset known before the blocks ahead of it."""
+    """The bootstrap stream of one measured row of counts: `length`
+    multinomial resamples of the row's detections over its cells, drawn from
+    the stream of `entropy` in order, under its own lock, by either thread:
+    a multinomial spends a variable number of outputs, so a block cannot
+    start at an offset known before the blocks ahead of it."""
 
-    def __init__(self, entropy: tuple[int, ...], length: int, block: int):
+    def __init__(self, entropy: tuple[int, ...], row: np.ndarray, length: int, block: int):
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy))
         self._lock = threading.Lock()
+        self._n_samples, self._probabilities = int(row.sum()), row / row.sum()
         self._length, self._block, self._next = length, block, 0
 
-    def take(self, draw: Callable[[np.random.Generator, int], np.ndarray]) -> tuple[int, np.ndarray]:
-        """`(start, draw(rng, size))` for the next block of at most `block`
-        of the stream's `length` draws, the position and the draw both taken
-        under the lock.  The caller takes each of the
-        ceil(length / block) blocks once."""
+    def take(self) -> tuple[int, np.ndarray]:
+        """`(start, resamples)` of the next block of at most `block` resamples,
+        both taken under the lock.  The caller takes each of the ceil(length / block) blocks once."""
         with self._lock:
             start = self._next
             size = min(self._block, self._length - start)
             self._next = start + size
-            return start, draw(self._rng, size)
+            return start, self._rng.multinomial(self._n_samples, self._probabilities, size=size)
 
 
 def _share(tasks: Sequence[int], work: Callable[[int, int], None]) -> None:
@@ -294,18 +295,13 @@ def _bootstrap_sigma(
     in stream order; a resample not measured, or not drawn, stays nan.
     """
     block = max(1, BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
-    resampled = {}   # row index -> (stream, detections, cell probabilities)
-    for i, (row, shift, entropy) in enumerate(zip(rows, shifts, entropies)):
-        n_samples = int(row.sum())
-        if not math.isnan(shift) and n_bootstrap >= 2 and n_samples >= 2:
-            resampled[i] = (_Stream(entropy, n_bootstrap, block), n_samples, row / row.sum())
+    resampled = {i: _Stream(entropy, row, n_bootstrap, block)   # row index -> its stream
+                 for i, (row, shift, entropy) in enumerate(zip(rows, shifts, entropies))
+                 if not math.isnan(shift) and n_bootstrap >= 2 and row.sum() >= 2}
     bootstrap_shifts = np.full((len(rows), n_bootstrap), math.nan)
 
     def resample(slot: int, i: int) -> None:
-        stream, n_samples, probabilities = resampled[i]
-        start, resamples = stream.take(
-            lambda rng, size: rng.multinomial(n_samples, probabilities, size=size)
-        )
+        start, resamples = resampled[i].take()
         bootstrap_shifts[i, start:start + len(resamples)], _ = estimator.shifts(resamples.astype(float))
 
     _share([i for _ in range(0, n_bootstrap, block) for i in resampled], resample)   # streams interleaved

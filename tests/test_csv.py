@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from abmix.cli import main
 from abmix.config import RunConfig
 from abmix.core import Grid
-from abmix.current import CurrentDensity, GridWavefunction, current_table, wavefunction_table
+from abmix.current import GridWavefunction, current_table, wavefunction_table
 from abmix.pattern import IntensityPattern, ScreenOptics, csv_table, pattern_csv
 
 # values whose repr switches notation, is subnormal, signed zero or integral
@@ -59,9 +59,9 @@ class TestBytesMatchNaiveRepr:
         assert text.splitlines()[1].split(",")[1:] == ["-0.0", "-12.0"]
 
     def test_current_table(self, grid):
-        # a CurrentDensity takes any float samples, non-finite ones included
+        # current_table writes any float samples, non-finite ones included
         samples = np.array([-v for v in AWKWARD[:5]] + [math.nan, math.inf, -math.inf] + AWKWARD)
-        text = current_table(CurrentDensity(grid, samples))
+        text = current_table(grid, samples)
         assert text == naive_table("eta_m,j_A", grid.positions, samples)
         assert [line.split(",")[1] for line in text.splitlines()[6:9]] == ["nan", "inf", "-inf"]
         assert [line.split(",")[1] for line in text.splitlines()[9:]] == AWKWARD_TEXT

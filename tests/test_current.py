@@ -12,7 +12,6 @@ from abmix import current
 from abmix.core import Grid, PhysicalConstants
 from abmix.current import (
     MIN_SAMPLES,
-    CurrentDensity,
     GridWavefunction,
     current_density,
     current_table,
@@ -178,11 +177,11 @@ class TestSuperpose:
             superpose(EQUAL_WEIGHTS, psi, doubled)
 
 
-class TestCurrentDensity:
+class TestCurrent:
     def test_real_wavefunction_carries_no_current(self):
         psi1, _ = disjoint_packets(n=1024, k1=0.0)
         j = current_density(psi1, CONSTANTS)
-        assert np.all(j.samples == 0.0)
+        assert np.all(j == 0.0)
 
     def test_plane_wave_matches_analytic_current(self):
         k = 2.0
@@ -193,7 +192,7 @@ class TestCurrentDensity:
         analytic = (CONSTANTS.e * CONSTANTS.hbar * k / CONSTANTS.m) * np.abs(psi.samples) ** 2
         # second-order stencils: interior (k d_eta)^2/6, one-sided ends (k d_eta)^2/3
         bound = 0.4 * (k * spacing) ** 2 * float(np.max(np.abs(analytic)))
-        deviation = float(np.max(np.abs(j.samples - analytic)))
+        deviation = float(np.max(np.abs(j - analytic)))
         assert deviation < bound
         assert plane_wave_check(psi, k, CONSTANTS)[1:] == (deviation, bound)
 
@@ -203,14 +202,14 @@ class TestCurrentDensity:
         j = current_density(psi, CONSTANTS)
         analytic = (CONSTANTS.e * CONSTANTS.hbar * 1.5 / CONSTANTS.m) * np.abs(psi.samples) ** 2
         bound = 0.4 * (1.5 * psi.grid.dx) ** 2 * float(np.max(np.abs(analytic)))
-        assert float(np.max(np.abs(j.samples - analytic))) < bound
+        assert float(np.max(np.abs(j - analytic))) < bound
 
     def test_conjugation_flips_the_sign(self):
         psi, _ = disjoint_packets(n=1024)
         conjugated = GridWavefunction(psi.grid, np.conj(psi.samples))
         j = current_density(psi, CONSTANTS)
         j_conj = current_density(conjugated, CONSTANTS)
-        assert np.array_equal(j_conj.samples, -j.samples)
+        assert np.array_equal(j_conj, -j)
 
     @settings(max_examples=25, deadline=None)
     @given(theta=st.floats(min_value=-math.pi, max_value=math.pi))
@@ -219,8 +218,8 @@ class TestCurrentDensity:
         rotated = GridWavefunction(psi.grid, cmath.exp(1j * theta) * psi.samples)
         j = current_density(psi, CONSTANTS)
         j_rotated = current_density(rotated, CONSTANTS)
-        scale = float(np.max(np.abs(j.samples)))
-        assert float(np.max(np.abs(j_rotated.samples - j.samples))) <= 1e-13 * scale
+        scale = float(np.max(np.abs(j)))
+        assert float(np.max(np.abs(j_rotated - j))) <= 1e-13 * scale
 
     # the bracket's two products differ only by exact sign flips, so its real
     # part is exactly 0 and, times the purely imaginary prefactor, so is the
@@ -244,7 +243,7 @@ class TestCurrentDensity:
         finite = np.isfinite(j_complex)
         assert np.all(j_complex.imag[finite] == 0.0)
         if finite.all():
-            assert np.array_equal(current_density(psi, constants).samples, j_complex.real)
+            assert np.array_equal(current_density(psi, constants), j_complex.real)
         else:
             with pytest.raises(ArithmeticError, match="current is not finite"):
                 current_density(psi, constants)
@@ -257,7 +256,7 @@ class TestCurrentDensity:
             psi = plane_wave(Grid(0.0, spacing * (n - 1), n), k)
             j = current_density(psi, CONSTANTS)
             analytic = (CONSTANTS.e * CONSTANTS.hbar * k / CONSTANTS.m) * np.abs(psi.samples) ** 2
-            errors[n] = float(np.max(np.abs(j.samples - analytic)))
+            errors[n] = float(np.max(np.abs(j - analytic)))
         assert errors[2048] / errors[4096] >= 3.5
 
 
@@ -268,19 +267,19 @@ class TestMixtureCurrentCheck:
             EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
         j1 = current_density(psi1, CONSTANTS)
         j2 = current_density(psi2, CONSTANTS)
-        scale = max(float(np.max(np.abs(j1.samples))), float(np.max(np.abs(j2.samples))))
+        scale = max(float(np.max(np.abs(j1))), float(np.max(np.abs(j2))))
         assert deviation < 1e-9 * scale
         assert bound == 1e-9 * scale
         assert abs_overlap == abs(overlap(psi1, psi2))
         assert np.allclose(
-            j_mixture.samples, 0.5 * j1.samples + 0.5 * j2.samples, rtol=1e-12, atol=0.0
+            j_mixture, 0.5 * j1 + 0.5 * j2, rtol=1e-12, atol=0.0
         )
 
     def test_pure_branch_total_equals_branch_current(self):
         psi1, psi2 = disjoint_packets(n=1024)
         j_total, _, _, _, _ = mixture_current_check(FIRST_BRANCH, psi1, psi2, CONSTANTS)
         j1 = current_density(psi1, CONSTANTS)
-        assert np.array_equal(j_total.samples, j1.samples)
+        assert np.array_equal(j_total, j1)
 
     def test_overlapping_packets_are_refused(self):
         psi1, psi2 = disjoint_packets(separation=2.0 * 16.0)
@@ -294,30 +293,50 @@ class TestMixtureCurrentCheck:
         j_total = current_density(total, CONSTANTS)
         j1 = current_density(psi1, CONSTANTS)
         j2 = current_density(psi2, CONSTANTS)
-        mixture = 0.5 * j1.samples + 0.5 * j2.samples
-        scale = max(float(np.max(np.abs(j1.samples))), float(np.max(np.abs(j2.samples))))
-        assert float(np.max(np.abs(j_total.samples - mixture))) > 1e-3 * scale
+        mixture = 0.5 * j1 + 0.5 * j2
+        scale = max(float(np.max(np.abs(j1))), float(np.max(np.abs(j2))))
+        assert float(np.max(np.abs(j_total - mixture))) > 1e-3 * scale
+
+
+class TestCurrentCost:
+    def test_every_current_is_an_owned_contiguous_float_array(self):
+        # 8 bytes a point, and no view that keeps a 16-byte complex bracket
+        # alive: config.WIRE_N_MAX counts on at most 16 bytes a wire point
+        psi1, psi2 = disjoint_packets(n=1024)
+        j_total, j_mixture, _, _, _ = mixture_current_check(EQUAL_WEIGHTS, psi1, psi2, CONSTANTS)
+        wave = plane_wave(Grid(0.0, 99.0, 1024), 2.0)
+        currents = {
+            "current_density": current_density(psi1, CONSTANTS),
+            "mixture_current_check total": j_total,
+            "mixture_current_check mixture": j_mixture,
+            "plane_wave_check": plane_wave_check(wave, 2.0, CONSTANTS)[0],
+            "ensemble_current": ensemble_current(1000, j_total),
+        }
+        for name, j in currents.items():
+            assert isinstance(j, np.ndarray) and j.dtype == np.float64 and j.shape == (1024,), name
+            assert j.flags.c_contiguous and j.flags.owndata, name
+            assert j.nbytes == 8 * 1024, name
 
 
 class TestEnsembleCurrent:
     def test_single_electron_is_identity(self):
         psi, _ = disjoint_packets(n=1024)
         j = current_density(psi, CONSTANTS)
-        assert np.array_equal(ensemble_current(1, j).samples, j.samples)
+        assert np.array_equal(ensemble_current(1, j), j)
 
     def test_scaling_by_ten(self):
-        j = CurrentDensity(Grid(0.0, 3.1, 32), samples=np.full(32, 2.5))
-        assert np.array_equal(ensemble_current(10, j).samples, np.full(32, 25.0))
+        j = np.full(32, 2.5)
+        assert np.array_equal(ensemble_current(10, j), np.full(32, 25.0))
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
     def test_rejects_non_positive_counts(self, bad):
-        j = CurrentDensity(Grid(0.0, 1.5, 16), samples=np.zeros(16))
+        j = np.zeros(16)
         with pytest.raises(ValidationError):
             ensemble_current(bad, j)
 
     @pytest.mark.parametrize("n", [int(1e308), 10**400], ids=["product_overflows", "size_overflows"])
     def test_rejects_a_current_that_is_not_finite(self, n):
-        j = CurrentDensity(Grid(0.0, 1.5, 16), samples=np.linspace(0.0, 1e30, 16))
+        j = np.linspace(0.0, 1e30, 16)
         with pytest.raises(ArithmeticError, match="ensemble current is not finite"):
             ensemble_current(n, j)
 
@@ -328,8 +347,8 @@ class TestEnsembleCurrent:
         j1 = current_density(psi1, CONSTANTS)
         j2 = current_density(psi2, CONSTANTS)
         n = 1000
-        left = ensemble_current(n, j_mixture).samples
-        right = 0.5 * ensemble_current(n, j1).samples + 0.5 * ensemble_current(n, j2).samples
+        left = ensemble_current(n, j_mixture)
+        right = 0.5 * ensemble_current(n, j1) + 0.5 * ensemble_current(n, j2)
         assert np.allclose(left, right, rtol=1e-12, atol=0.0)
 
 
@@ -344,8 +363,7 @@ class TestSerialization:
         assert complex(re, im) == pytest.approx(complex(psi.samples[2]))
 
     def test_current_table_columns(self):
-        j = CurrentDensity(Grid(-1.0, 2.5, 8), samples=np.arange(8.0))
-        lines = current_table(j).splitlines()
+        lines = current_table(Grid(-1.0, 2.5, 8), np.arange(8.0)).splitlines()
         assert lines[0] == "eta_m,j_A"
         assert lines[1] == "-1.0,0.0"
         assert len(lines) == 9

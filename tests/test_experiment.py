@@ -552,6 +552,26 @@ class TestTwoPointStatistics:
         assert not math.isnan(report.branch1.estimate.shift)
         assert not math.isnan(report.branch2.estimate.shift)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the fixed VISIBILITY_FLOOR passes a fringe-free "
+                                           "pool's shot-noise contrast, 0.046-0.078 at 1e5 detections")
+    def test_a_fringe_free_pool_is_unmeasured_at_the_default_count(self):
+        # quarter-turn branches at equal weights: the pool has no fringes, so at
+        # most one seed in 20 may read its noise as a measured contrast
+        reports = [run_experiment(antisymmetric_config(delta=math.pi / 2.0), EQUAL_WEIGHTS, 100_000, seed,
+                                  wide_screen(), n_bootstrap=0) for seed in range(20)]
+        assert sum(math.isnan(report.pooled_estimate.shift) for report in reports) >= 19
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a row of a few detections reads contrast 1.0 "
+                                           "and passes the fixed VISIBILITY_FLOOR")
+    def test_a_row_of_a_few_detections_is_unmeasured(self):
+        # 8 electrons, seed 5: branch 1 holds 4 detections and the pool 8
+        cfg = RunConfig({"n_electrons": 8, "seed": 5})
+        assert cfg.validate() == []
+        report = run_experiment(cfg.objects["apparatus"], cfg.objects["amplitudes"], cfg["n_electrons"],
+                                cfg["seed"], cfg.objects["screen"])
+        assert report.branch1.count == 4
+        assert math.isnan(report.branch1.estimate.shift) and math.isnan(report.pooled_estimate.shift)
+
     def test_the_branch_bootstrap_sigma_is_calibrated(self):
         # With an honest sigma, each branch z = (estimate - predicted shift) / sigma
         # is about N(0, 1), and the 40 z of 20 seeds x 2 branches are about

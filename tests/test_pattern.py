@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from abmix.core import ApparatusGeometry, Grid, PhysicalConstants, fringe_period, fringe_shift, phase_shift
-from abmix.current import CurrentDensity, GridWavefunction
+from abmix.current import GridWavefunction
 from abmix.dual import BranchAmplitudes
 from abmix.errors import ValidationError
 from abmix.experiment import _count_chunk, _edge_table
@@ -106,9 +106,8 @@ class TestIntensityPattern:
     [
         (lambda grid, values: IntensityPattern(flat(grid), values), float, "intensity"),
         (GridWavefunction, complex, "samples"),
-        (CurrentDensity, float, "samples"),
     ],
-    ids=["IntensityPattern", "GridWavefunction", "CurrentDensity"],
+    ids=["IntensityPattern", "GridWavefunction"],
 )
 def test_a_value_type_holds_a_read_only_copy_and_leaves_the_callers_array_writeable(make, dtype, field):
     values = np.ones(160, dtype=dtype)
