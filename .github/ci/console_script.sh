@@ -47,6 +47,13 @@ echo '{"n_electrons": 1000000}' > "$RUNNER_TEMP/eight-chunks.json"
 taskset -c 0 python -m abmix.cli experiment --config "$RUNNER_TEMP/eight-chunks.json" --out "$RUNNER_TEMP/one-cpu"
 abmix experiment --config "$RUNNER_TEMP/eight-chunks.json" --out "$RUNNER_TEMP/all-cpus"
 diff -r "$RUNNER_TEMP/one-cpu" "$RUNNER_TEMP/all-cpus"
+# d = 1e-5 m below 10 R = 2e-5 m: exit 0, and stderr is the one warning line,
+# with no path and no source line
+echo '{"solenoids": {"R1": 2e-6, "R2": 2e-6}}' > "$RUNNER_TEMP/marginal.json"
+abmix phase --config "$RUNNER_TEMP/marginal.json" > "$RUNNER_TEMP/marginal.out" 2> "$RUNNER_TEMP/marginal.err"
+marginal='slit separation d=1e-05 is below 10R=1.9999999999999998e-05; the around-the-solenoid model is marginal'
+test "$(cat "$RUNNER_TEMP/marginal.err")" = "warning: $marginal"
+test -s "$RUNNER_TEMP/marginal.out"
 # one refused run per exit code, each printing no result and writing nothing
 refused() {   # refused <expected exit code> <abmix arguments>...
   local expected=$1 code=0

@@ -14,7 +14,8 @@ runs out, 4 I/O failure, an unreadable --config included.  A failed run
 writes no file and prints no result: each artifact is written to a hidden
 temporary file beside the output directory and renamed into it only once
 all are written (a killed process can leave such `.<out>-...` files
-behind); stdout is written last.
+behind); stdout is written last, and after it, on stderr, each warning
+the run raised as one `warning: <message>` line.
 All artifacts are plain text, deterministic for a fixed (config, seed), and
 echo the resolved config: the CSVs as one `# config =` JSON line,
 report.txt as its `config.*` block.
@@ -30,6 +31,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +208,7 @@ def cmd_experiment(cfg: RunConfig) -> tuple[str, dict[str, str]]:
     text = _report_config(cfg) + report_text(report)
     files = {"report.txt": text, "histogram_pooled.csv": pattern_csv(report.pooled_histogram, "count")}
     for branch in (report.branch1, report.branch2):
-        if branch.histogram is not None:
+        if branch.count:
             files[f"histogram_branch{branch.outcome.branch}.csv"] = pattern_csv(branch.histogram, "count")
     return text + f"wrote report and histograms to {cfg['out_dir']}/\n", files
 
@@ -274,13 +276,16 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"phase": cmd_phase, "classical": cmd_classical, "experiment": cmd_experiment,
                 "current": cmd_current, "mixture": lambda cfg: cmd_mixture(cfg, args.csv)}
     try:
-        cfg = _load_config(args)   # validation builds the screen's and the wire's arrays, which can exhaust memory
-        if cfg is None:
-            return EXIT_VALIDATION
-        text, files = commands[args.command](cfg)
-        if files:
-            _write_all(cfg, args.command, files)
+        with warnings.catch_warnings(record=True) as caught:   # each run's warnings, not once per location
+            warnings.simplefilter("always", UserWarning)
+            cfg = _load_config(args)   # validation builds the screen's and the wire's arrays, which can exhaust memory
+            if cfg is None:
+                return EXIT_VALIDATION
+            text, files = commands[args.command](cfg)
+            if files:
+                _write_all(cfg, args.command, files)
         sys.stdout.write(text)
+        sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
         return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,7 +85,7 @@ class BranchReport:
     outcome: MixtureOutcome   # branch, |c_k|^2 and the closed-form phase and shift
     count: int
     estimate: FringeEstimate
-    histogram: IntensityPattern | None   # None when the branch has no detections
+    histogram: IntensityPattern   # all zero when the branch has no detections
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,8 @@ def run_experiment(
     entropies = [(seed, 1, outcome.branch) for outcome in outcomes] + [(seed, 1, 0)]
     sigmas = _bootstrap_sigma(rows, shifts, estimator, entropies, n_bootstrap)
     estimates = [FringeEstimate(float(s), float(v), sigma) for s, v, sigma in zip(shifts, visibilities, sigmas)]
-    branch_reports = [
-        BranchReport(outcome, int(branch_counts.sum()), estimate,
-                     replace(reference, intensity=branch_counts) if branch_counts.any() else None)
-        for outcome, branch_counts, estimate in zip(outcomes, counts, estimates)
-    ]
+    branch_reports = [BranchReport(outcome, int(row.sum()), estimate, replace(reference, intensity=row))
+                      for outcome, row, estimate in zip(outcomes, counts, estimates)]
     mean_shift, mean_sigma = _weighted_mean_shift(branch_reports, n_electrons)
 
     return ExperimentReport(
@@ -284,8 +281,10 @@ def _bootstrap_sigma(
     """Std dev of the shift estimate over n_bootstrap multinomial resamples
     of each measured row of detection counts (its point shift in `shifts` is
     not nan), each of as many detections as the row holds; nan for a row not
-    measured.  A resample is kept, as a point estimate is, when its shift is
-    not nan; with fewer than 2 kept the std dev is nan.
+    measured, and for a row of fewer than 2 detections, whose resamples all
+    equal it and would claim a std dev of 0.  A resample is kept, as a point
+    estimate is, when its shift is not nan; with fewer than 2 kept (as for
+    n_bootstrap < 2) the std dev is nan.
 
     Row i is resampled from the stream of entropies[i],
     BOOTSTRAP_BLOCK_CELLS // nfft (at least 1) resamples at a time.  The
@@ -297,7 +296,7 @@ def _bootstrap_sigma(
     block = max(1, BOOTSTRAP_BLOCK_CELLS // estimator.nfft)
     resampled = {i: _Stream(entropy, row, n_bootstrap, block)   # row index -> its stream
                  for i, (row, shift, entropy) in enumerate(zip(rows, shifts, entropies))
-                 if not math.isnan(shift) and n_bootstrap >= 2 and row.sum() >= 2}
+                 if not math.isnan(shift) and row.sum() >= 2}
     bootstrap_shifts = np.full((len(rows), n_bootstrap), math.nan)
 
     def resample(slot: int, i: int) -> None:

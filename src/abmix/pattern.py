@@ -107,8 +107,8 @@ def _envelope(x: np.ndarray, width: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntensityPattern:
-    """Sampled non-negative intensity on the cells of `optics`'s grid, usable
-    as an unnormalized density; it holds a read-only copy of `intensity`."""
+    """Sampled intensity on the cells of `optics`'s grid, finite and non-negative
+    (all zero for a branch without detections); it holds a read-only copy."""
 
     optics: ScreenOptics
     intensity: np.ndarray
@@ -122,17 +122,10 @@ class IntensityPattern:
                                   f"got shape {intensity.shape} on {self.n} cells")
         if np.any(~np.isfinite(intensity)) or np.any(intensity < 0.0):
             raise ValidationError("intensities must be finite and non-negative")
-        if not self.total > 0.0:
-            raise ValidationError("pattern has zero mass, cannot serve as a density")
 
     @property
     def n(self) -> int:
         return self.optics.grid.n
-
-    @property
-    def total(self) -> float:
-        """Unnormalized mass sum I dx."""
-        return float(np.sum(self.intensity) * self.optics.grid.dx)
 
 
 @dataclass(frozen=True)
@@ -262,8 +255,11 @@ def estimate_shift(pattern: IntensityPattern, reference: IntensityPattern) -> Fr
 
 def cdf_edges(pattern: IntensityPattern) -> np.ndarray:
     """The pattern's normalized CDF at its n + 1 cell edges: 0, then the
-    running sum of the intensities over their total, ending at exactly 1."""
+    running sum of the intensities over their total, ending at exactly 1;
+    ValidationError for a pattern of zero mass, which is no density."""
     cdf = np.concatenate([[0.0], np.cumsum(pattern.intensity)])
+    if not cdf[-1] > 0.0:
+        raise ValidationError("pattern has zero mass, cannot serve as a density")
     cdf /= cdf[-1]
     return cdf
 

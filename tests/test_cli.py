@@ -98,6 +98,21 @@ class TestPhaseCommand:
         classical = value_of(out, "fringe shift, classical form")
         assert quantum == pytest.approx(classical, rel=1e-12)
 
+    def test_a_marginal_clearance_is_one_warning_line_on_every_run(self, tmp_path, capsys):
+        # d = 1e-5 m is below 10 R = 2e-5 m: each run says so once, not only a process's first,
+        # with no path and no source line; a refused run prints only its refusal
+        config = tmp_path / "config.json"
+        config.write_text('{"solenoids": {"R1": 2e-6, "R2": 2e-6}}', encoding="utf-8")
+        for _ in range(2):
+            assert main(["phase", "--config", str(config)]) == 0
+            assert capsys.readouterr().err.splitlines() == [
+                "warning: slit separation d=1e-05 is below 10R=1.9999999999999998e-05; "
+                "the around-the-solenoid model is marginal"]
+        config.write_text('{"solenoids": {"R1": 2e-6, "R2": 2e-6}, "n_electrons": 0}', encoding="utf-8")
+        assert main(["phase", "--config", str(config)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid config: n_electrons")
+
 
 class TestClassicalCommand:
     def test_antisymmetric_fields_cancel(self, capsys):

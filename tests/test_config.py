@@ -40,11 +40,12 @@ def run(tmp_path, command, data, stdout=None):
 
 
 def run_without_warnings(tmp_path, command, data, stdout=None):
-    """`run`, failing on any warning the command emits."""
+    """`run`, failing on any warning the command emits, raised or printed."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = run(tmp_path, command, data, stdout)
     assert [str(w.message) for w in caught] == []
+    assert [line for line in result[1] if line.startswith("warning:")] == []
     return result
 
 
@@ -441,8 +442,10 @@ def test_every_command_prints_finite_numbers_or_refuses_alike(data):
             warnings.simplefilter("always")
             code, lines, out_dir = run(Path(tmp), command, data, stdout)
             written = [path.read_text(encoding="utf-8") for path in out_dir.glob("*")]
-        # the one warning a command may give is the documented marginal clearance d < 10 R
-        assert [str(w.message) for w in caught if "model is marginal" not in str(w.message)] == [], name
+        assert [str(w.message) for w in caught] == [], name
+        # a clean run's stderr holds at most the documented marginal clearance d < 10 R; a failing run's, no warning
+        warned = [line for line in lines if line.startswith("warning: ")]
+        assert warned == (lines if code == 0 else []) and all("model is marginal" in w for w in warned), name
         assert code in (0, 2, 3, 4), name
         assert not any("Traceback" in line for line in lines), name
         if code == 0:   # stdout and every file written

@@ -18,6 +18,7 @@ from abmix.pattern import (
     IntensityPattern,
     ScreenOptics,
     ShiftEstimator,
+    cdf_edges,
     estimate_shift,
     histogram_pattern,
     inverse_cdf_positions,
@@ -87,18 +88,21 @@ class TestIntensityPattern:
         with pytest.raises(ValidationError):
             IntensityPattern(flat(Grid(0.0, 12.9, 130)), np.linspace(-1, 1, 130))
 
-    def test_rejects_zero_mass(self):
-        with pytest.raises(ValidationError):
-            IntensityPattern(flat(Grid(0.0, 12.9, 130)), np.zeros(130))
+    def test_a_zero_pattern_constructs_and_only_its_cdf_refuses_zero_mass(self):
+        # a branch without detections holds an all-zero histogram; only the CDF divides by the mass
+        pattern = IntensityPattern(flat(Grid(0.0, 12.9, 130)), np.zeros(130))
+        assert np.array_equal(histogram_pattern(np.array([]), pattern).intensity, pattern.intensity)
+        with pytest.raises(ValidationError, match="zero mass"):
+            cdf_edges(pattern)
+        with pytest.raises(ValidationError, match="zero mass"):
+            inverse_cdf_positions(pattern, np.array([0.5]))
+        with pytest.raises(ValidationError, match="reference visibility 0.0 is at or below"):
+            ShiftEstimator(pattern)
 
     @pytest.mark.parametrize("shape", [(129,), (131,), (130, 1), (2, 130), ()], ids=str)
     def test_rejects_an_intensity_not_one_value_per_cell(self, shape):
         with pytest.raises(ValidationError, match=re.escape(f"got shape {shape} on 130 cells")):
             IntensityPattern(flat(Grid(0.0, 12.9, 130)), np.ones(shape))
-
-    def test_total_mass(self):
-        pattern = IntensityPattern(flat(Grid(0.0, 15.9, 160)), np.ones(160))
-        assert pattern.total == pytest.approx(16.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -491,7 +495,7 @@ class TestHistogramPattern:
 
 
 def test_two_slit_pattern_mass_positive():
-    assert pattern_at(0.0).total > 0.0
+    assert pattern_at(0.0).intensity.sum() > 0.0
 
 
 def test_screen_optics_require_a_positive_period_and_envelope_width():
