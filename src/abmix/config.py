@@ -10,12 +10,13 @@ follow the constants and the geometry.
 Type rules: float keys take finite numbers; int keys take integers or
 integral floats (2.0 but not 2.5); booleans and numeric strings are never
 numbers; amplitudes are [re, im] lists of two numbers; wavepackets.kind is
-"gaussian" or "plane"; out_dir is a string with no NUL character (no path
-can hold one).  Unknown keys are rejected at any depth, and a partial
-section is merged key by key with the defaults.  SCHEMA bounds only what no
-domain object can judge before it allocates: the grid sizes, by memory, and
-the counts and the seed, which no builder reads.  Every other range, such
-as a width or a grid's least point count, is its domain object's rule.
+"gaussian" or "plane"; out_dir is a non-empty string (an empty one names
+no directory) with no NUL character (no path can hold one).  Unknown keys
+are rejected at any depth, and a partial section is merged key by key with
+the defaults.  SCHEMA bounds only what no domain object can judge before it
+allocates: the grid sizes, by memory, and the counts and the seed, which no
+builder reads.  Every other range, such as a width or a grid's least point
+count, is its domain object's rule.
 
 `validate` is the one place a loadable config is refused: it builds each
 domain object once, skips one whose inputs already failed and lists every
@@ -67,7 +68,8 @@ def _pair(raw: Any) -> list[float] | None:
 FLOAT = ("a finite number", _number)
 PAIR = ("an [re, im] pair of finite numbers", _pair)
 KIND = ("'gaussian' or 'plane'", lambda raw: raw if raw in ("gaussian", "plane") else None)
-TEXT = ("a string with no NUL character", lambda raw: raw if isinstance(raw, str) and "\x00" not in raw else None)
+TEXT = ("a non-empty string with no NUL character",
+        lambda raw: raw if isinstance(raw, str) and raw and "\x00" not in raw else None)
 
 # -- derived defaults and builders read the resolved values through `v`
 
@@ -105,11 +107,12 @@ ROOT_HALF = 1.0 / math.sqrt(2.0)
 # numpy sizes an array in np.intp bytes: a grid whose largest array would
 # need more fails at allocation with a ValueError, not with MemoryError.
 # A screen's largest arrays take 32 bytes per cell: the shift estimator's
-# rfft of the zero-padded pattern, nfft // 2 + 1 complex128 values with nfft
-# the power of 2 at or above 2n - 1, so nfft <= 4n - 4 and 16 * (nfft // 2 + 1)
-# <= 32n - 16 bytes; and the experiment's int64 counts by thread and branch,
-# 2 x 2 x n.  The wire grid's largest take 16 bytes per point: complex128
-# samples, derivatives and current brackets.  Up to these bounds a grid too
+# zero-padded buffer of a pattern, nfft float64 values with nfft the power of
+# 2 at or above 2n - 1, so nfft <= 4n - 4 and 8 * nfft <= 32n - 32 bytes, and
+# its rfft, nfft // 2 + 1 complex128 values, 16 * (nfft // 2 + 1) <= 32n - 16
+# bytes; and the experiment's int64 counts by thread and branch, 2 x 2 x n.
+# The wire grid's largest take 16 bytes per point: complex128 samples,
+# derivatives and current brackets.  Up to these bounds a grid too
 # large for the machine fails with the out-of-memory line.
 _INTP_MAX = int(np.iinfo(np.intp).max)
 SCREEN_N_MAX = _INTP_MAX // 32

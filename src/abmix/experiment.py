@@ -301,7 +301,8 @@ def _bootstrap_sigma(
 
     def resample(slot: int, i: int) -> None:
         start, resamples = resampled[i].take()
-        bootstrap_shifts[i, start:start + len(resamples)], _ = estimator.shifts(resamples.astype(float))
+        resamples = resamples.astype(float)   # the int64 block is dropped before the estimate
+        bootstrap_shifts[i, start:start + len(resamples)], _ = estimator.shifts(resamples)
 
     _share([i for _ in range(0, n_bootstrap, block) for i in resampled], resample)   # streams interleaved
     kept = [row[~np.isnan(row)] for row in bootstrap_shifts]

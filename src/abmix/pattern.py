@@ -170,8 +170,9 @@ def visibility(pattern: IntensityPattern) -> float:
     return float(_contrast(pattern.optics, pattern.intensity[np.newaxis], False)[0])
 
 
-def _fringe_parts(block: np.ndarray, envelope: np.ndarray) -> np.ndarray:
-    """Each row of `block` less its least-squares envelope multiple a*G(x).
+def _fringe_parts(block: np.ndarray, envelope: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row of `block` less its least-squares envelope multiple a*G(x),
+    written into `out` (a new array if None) and returned.
 
     For a model pattern (1 + V cos)G this removes the non-oscillatory hump
     exactly, which would otherwise bias the correlation peak toward zero
@@ -179,7 +180,7 @@ def _fringe_parts(block: np.ndarray, envelope: np.ndarray) -> np.ndarray:
     in another order and would move the last bits.
     """
     coefficients = np.array([np.dot(row, envelope) for row in block]) / np.dot(envelope, envelope)
-    fringe = coefficients[:, np.newaxis] * envelope
+    fringe = np.multiply(coefficients[:, np.newaxis], envelope, out=out)
     return np.subtract(block, fringe, out=fringe)
 
 
@@ -221,17 +222,26 @@ class ShiftEstimator:
         is not measured: its shift is nan, which is how every caller tells."""
         optics = self.reference.optics
         visibilities = _contrast(optics, block, holds_counts)
-        n, dx = optics.grid.n, optics.grid.dx
-        # temporaries are reused or freed as soon as they are spent: on the
-        # worker thread they are all the resident memory the thread adds
-        spectra = np.fft.rfft(_fringe_parts(block, optics.envelope), self.nfft, axis=-1)
+        n, dx, nfft = optics.grid.n, optics.grid.dx, self.nfft
+        # beside its (k, n) float rows, a block holds one zero-padded (k, nfft)
+        # buffer, which takes the fringe parts and then the correlation, and
+        # the (k, nfft // 2 + 1) spectra: a bootstrap thread's working set is
+        # 8 k n + 8 k nfft + 16 k (nfft // 2 + 1) bytes, 640 KiB at the
+        # default screen (k = 4, n = 4096, nfft = 8192)
+        c = np.zeros((len(block), nfft))
+        _fringe_parts(block, optics.envelope, out=c[:, :n])
+        spectra = np.fft.rfft(c, axis=-1)
         spectra *= self.reference_spectrum
-        c = np.fft.irfft(spectra, self.nfft, axis=-1)
+        np.fft.irfft(spectra, nfft, axis=-1, out=c)
         del spectra
-        correlation = np.concatenate([c[:, -(n - 1):], c[:, :n]], axis=1)   # lags -(n-1) .. n-1
-        peaks = np.argmax(correlation, axis=1)
+        # lag L sits in column L mod nfft: lags -(n-1) .. -1 end the buffer and
+        # lags 0 .. n-1 start it; the first maximum of the two runs, as one
+        # run in lag order, and its neighbours are read in place
+        negative, positive, rows = c[:, nfft - n + 1:], c[:, :n], np.arange(len(c))
+        before, after = np.argmax(negative, axis=1), np.argmax(positive, axis=1)
+        peaks = np.where(negative[rows, before] >= positive[rows, after], before, after + n - 1)
         around = np.clip(peaks[:, np.newaxis] + [-1, 0, 1], 0, 2 * n - 2)
-        left, middle, right = np.take_along_axis(correlation, around, axis=1).T
+        left, middle, right = np.take_along_axis(c, (around - (n - 1)) % nfft, axis=1).T
         curvature = left - 2.0 * middle + right
         refined = (peaks > 0) & (peaks < 2 * n - 2) & (curvature != 0.0)
         offsets = np.divide(0.5 * (left - right), curvature, out=np.zeros(len(peaks)), where=refined)

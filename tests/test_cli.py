@@ -542,7 +542,7 @@ class TestValidationReporting:
         assert expected == 0o666 & ~umask
         assert {stat.S_IMODE(path.stat().st_mode) for path in (tmp_path / "run").iterdir()} == {expected}
 
-    @pytest.mark.parametrize("command", [["mixture", "--csv"], ["experiment"], ["current"]])
+    @pytest.mark.parametrize("command", [["mixture", "--csv"], ["experiment"], ["current"], ["phase"], ["classical"]])
     def test_a_nul_in_out_dir_is_one_exit_2_line(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.chdir(tmp_path)
         config = tmp_path / "config.json"
@@ -554,6 +554,21 @@ class TestValidationReporting:
         assert "Traceback" not in captured.err
         assert captured.out == ""   # rejected before anything is computed
         assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_an_empty_out_dir_is_one_exit_2_line_from_every_command(self, tmp_path, capsys, monkeypatch, source):
+        # an empty out_dir names no directory: it would write into the working directory
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": ""} if source == "config" else {}), encoding="utf-8")
+        refusals = set()
+        for command in (["phase"], ["classical"], ["mixture", "--csv"], ["experiment"], ["current"]):
+            assert main([*command, "--config", str(config), *(["--out", ""] if source == "flag" else [])]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            refusals.add(captured.err)
+            assert list(tmp_path.iterdir()) == [config], command
+        assert refusals == {"invalid config: out_dir: must be a non-empty string with no NUL character, got ''\n"}
 
     def test_a_directory_in_place_of_a_table_moves_no_file(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -380,9 +380,25 @@ class TestChunkCount:
             assert np.array_equal(counts, reference_counts(patterns, p1, uniforms))
 
 
+def traced(call):
+    """call() and the bytes tracemalloc traced at its peak above those traced
+    before it; tracemalloc traces numpy's buffers."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 class TestCountingMemory:
-    """tracemalloc traces numpy's buffers.  A counting thread holds one
-    chunk's keys and one draw block of uniforms, not the chunk's uniforms."""
+    """A counting thread holds one chunk's keys and one draw block of
+    uniforms, not the chunk's uniforms."""
 
     @staticmethod
     def per_thread_bound(edges):
@@ -390,28 +406,13 @@ class TestCountingMemory:
         # slack: the search's and np.diff's int64 arrays, about one entry per edge each, and 64 KiB of the rest
         return keys + block + 4 * edges.nbytes + (64 << 10)
 
-    @staticmethod
-    def traced(count):
-        """count() and the bytes traced at its peak above those traced before it."""
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            counts = count()
-            return counts, tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
-
     def patterns(self):
         return [pattern.two_slit_pattern(wide_screen(1024), phase) for phase in (1.0, -1.0)]
 
     def test_one_chunk_holds_its_keys_and_one_draw_block(self):
         edges = experiment._edge_table(self.patterns())
         start, size = np.random.SeedSequence((20240601, 0)), experiment.DRAW_CHUNK
-        counts, peak = self.traced(
+        counts, peak = traced(
             lambda: experiment._count_chunk(edges, 0.36, experiment._draw_chunk(start, 0, size), size))
         assert counts.sum() == size
         assert peak <= self.per_thread_bound(edges)
@@ -419,9 +420,33 @@ class TestCountingMemory:
     def test_two_threads_hold_one_chunk_each(self):
         patterns = self.patterns()
         n_electrons = 4 * experiment.DRAW_CHUNK
-        counts, peak = self.traced(lambda: experiment._count_detections(patterns, 0.36, n_electrons, 20240601))
+        counts, peak = traced(lambda: experiment._count_detections(patterns, 0.36, n_electrons, 20240601))
         assert counts.sum() == n_electrons
         assert peak <= 2 * self.per_thread_bound(experiment._edge_table(patterns))
+
+
+class TestBootstrapMemory:
+    """A resample block is estimated as float rows, one zero-padded (k, nfft)
+    buffer and its spectra: neither the int64 resamples nor a copy of the
+    correlation outlives the step that spends it."""
+
+    def test_one_resample_block_holds_its_rows_one_buffer_and_the_spectra(self):
+        optics = wide_screen()   # the default screen: 4096 cells, so nfft = 8192 and k = 4
+        estimator = pattern.ShiftEstimator(pattern.two_slit_pattern(optics, 0.0))
+        shifted = pattern.two_slit_pattern(optics, 0.6).intensity
+        rows = np.random.default_rng(5).multinomial(100_000, shifted / shifted.sum())[np.newaxis].astype(float)
+        shifts, _ = estimator.shifts(rows)
+        n, nfft = optics.grid.n, estimator.nfft
+        k = experiment.BOOTSTRAP_BLOCK_CELLS // nfft
+        assert (n, nfft, k) == (4096, 8192, 4)
+        sigmas, peak = traced(lambda: experiment._bootstrap_sigma(rows, shifts, estimator, [(5, 1, 0)], k))
+        assert math.isfinite(sigmas[0])
+        block, buffer, spectra = 8 * k * n, 8 * k * nfft, 16 * k * (nfft // 2 + 1)
+        probabilities = 8 * n   # the stream's cell probabilities
+        # slack: the stream's generator and lock, the worker thread, the task
+        # list, the (rows, k) shifts and the per-row scalars of one block
+        slack = 32 << 10
+        assert peak <= block + buffer + spectra + probabilities + slack
 
 
 class TestBlockBootstrap:

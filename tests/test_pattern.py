@@ -378,6 +378,96 @@ class TestShiftEstimatorBlocks:
             assert np.array_equal(inverse, np.fft.irfft(spectrum, 8192))
 
 
+def concatenated_shifts(estimator, block):
+    """The shifts of the rows of a (k, n) block, with no visibility floor, and
+    the index of each row's peak in its lags -(n-1) .. n-1, by the correlation
+    assembly the estimator used before it read the lags in place: rfft of
+    each fringe part padded to nfft, times the reference spectrum, irfft, the
+    lags concatenated into one run, its first argmax, three-point refinement
+    and the clip to half the span.  ShiftEstimator.shifts must equal it bit
+    for bit."""
+    envelope, nfft = estimator.reference.optics.envelope, estimator.nfft
+    n, dx = estimator.reference.n, estimator.reference.optics.grid.dx
+    coefficients = np.array([np.dot(row, envelope) for row in block]) / np.dot(envelope, envelope)
+    fringe = block - coefficients[:, np.newaxis] * envelope
+    c = np.fft.irfft(np.fft.rfft(fringe, nfft, axis=-1) * estimator.reference_spectrum, nfft, axis=-1)
+    correlation = np.concatenate([c[:, -(n - 1):], c[:, :n]], axis=1)
+    peaks = np.argmax(correlation, axis=1)
+    shifts = []
+    for row, peak in zip(correlation, peaks):
+        offset = 0.0
+        if 0 < peak < 2 * n - 2:
+            left, middle, right = row[peak - 1:peak + 2]
+            if (curvature := left - 2.0 * middle + right) != 0.0:
+                offset = 0.5 * (left - right) / curvature
+        half_span = 0.5 * (n - 1) * dx
+        shifts.append(np.clip((peak - (n - 1) + offset) * dx, -half_span, half_span))
+    return np.array(shifts), peaks
+
+
+class TestCorrelationAssembly:
+    """ShiftEstimator.shifts writes each row's correlation into one padded
+    buffer and reads the peak and its neighbours from its two lag runs in
+    place: every shift must equal the concatenated assembly bit for bit,
+    on whichever numpy is installed."""
+
+    @pytest.fixture(autouse=True)
+    def no_floor(self, monkeypatch):
+        # the floor's nan would hide the peak of a washed-out row, such as an all-zero one
+        monkeypatch.setattr("abmix.pattern.VISIBILITY_FLOOR", -1.0)
+
+    @staticmethod
+    def assert_same_bits(estimator, block, holds_counts):
+        shifts, _ = estimator.shifts(block, holds_counts)
+        expected, peaks = concatenated_shifts(estimator, block)
+        assert shifts.tobytes() == expected.tobytes()
+        return peaks
+
+    @pytest.mark.parametrize("n", [4096, 4090])   # nfft = 2n and nfft > 2n
+    def test_seeded_count_blocks(self, n):
+        estimator = ShiftEstimator(pattern_at(0.0, n=n))
+        for seed, phase in enumerate((0.6, -2.0, 3.0)):
+            shifted = pattern_at(phase, n=n).intensity
+            for k in (1, 4, 5):
+                rows = np.random.default_rng((n, seed, k)).multinomial(20_000, shifted / shifted.sum(), size=k)
+                self.assert_same_bits(estimator, rows.astype(float), True)
+
+    def test_synthesized_rows(self):
+        estimator = ShiftEstimator(pattern_at(0.0, n=4090))
+        block = np.vstack([pattern_at(phase, n=4090).intensity for phase in (0.0, 0.6, -2.0, math.pi)] + [
+            mixture_pattern(EQUAL_WEIGHTS, pattern_at(0.3 + delta, n=4090), pattern_at(0.3 - delta, n=4090)).intensity
+            for delta in (1.0, math.pi / 2.0)])
+        self.assert_same_bits(estimator, block, False)
+
+    def test_a_peak_at_lag_0_reads_its_neighbours_across_the_seam(self):
+        # lag 0 opens the buffer and lag -1 closes it
+        reference = pattern_at(0.0)
+        peaks = self.assert_same_bits(ShiftEstimator(reference), reference.intensity[np.newaxis], False)
+        assert peaks.tolist() == [reference.n - 1]
+
+    @pytest.mark.parametrize("reference_at, row_at, peak", [(0, -1, 2 * 1024 - 2), (-1, 0, 0)],
+                             ids=["last_lag", "first_lag"])
+    def test_a_peak_at_an_end_lag(self, reference_at, row_at, peak):
+        # on a flat envelope, a spike at one end of the reference and one at the
+        # other end of the row overlap only at the extreme lag, where their
+        # product outweighs every other lag's sum
+        n = 1024
+        optics = flat(Grid(0.0, n - 1.0, n))
+        base = 1.0 + np.cos(2.0 * math.pi * np.arange(n) / (2 * HISTOGRAM_REBIN))
+        reference, row = base.copy(), base.copy()
+        reference[reference_at] += 1e4
+        row[row_at] += 1e4
+        peaks = self.assert_same_bits(ShiftEstimator(IntensityPattern(optics, reference)), row[np.newaxis], False)
+        assert peaks.tolist() == [peak]
+
+    def test_an_all_zero_row_ties_at_every_lag(self):
+        # every lag ties at 0: the first, lag -(n-1), is the peak
+        estimator = ShiftEstimator(pattern_at(0.0))
+        block = np.vstack([np.zeros(4096), pattern_at(0.6).intensity])
+        peaks = self.assert_same_bits(estimator, block, False)
+        assert peaks.tolist()[0] == 0
+
+
 class TestSampleDetections:
     def test_delta_like_pattern_confines_samples(self):
         intensity = np.zeros(160)
