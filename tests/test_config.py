@@ -321,7 +321,6 @@ def test_a_plane_wave_whose_current_overflows_is_one_exit_3_line(tmp_path):
 def test_grid_bounds_follow_from_the_largest_arrays():
     intp_max = int(np.iinfo(np.intp).max)
     nfft = 1 << (2 * SCREEN_N_MAX - 2).bit_length()   # the estimator's transform length
-    assert 8 * nfft <= intp_max                       # its zero-padded buffer, float64
     assert 16 * (nfft // 2 + 1) <= intp_max           # its rfft, complex128
     assert 2 * 2 * 8 * SCREEN_N_MAX <= intp_max < 2 * 2 * 8 * (SCREEN_N_MAX + 1)   # int64 counts
     assert 16 * WIRE_N_MAX <= intp_max < 16 * (WIRE_N_MAX + 1)   # complex128 samples
@@ -351,7 +350,6 @@ def test_partial_sections_merge_with_derived_defaults():
 def test_out_dir_must_be_a_non_empty_string_with_no_nul(out_dir):
     assert RunConfig({"out_dir": out_dir}).problems == [
         f"out_dir: must be a non-empty string with no NUL character, got {out_dir!r}"]
-    assert RunConfig({"out_dir": "a b/c"}).problems == []
 
 
 def test_echo_types_follow_the_schema():
