@@ -32,11 +32,15 @@ before either takes a task, take each phase's tasks from one list
 (`_share`): one per draw chunk, then one per resample block of the
 bootstrap streams, interleaved.  Every result lands by its position:
 detection counts are summed as integers, and bootstrap shifts are
-written at their place in their stream.  So a report is reproducible bit
-for bit from (configuration, seed), on any number of CPUs and whichever
-thread draws which chunk or block.  A bootstrap draws its resamples a
-block at a time, `rng.multinomial(n, p, size=k)`, which is k successive
-draws from its stream.
+written at their place in their stream.  So, for one numpy release on one
+x86 SIMD level, a report is reproducible bit for bit from (configuration,
+seed), on any number of CPUs and whichever thread draws which chunk or
+block.  numpy picks its SIMD code at import, and three sites give other
+bits on another level: float64 exp at X86_V4 (the screen envelope), and
+complex abs and complex multiply at X86_V3 (the wire currents, and the
+estimator's product of spectra).  A bootstrap draws its resamples a block
+at a time, `rng.multinomial(n, p, size=k)`, which is k successive draws
+from its stream.
 
 The report carries both views of the outcome statistics: the
 branch-separated estimates (which recover the two-point law, shifts of
@@ -131,8 +135,7 @@ def run_experiment(
     patterns = [two_slit_pattern(optics, outcome.phase) for outcome in outcomes]
 
     counts = _count_detections(patterns, outcomes[0].probability, n_electrons, seed)
-    pooled = replace(reference, intensity=counts[0] + counts[1])
-    rows = np.vstack([counts, pooled.intensity])   # branch 1, branch 2, pooled; float64, as the pool is
+    rows = np.vstack([counts, counts.sum(axis=0)])   # branch 1, branch 2, pooled: int64 counts
     shifts, visibilities = estimator.shifts(rows)   # an empty row has contrast 0: nan
     entropies = [(seed, 1, outcome.branch) for outcome in outcomes] + [(seed, 1, 0)]
     sigmas = _bootstrap_sigma(rows, shifts, estimator, entropies, n_bootstrap)
@@ -144,7 +147,7 @@ def run_experiment(
     return ExperimentReport(
         branch1=branch_reports[0],
         branch2=branch_reports[1],
-        pooled_histogram=pooled,
+        pooled_histogram=replace(reference, intensity=rows[2]),
         pooled_estimate=estimates[2],
         mean_shift=mean_shift,
         mean_shift_sigma=mean_sigma,
@@ -301,7 +304,6 @@ def _bootstrap_sigma(
 
     def resample(slot: int, i: int) -> None:
         start, resamples = resampled[i].take()
-        resamples = resamples.astype(float)   # the int64 block is dropped before the estimate
         bootstrap_shifts[i, start:start + len(resamples)], _ = estimator.shifts(resamples)
 
     _share([i for _ in range(0, n_bootstrap, block) for i in resampled], resample)   # streams interleaved

@@ -170,9 +170,9 @@ def visibility(pattern: IntensityPattern) -> float:
     return float(_contrast(pattern.optics, pattern.intensity[np.newaxis], False)[0])
 
 
-def _fringe_parts(block: np.ndarray, envelope: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _fringe_parts(block: np.ndarray, envelope: np.ndarray, out: np.ndarray) -> None:
     """Each row of `block` less its least-squares envelope multiple a*G(x),
-    written into `out` (a new array if None) and returned.
+    written into the same-shaped `out`.
 
     For a model pattern (1 + V cos)G this removes the non-oscillatory hump
     exactly, which would otherwise bias the correlation peak toward zero
@@ -180,8 +180,8 @@ def _fringe_parts(block: np.ndarray, envelope: np.ndarray, out: np.ndarray | Non
     in another order and would move the last bits.
     """
     coefficients = np.array([np.dot(row, envelope) for row in block]) / np.dot(envelope, envelope)
-    fringe = np.multiply(coefficients[:, np.newaxis], envelope, out=out)
-    return np.subtract(block, fringe, out=fringe)
+    np.multiply(coefficients[:, np.newaxis], envelope, out=out)
+    np.subtract(block, out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +204,11 @@ class ShiftEstimator:
     reference_spectrum: np.ndarray = field(init=False)   # conj(rfft) of the reference's fringe part, read-only
 
     def __post_init__(self):
-        reference = self.reference
-        object.__setattr__(self, "nfft", 1 << (2 * reference.n - 2).bit_length())
-        reference_part = _fringe_parts(reference.intensity[np.newaxis], reference.optics.envelope)[0]
-        spectrum = np.conj(np.fft.rfft(reference_part, self.nfft))
+        reference, n = self.reference, self.reference.n
+        object.__setattr__(self, "nfft", 1 << (2 * n - 2).bit_length())
+        part = np.zeros((1, self.nfft))   # padded as every block is
+        _fringe_parts(reference.intensity[np.newaxis], reference.optics.envelope, out=part[:, :n])
+        spectrum = np.conj(np.fft.rfft(part, axis=-1)[0])
         spectrum.flags.writeable = False
         object.__setattr__(self, "reference_spectrum", spectrum)
         shifts, visibilities = self.shifts(reference.intensity[np.newaxis], holds_counts=False)
@@ -223,11 +224,11 @@ class ShiftEstimator:
         optics = self.reference.optics
         visibilities = _contrast(optics, block, holds_counts)
         n, dx, nfft = optics.grid.n, optics.grid.dx, self.nfft
-        # beside its (k, n) float rows, a block holds one zero-padded (k, nfft)
-        # buffer, which takes the fringe parts and then the correlation, and
-        # the (k, nfft // 2 + 1) spectra: a bootstrap thread's working set is
-        # 8 k n + 8 k nfft + 16 k (nfft // 2 + 1) bytes, 640 KiB at the
-        # default screen (k = 4, n = 4096, nfft = 8192)
+        # beside its (k, n) rows, int64 counts as drawn or floats, a block
+        # holds one zero-padded (k, nfft) buffer, which takes the fringe parts
+        # and then the correlation, and the (k, nfft // 2 + 1) spectra: a
+        # bootstrap thread's working set is 8 k n + 8 k nfft + 16 k (nfft // 2
+        # + 1) bytes, 640 KiB at the default screen (k = 4, n = 4096, nfft = 8192)
         c = np.zeros((len(block), nfft))
         _fringe_parts(block, optics.envelope, out=c[:, :n])
         spectra = np.fft.rfft(c, axis=-1)
@@ -243,8 +244,8 @@ class ShiftEstimator:
         around = np.clip(peaks[:, np.newaxis] + [-1, 0, 1], 0, 2 * n - 2)
         left, middle, right = np.take_along_axis(c, (around - (n - 1)) % nfft, axis=1).T
         curvature = left - 2.0 * middle + right
-        refined = (peaks > 0) & (peaks < 2 * n - 2) & (curvature != 0.0)
-        offsets = np.divide(0.5 * (left - right), curvature, out=np.zeros(len(peaks)), where=refined)
+        # at lag -(n-1) or n-1 the clipped neighbour is the peak: the offset is -+1/2, and the shift clips all the same
+        offsets = np.divide(0.5 * (left - right), curvature, out=np.zeros(len(peaks)), where=curvature != 0.0)
         half_span = 0.5 * (n - 1) * dx
         shifts = np.clip((peaks - (n - 1) + offsets) * dx, -half_span, half_span)
         shifts[visibilities <= VISIBILITY_FLOOR] = math.nan

@@ -185,6 +185,32 @@ class TestRunExperimentBasics:
         assert math.isfinite(resampled.mean_shift_sigma)
 
 
+class TestWeightedMeanShift:
+    """The mean sum f_k s_k of the branch shifts s_k, with f_k = count_k / n,
+    and its delta-method 1-sigma sqrt(sum (f_k sigma_k)^2 + (s_1 - s_2)^2
+    f_1 f_2 / n), on hand-built reports: a branch without detections has
+    weight 0, and a branch of 1 detection counts at its own shift."""
+
+    @staticmethod
+    def reports(counts, shifts, sigmas):
+        optics = wide_screen(1024)
+        empty = pattern.IntensityPattern(optics, np.zeros(optics.grid.n))
+        outcomes = outcome_distribution(antisymmetric_config(), EQUAL_WEIGHTS)
+        return [experiment.BranchReport(outcome, count, pattern.FringeEstimate(shift, 0.9, sigma), empty)
+                for outcome, count, shift, sigma in zip(outcomes, counts, shifts, sigmas, strict=True)]
+
+    @pytest.mark.parametrize("counts, shifts, sigmas, mean, sigma", [
+        ((6, 4), (3e-6, -2e-6), (1e-7, 2e-7), 0.6 * 3e-6 + 0.4 * -2e-6,
+         math.sqrt((0.6 * 1e-7) ** 2 + (0.4 * 2e-7) ** 2 + (3e-6 + 2e-6) ** 2 * 0.6 * 0.4 / 10)),
+        ((10, 0), (3e-6, math.nan), (1e-7, math.nan), 3e-6, 1e-7),
+        ((9, 1), (3e-6, -2e-6), (1e-7, math.nan), 0.9 * 3e-6 + 0.1 * -2e-6, math.nan),
+    ], ids=["two_measured_branches", "a_branch_without_detections", "a_branch_of_one_detection"])
+    def test_the_delta_method(self, counts, shifts, sigmas, mean, sigma):
+        got_mean, got_sigma = experiment._weighted_mean_shift(self.reports(counts, shifts, sigmas), sum(counts))
+        assert got_mean == pytest.approx(mean, rel=1e-12)
+        assert got_sigma == pytest.approx(sigma, rel=1e-12, nan_ok=True)
+
+
 class TestPointEstimates:
     @pytest.mark.parametrize(
         "delta, amplitudes, measured",
@@ -426,15 +452,15 @@ class TestCountingMemory:
 
 
 class TestBootstrapMemory:
-    """A resample block is estimated as float rows, one zero-padded (k, nfft)
-    buffer and its spectra: neither the int64 resamples nor a copy of the
-    correlation outlives the step that spends it."""
+    """A resample block is estimated from its int64 rows as drawn, one
+    zero-padded (k, nfft) buffer and its spectra: no float copy of the block
+    is made, and no copy of the correlation outlives the step that spends it."""
 
     def test_one_resample_block_holds_its_rows_one_buffer_and_the_spectra(self):
         optics = wide_screen()   # the default screen: 4096 cells, so nfft = 8192 and k = 4
         estimator = pattern.ShiftEstimator(pattern.two_slit_pattern(optics, 0.0))
         shifted = pattern.two_slit_pattern(optics, 0.6).intensity
-        rows = np.random.default_rng(5).multinomial(100_000, shifted / shifted.sum())[np.newaxis].astype(float)
+        rows = np.random.default_rng(5).multinomial(100_000, shifted / shifted.sum())[np.newaxis]
         shifts, _ = estimator.shifts(rows)
         n, nfft = optics.grid.n, estimator.nfft
         k = experiment.BOOTSTRAP_BLOCK_CELLS // nfft
@@ -467,6 +493,16 @@ class TestBlockBootstrap:
         for block_cells in (nfft, 7 * nfft):
             monkeypatch.setattr(experiment, "BOOTSTRAP_BLOCK_CELLS", block_cells)
             assert report_text(run_experiment(*args)) == expected
+
+    def test_a_measured_row_of_one_detection_gets_a_nan_sigma(self):
+        # every resample of 1 detection equals the row: a std dev of 0 would claim an exact shift
+        optics = wide_screen()
+        estimator = pattern.ShiftEstimator(pattern.two_slit_pattern(optics, 0.0))
+        row = np.zeros((1, optics.grid.n), dtype=np.int64)
+        row[0, optics.grid.n // 2] = 1   # a cell at the axis: contrast 1, measured
+        shifts, _ = estimator.shifts(row)
+        assert math.isfinite(shifts[0])
+        assert math.isnan(experiment._bootstrap_sigma(row, shifts, estimator, [(5, 1, 1)], 20)[0])
 
 
 class TestSharedSchedule:
@@ -771,6 +807,13 @@ class TestReportText:
         assert "pooled.shift_m = nan" in lines and "pooled.measurable = false" in lines
         assert f"pooled.visibility = {float(visibilities[0])!r}" in lines
         assert report.pooled_estimate.visibility == visibilities[0]
+
+    def test_a_measured_pool_without_resamples_is_measurable(self):
+        # with no resamples the pool's 1-sigma is nan; measurable follows its shift
+        report = run_experiment(antisymmetric_config(), EQUAL_WEIGHTS, 100_000, 11, wide_screen(), n_bootstrap=0)
+        lines = report_text(report).splitlines()
+        assert math.isfinite(report.pooled_estimate.shift)
+        assert "pooled.shift_sigma_m = nan" in lines and "pooled.measurable = true" in lines
 
     def test_flat_key_value_layout(self):
         report = run_experiment(

@@ -367,6 +367,15 @@ class TestShiftEstimatorBlocks:
             assert np.array_equal([one.shift, one.visibility, one.uncertainty], [shift, row_visibility, 0.0],
                                   equal_nan=True)
 
+    def test_a_row_at_exactly_the_floor_is_not_measured(self):
+        # on a flat envelope a row's profile is the row itself: 21 and 19 give (21 - 19) / (21 + 19) = 0.05
+        optics = flat(Grid(0.0, 1023.0, 1024))
+        cosine = np.cos(2.0 * math.pi * np.arange(1024) / (2 * HISTOGRAM_REBIN))
+        reference = IntensityPattern(optics, 1.0 + cosine)
+        estimate = estimate_shift(IntensityPattern(optics, 20.0 + np.sign(cosine)), reference)
+        assert estimate.visibility == VISIBILITY_FLOOR
+        assert math.isnan(estimate.shift)
+
     def test_numpy_transforms_a_block_of_rows_as_it_does_each_row(self):
         # ShiftEstimator.shifts takes one rfft and one irfft of a whole block;
         # 5 rows, so an odd row is left over if rows are paired inside the FFT
@@ -423,14 +432,29 @@ class TestCorrelationAssembly:
         assert shifts.tobytes() == expected.tobytes()
         return peaks
 
-    @pytest.mark.parametrize("n", [4096, 4090])   # nfft = 2n and nfft > 2n
-    def test_seeded_count_blocks(self, n):
-        estimator = ShiftEstimator(pattern_at(0.0, n=n))
+    @staticmethod
+    def count_blocks(n):
+        """Seeded int64 multinomial blocks of 1, 4 and 5 rows of 20,000 detections on n cells, at three phases."""
         for seed, phase in enumerate((0.6, -2.0, 3.0)):
             shifted = pattern_at(phase, n=n).intensity
             for k in (1, 4, 5):
-                rows = np.random.default_rng((n, seed, k)).multinomial(20_000, shifted / shifted.sum(), size=k)
-                self.assert_same_bits(estimator, rows.astype(float), True)
+                yield np.random.default_rng((n, seed, k)).multinomial(20_000, shifted / shifted.sum(), size=k)
+
+    @pytest.mark.parametrize("n", [4096, 4090])   # nfft = 2n and nfft > 2n
+    def test_seeded_count_blocks(self, n):
+        estimator = ShiftEstimator(pattern_at(0.0, n=n))
+        for rows in self.count_blocks(n):
+            self.assert_same_bits(estimator, rows.astype(float), True)
+
+    @pytest.mark.parametrize("n", [4096, 4090])
+    def test_an_integer_block_reads_as_its_float_copy(self, n):
+        # the bootstrap hands each multinomial block over as drawn: the 16-cell
+        # sums, each row's np.dot and the subtraction cast int64 exactly
+        estimator = ShiftEstimator(pattern_at(0.0, n=n))
+        for rows in self.count_blocks(n):
+            assert rows.dtype == np.int64
+            for got, expected in zip(estimator.shifts(rows), estimator.shifts(rows.astype(float)), strict=True):
+                assert got.tobytes() == expected.tobytes()
 
     def test_synthesized_rows(self):
         estimator = ShiftEstimator(pattern_at(0.0, n=4090))
@@ -445,20 +469,24 @@ class TestCorrelationAssembly:
         peaks = self.assert_same_bits(ShiftEstimator(reference), reference.intensity[np.newaxis], False)
         assert peaks.tolist() == [reference.n - 1]
 
-    @pytest.mark.parametrize("reference_at, row_at, peak", [(0, -1, 2 * 1024 - 2), (-1, 0, 0)],
+    @pytest.mark.parametrize("reference_at, row_at, peak, side", [(0, -1, 2 * 1024 - 2, 1.0), (-1, 0, 0, -1.0)],
                              ids=["last_lag", "first_lag"])
-    def test_a_peak_at_an_end_lag(self, reference_at, row_at, peak):
+    def test_a_peak_at_an_end_lag(self, reference_at, row_at, peak, side):
         # on a flat envelope, a spike at one end of the reference and one at the
         # other end of the row overlap only at the extreme lag, where their
-        # product outweighs every other lag's sum
+        # product outweighs every other lag's sum; the refinement's offset,
+        # +1/2 at the last lag and -1/2 at the first, leaves the shift clipped
+        # to half the span
         n = 1024
         optics = flat(Grid(0.0, n - 1.0, n))
         base = 1.0 + np.cos(2.0 * math.pi * np.arange(n) / (2 * HISTOGRAM_REBIN))
         reference, row = base.copy(), base.copy()
         reference[reference_at] += 1e4
         row[row_at] += 1e4
-        peaks = self.assert_same_bits(ShiftEstimator(IntensityPattern(optics, reference)), row[np.newaxis], False)
+        estimator = ShiftEstimator(IntensityPattern(optics, reference))
+        peaks = self.assert_same_bits(estimator, row[np.newaxis], False)
         assert peaks.tolist() == [peak]
+        assert estimator.shifts(row[np.newaxis], False)[0].tolist() == [side * 0.5 * optics.grid.span]
 
     def test_an_all_zero_row_ties_at_every_lag(self):
         # every lag ties at 0: the first, lag -(n-1), is the peak
