@@ -22,11 +22,12 @@
 # let rfft pad each row and read the lags from a concatenated copy:
 # TestCorrelationAssembly checks that every shift keeps those bits, and
 # TestBootstrapMemory that a resample block holds only its rows, that buffer
-# and the spectra.  The estimator reads integer counts as drawn, with no float
-# copy: TestCorrelationAssembly checks that an int64 block keeps its float
-# copy's bits.  A failure here means the newest numpy changed how random() maps
-# or spends its outputs, how a multinomial block spends them, how its
-# transforms pad or write their output, or how it casts int64 counts.
+# and the spectra.  The estimator casts integer counts to float once, by one
+# assignment into that buffer: TestCorrelationAssembly checks that an int64
+# block keeps its float copy's bits.  A failure here means the newest numpy
+# changed how random() maps or spends its outputs, how a multinomial block
+# spends them, how its transforms pad or write their output, or how it casts
+# int64 counts.
 #
 # orjson: the CSV writer.  pyproject.toml allows any orjson >= 3.8, and
 # csv_table rewrites orjson's notation into repr's by fixed rules; a failure

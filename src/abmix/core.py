@@ -1,4 +1,4 @@
-"""Single-solenoid Aharonov-Bohm relations and the apparatus value types.
+"""Single-solenoid Aharonov-Bohm relations, the apparatus value types and their rules.
 
 An electron passing through a two-slit diaphragm and around a long thin
 solenoid of flux Phi picks up the phase difference
@@ -52,9 +52,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("e", "m", "hbar", "h"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"constant {name} must be finite and positive, got {value!r}")
+            require_positive(f"constant {name}", getattr(self, name))
         if abs(self.h - 2.0 * math.pi * self.hbar) > math.ulp(self.h):
             raise ValidationError(
                 f"h must equal 2*pi*hbar to 1 ulp: h={self.h!r}, 2*pi*hbar={2.0 * math.pi * self.hbar!r}"
@@ -74,8 +72,7 @@ class Solenoid:
     radius: float   # base radius R, meter
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValidationError(f"solenoid radius must be finite and positive, got {self.radius!r}")
+        require_positive("solenoid radius", self.radius)
         if not math.isfinite(self.field):
             raise ValidationError(f"solenoid field must be finite, got {self.field!r}")
 
@@ -102,15 +99,26 @@ class ApparatusGeometry:
 
     def __post_init__(self):
         for name in ("screen_distance", "slit_separation", "speed"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+            require_positive(name, getattr(self, name))
 
 
 def is_integer(value: object) -> bool:
     """True for an int or numpy integer, False for a bool or any other type:
     the type rule of every integer argument (grid sizes, counts, seeds)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_positive(label: str, value: float) -> None:
+    """The rule of every magnitude (a constant, a length, a speed): finite and positive."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValidationError(f"{label} must be finite and positive, got {value!r}")
+
+
+def require_gaussian_width(label: str, width: float) -> None:
+    """The rule of a Gaussian's width w: finite and positive, with 2 w^2, the divisor in exp(-x^2 / 2w^2), finite."""
+    require_positive(label, width)
+    if math.isinf(2.0 * width * width):   # (2w)w rounds as 2 w^2; w**2 would raise, not give inf
+        raise ValidationError(f"{label} {width!r} m is too large: 2 w^2 overflows")
 
 
 @dataclass(frozen=True)

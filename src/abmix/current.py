@@ -14,11 +14,11 @@ second-order one-sided stencils at the two boundary points, so halving
 the spacing cuts the discretization error by about four.
 
 For a superposition c1 psi1 + c2 psi2 whose branches do not interfere
-(vanishing pointwise product and inner product), the total current
-decomposes as |c1|^2 j1 + |c2|^2 j2; `mixture_current_check` verifies
-this numerically and refuses to run on interfering branches.  The factories
-refuse a packet that cannot be normalized and a plane wave whose bound
-overflows, so `config.validate` refuses both before any command runs.
+(vanishing pointwise product and inner product), the total current decomposes as
+|c1|^2 j1 + |c2|^2 j2; `mixture_current_check` verifies this numerically and refuses
+interfering branches.  The factories refuse a packet whose width breaks the screen
+envelope's rule, `core.require_gaussian_width`, or that cannot be normalized, and a
+plane wave whose bound overflows, so `config.validate` refuses them before any command runs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, PhysicalConstants, is_integer
+from .core import Grid, PhysicalConstants, is_integer, require_gaussian_width
 from .dual import BranchAmplitudes
 from .errors import InterferenceError, ValidationError
 from .pattern import csv_table
@@ -190,16 +190,11 @@ def gaussian_packet(grid: Grid, center: float, width: float, wavenumber: float) 
     magnitude exp(-s^2 / (4 width^2)), so a separation of 12 widths
     guarantees non-interference to well below 1e-12.
     """
-    if not (width > 0.0 and math.isfinite(width)):
-        raise ValidationError(f"packet width must be finite and positive, got {width!r}")
-    try:
-        two_width_sq = 2.0 * width**2
-    except OverflowError:
-        raise ValidationError(f"packet width {width!r} is too large: its square overflows") from None
+    require_gaussian_width("packet width", width)
     eta = grid.positions
     packet = f"packet with center {center!r}, width {width!r} and k {wavenumber!r}"
     with np.errstate(all="ignore"):   # a weight or norm that is not finite fails the check below
-        samples = np.exp(-((eta - center) ** 2) / two_width_sq) * np.exp(1j * wavenumber * eta)
+        samples = np.exp(-((eta - center) ** 2) / (2.0 * width**2)) * np.exp(1j * wavenumber * eta)
         weight = float(np.sum(np.abs(samples) ** 2)) * grid.dx
         try:
             psi = GridWavefunction(grid, samples / math.sqrt(weight)) if weight > 0.0 else None

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .core import Grid
+from .core import Grid, require_gaussian_width, require_positive
 from .dual import BranchAmplitudes
 from .errors import ValidationError
 
@@ -59,11 +59,8 @@ class ScreenOptics:
 
     def __post_init__(self):
         grid, period, width = self.grid, self.period, self.envelope_width
-        for name, value in (("period", period), ("envelope_width", width)):
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        if math.isinf(2.0 * width * width):   # (2w)w rounds as 2 w^2; w**2 would raise, not give inf
-            raise ValidationError(f"envelope_width {width!r} m is too large: 2 w^2 overflows")
+        require_positive("period", period)
+        require_gaussian_width("envelope_width", width)
         if grid.span < MIN_PERIODS * period:
             raise ValidationError(f"screen span {grid.span!r} m is narrower than {MIN_PERIODS} fringe "
                                   f"periods ({MIN_PERIODS * period!r} m)")
@@ -170,18 +167,21 @@ def visibility(pattern: IntensityPattern) -> float:
     return float(_contrast(pattern.optics, pattern.intensity[np.newaxis], False)[0])
 
 
-def _fringe_parts(block: np.ndarray, envelope: np.ndarray, out: np.ndarray) -> None:
-    """Each row of `block` less its least-squares envelope multiple a*G(x),
-    written into the same-shaped `out`.
+def _fringe_parts(block: np.ndarray, envelope: np.ndarray, nfft: int) -> np.ndarray:
+    """A zero-padded (k, nfft) buffer holding each row of the (k, n) `block`,
+    cast to float once, less its least-squares envelope multiple a*G(x).
 
     For a model pattern (1 + V cos)G this removes the non-oscillatory hump
     exactly, which would otherwise bias the correlation peak toward zero
-    lag.  Each row's a comes from its own `np.dot`: `block @ envelope` sums
+    lag.  Each row's a comes from its own `np.dot`: `rows @ envelope` sums
     in another order and would move the last bits.
     """
-    coefficients = np.array([np.dot(row, envelope) for row in block]) / np.dot(envelope, envelope)
-    np.multiply(coefficients[:, np.newaxis], envelope, out=out)
-    np.subtract(block, out, out=out)
+    parts = np.zeros((len(block), nfft))
+    rows = parts[:, :len(envelope)]
+    rows[...] = block
+    coefficients = np.array([np.dot(row, envelope) for row in rows]) / np.dot(envelope, envelope)
+    rows -= coefficients[:, np.newaxis] * envelope
+    return parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +206,8 @@ class ShiftEstimator:
     def __post_init__(self):
         reference, n = self.reference, self.reference.n
         object.__setattr__(self, "nfft", 1 << (2 * n - 2).bit_length())
-        part = np.zeros((1, self.nfft))   # padded as every block is
-        _fringe_parts(reference.intensity[np.newaxis], reference.optics.envelope, out=part[:, :n])
-        spectrum = np.conj(np.fft.rfft(part, axis=-1)[0])
+        part = _fringe_parts(reference.intensity[np.newaxis], reference.optics.envelope, self.nfft)
+        spectrum = np.conj(np.fft.rfft(part, axis=-1)[0])   # padded as every block is
         spectrum.flags.writeable = False
         object.__setattr__(self, "reference_spectrum", spectrum)
         shifts, visibilities = self.shifts(reference.intensity[np.newaxis], holds_counts=False)
@@ -224,13 +223,11 @@ class ShiftEstimator:
         optics = self.reference.optics
         visibilities = _contrast(optics, block, holds_counts)
         n, dx, nfft = optics.grid.n, optics.grid.dx, self.nfft
-        # beside its (k, n) rows, int64 counts as drawn or floats, a block
-        # holds one zero-padded (k, nfft) buffer, which takes the fringe parts
-        # and then the correlation, and the (k, nfft // 2 + 1) spectra: a
-        # bootstrap thread's working set is 8 k n + 8 k nfft + 16 k (nfft // 2
-        # + 1) bytes, 640 KiB at the default screen (k = 4, n = 4096, nfft = 8192)
-        c = np.zeros((len(block), nfft))
-        _fringe_parts(block, optics.envelope, out=c[:, :n])
+        # beside its (k, n) rows, int64 counts as drawn or floats, a block holds one zero-padded
+        # (k, nfft) buffer, which takes the fringe parts and then the correlation, and the
+        # (k, nfft // 2 + 1) spectra: a bootstrap thread's working set is 8 k n + 8 k nfft +
+        # 16 k (nfft // 2 + 1) bytes, 640 KiB at the default screen (k = 4, n = 4096, nfft = 8192)
+        c = _fringe_parts(block, optics.envelope, nfft)
         spectra = np.fft.rfft(c, axis=-1)
         spectra *= self.reference_spectrum
         np.fft.irfft(spectra, nfft, axis=-1, out=c)

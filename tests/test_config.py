@@ -208,6 +208,9 @@ UNBUILDABLE = {
     "huge_k1": ({"wavepackets": {"k1": 1e308}}, "wavepackets: packet with ", "1e+308"),   # k * eta overflows
     "huge_plane_k": ({"wavepackets": {"kind": "plane", "k": 1e308}}, "wavepackets: plane wave with ", "1e+308"),
     "huge_width": ({"wavepackets": {"width": 1e300}}, "wavepackets: packet width ", "1e+300"),   # width^2 overflows
+    # width^2 is finite but 2 width^2 overflows, as for the envelope width
+    "twice_square_width": ({"wavepackets": {"width": 1.2e154}}, "wavepackets: packet width ",
+                           "1.2e+154 m is too large: 2 w^2 overflows"),
     "width_0": ({"wavepackets": {"width": 0}}, "wavepackets: packet width must be finite and positive, ", "0.0"),
     # a wire grid needs 2 points, and a wavefunction on it 8
     "wire_n_1": ({"wavepackets": {"n": 1}}, "wavepackets: a grid needs at least 2 points, ", "got 1"),

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -18,6 +19,8 @@ from abmix.core import (
     fringe_shift,
     fringe_shift_classical_form,
     phase_shift,
+    require_gaussian_width,
+    require_positive,
 )
 from abmix.errors import ValidationError
 
@@ -59,7 +62,7 @@ class TestPhysicalConstants:
     @pytest.mark.parametrize("field,value", [("e", -1.0), ("m", 0.0), ("hbar", float("nan"))])
     def test_rejects_nonpositive(self, field, value):
         kwargs = {field: value}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^constant {field} must be finite and positive, got {value!r}$"):
             PhysicalConstants(**kwargs)
 
     def test_rejects_inconsistent_planck_pair(self):
@@ -74,11 +77,12 @@ class TestGeometryAndSolenoid:
         dict(screen_distance=1.0, slit_separation=1e-5, speed=0.0),
     ])
     def test_rejects_degenerate_geometry(self, kwargs):
-        with pytest.raises(ValidationError):
+        name, value = next((name, value) for name, value in kwargs.items() if value <= 0.0)
+        with pytest.raises(ValidationError, match=f"^{name} must be finite and positive, got {value!r}$"):
             ApparatusGeometry(**kwargs)
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^solenoid radius must be finite and positive, got 0.0$"):
             Solenoid(field=1.0, radius=0.0)
 
     @pytest.mark.parametrize("field", [math.inf, -math.inf, math.nan])
@@ -92,6 +96,24 @@ class TestGeometryAndSolenoid:
     def test_an_area_beyond_the_float_range_is_inf(self):
         # R^2 overflows: an inf area, not an OverflowError
         assert Solenoid(field=0.0, radius=1e200).area == math.inf
+
+
+class TestMagnitudeRules:
+    """The finite-and-positive rule and the Gaussian-width rule, each with its one line."""
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_a_value_that_is_not_finite_and_positive_is_refused(self, value):
+        for rule in (require_positive, require_gaussian_width):
+            with pytest.raises(ValidationError, match=f"^w must be finite and positive, got {value!r}$"):
+                rule("w", value)
+
+    def test_a_width_whose_twice_square_overflows_is_refused(self):
+        # w^2 overflows at 1e300; at 9.5e153 it is finite, but 2 w^2 is not
+        for width in (1e300, 9.5e153):
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'w {width!r} m is too large: 2 w^2 overflows')}$"):
+                require_gaussian_width("w", width)
+        require_gaussian_width("w", 9.4e153)   # 2 w^2 is finite
+        require_positive("w", 1e300)
 
 
 class TestDeBroglieWavelength:
@@ -215,6 +237,11 @@ class TestGrid:
     def test_rejects_a_non_integer_point_count(self, n):
         with pytest.raises(ValidationError):
             Grid(-1.0, 1.0, n)
+
+    def test_a_grid_needs_two_points(self):
+        with pytest.raises(ValidationError, match="^a grid needs at least 2 points, got 1$"):
+            Grid(-1.0, 1.0, 1)
+        assert Grid(-1.0, 1.0, 2).dx == 2.0
 
     def test_accepts_a_numpy_integer_point_count(self):
         assert Grid(-1.0, 1.0, np.int64(4096)).positions.shape == (4096,)

@@ -77,11 +77,24 @@ class TestFactories:
             plane_wave(grid, 1e200)
         assert math.isfinite(plane_wave_check(plane_wave(grid, 1e100), 1e100, CONSTANTS)[2])
 
-    @pytest.mark.parametrize("width", [0.0, -16.0, math.inf, math.nan])
-    def test_a_packet_width_that_is_not_finite_and_positive_is_refused(self, width):
+    @pytest.mark.parametrize("width, line", [
         # an inf width would give a flat packet, a plane wave that normalizes
-        with pytest.raises(ValidationError, match=f"packet width must be finite and positive, got {width!r}"):
+        (0.0, "must be finite and positive, got 0.0"),
+        (-16.0, "must be finite and positive, got -16.0"),
+        (math.inf, "must be finite and positive, got inf"),
+        (math.nan, "must be finite and positive, got nan"),
+        # w^2 overflows at 1e300; at the other two w^2 is finite but 2 w^2 is not: the
+        # screen's envelope width has the same rule and the same line
+        (1e300, "1e+300 m is too large: 2 w^2 overflows"),
+        (1.2e154, "1.2e+154 m is too large: 2 w^2 overflows"),
+        (9.5e153, "9.5e+153 m is too large: 2 w^2 overflows"),
+    ], ids=["0.0", "-16.0", "inf", "nan", "1e+300", "1.2e+154", "9.5e+153"])
+    def test_a_packet_width_that_breaks_the_width_rule_is_refused(self, width, line):
+        with pytest.raises(ValidationError, match=f"^packet width {re.escape(line)}$"):
             gaussian_packet(Grid(-256.0, 256.0, 4096), 0.0, width, 1.5)
+
+    def test_a_packet_width_whose_twice_square_is_finite_builds(self):
+        assert abs(gaussian_packet(Grid(-256.0, 256.0, 4096), 0.0, 9.4e153, 1.5).norm_squared - 1.0) <= 1e-9
 
     def test_a_packet_whose_weight_is_subnormal_is_refused(self):
         # its weight, 2.7e-316, has lost digits: divided by its root the packet's
@@ -274,6 +287,15 @@ class TestMixtureCurrentCheck:
         assert np.allclose(
             j_mixture, 0.5 * j1 + 0.5 * j2, rtol=1e-12, atol=0.0
         )
+
+    def test_unequal_weights_split_the_current_as_their_squares(self):
+        # |c1|^2 = 0.8 goes with j1 and |c2|^2 = 0.2 with j2, within the decomposition bound
+        psi1, psi2 = disjoint_packets(n=1024)
+        amplitudes = BranchAmplitudes(math.sqrt(0.8), 1j * math.sqrt(0.2))
+        j_total, j_mixture, deviation, bound, _ = mixture_current_check(amplitudes, psi1, psi2, CONSTANTS)
+        j1, j2 = current_density(psi1, CONSTANTS), current_density(psi2, CONSTANTS)
+        assert np.array_equal(j_mixture, amplitudes.p1 * j1 + amplitudes.p2 * j2)
+        assert deviation <= bound
 
     def test_pure_branch_total_equals_branch_current(self):
         psi1, psi2 = disjoint_packets(n=1024)

@@ -3,6 +3,7 @@ import statistics
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -453,8 +454,9 @@ class TestCountingMemory:
 
 class TestBootstrapMemory:
     """A resample block is estimated from its int64 rows as drawn, one
-    zero-padded (k, nfft) buffer and its spectra: no float copy of the block
-    is made, and no copy of the correlation outlives the step that spends it."""
+    zero-padded (k, nfft) buffer, which they are cast into once, and its
+    spectra: no other float copy of the block is made, and no copy of the
+    correlation outlives the step that spends it."""
 
     def test_one_resample_block_holds_its_rows_one_buffer_and_the_spectra(self):
         optics = wide_screen()   # the default screen: 4096 cells, so nfft = 8192 and k = 4
@@ -503,6 +505,18 @@ class TestBlockBootstrap:
         shifts, _ = estimator.shifts(row)
         assert math.isfinite(shifts[0])
         assert math.isnan(experiment._bootstrap_sigma(row, shifts, estimator, [(5, 1, 1)], 20)[0])
+
+    def test_one_kept_resample_gets_a_nan_sigma_and_no_warning(self):
+        # a std dev of one value has no degrees of freedom: it is nan, without the
+        # RuntimeWarning numpy's std gives for it, which cli.main would print as a warning line
+        optics = wide_screen()
+        estimator = pattern.ShiftEstimator(pattern.two_slit_pattern(optics, 0.0))
+        shifted = pattern.two_slit_pattern(optics, 0.6).intensity
+        row = np.random.default_rng(5).multinomial(100_000, shifted / shifted.sum())[np.newaxis]
+        shifts, _ = estimator.shifts(row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(experiment._bootstrap_sigma(row, shifts, estimator, [(5, 1, 1)], 1)[0])
 
 
 class TestSharedSchedule:
